@@ -8,6 +8,7 @@ Subpackages:
   series      -- Freudenthal-type recurrences, asymptotic solutions, symbols
   cycles      -- tower-of-loops cycles, phase-tracked form, quadrature
   closedforms -- Gamma/sine product evaluators and the Vandermonde identities
+  claims      -- the paper's claims as one seeded registry, run by `hc verify`
   cli         -- the `hc` command-line front door
 """
 

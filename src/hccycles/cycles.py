@@ -43,11 +43,10 @@ bit-stable for a fixed spec.
 from __future__ import annotations
 
 import cmath
-import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction as Q
-from typing import Mapping, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -614,24 +613,3 @@ def fd_eigenvalue(
             dj = (plus[j] - minus[j]) / (2.0 * h)
             acc -= k * (z[j] + z[i]) / (z[j] - z[i]) * (di - dj)
     return acc / base
-
-
-def result_json(
-    w: Permutation,
-    z: Sequence[complex],
-    sp: SpectralParam,
-    quad: QuadratureSpec,
-    value: complex,
-    extra: Mapping | None = None,
-) -> str:
-    doc = {
-        "w": list(w.images),
-        "z": [v.real if v.imag == 0 else [v.real, v.imag] for v in map(complex, z)],
-        "lambda": [str(x) for x in sp.lam],
-        "k": str(sp.k),
-        "integral": {"re": value.real, "im": value.imag},
-        "spec": quad.as_dict(),
-    }
-    if extra:
-        doc.update(extra)
-    return json.dumps(doc, sort_keys=True)

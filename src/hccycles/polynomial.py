@@ -312,7 +312,3 @@ def vandermonde(nvars: int) -> Poly:
         if p < q:
             out = out * (Poly.var(nvars, p) - Poly.var(nvars, q))
     return out
-
-
-def from_exponent_dict(nvars: int, d: Mapping[tuple, Scalar]) -> Poly:
-    return Poly(nvars, d)

@@ -1,11 +1,14 @@
-"""Acceptance suite: one test per criterion, each printing a PASS line with
-its measured margin.  Tolerances are fixed here, not tuned elsewhere."""
+"""Acceptance suite.  Every claim of the `hc verify` registry runs at seed 42
+and prints one PASS line with its measured margin: under `test_claim`, or,
+for criteria 3 and 10, under their own names.  The other numbered criteria
+keep only what the registry does not check (more draws, other seeds, a
+second oracle).  Tolerances are fixed here, not tuned elsewhere."""
 
-import math
 import random
 import time
 from fractions import Fraction as Q
 
+import pytest
 import scipy.special as ss
 
 from hccycles import closedforms as cf
@@ -13,90 +16,30 @@ from hccycles import cycles as cy
 from hccycles import diagrams as dg
 from hccycles import rootsystem as rs
 from hccycles import series as se
-from hccycles.polynomial import Poly, vandermonde
+from hccycles.claims import SUITES, random_generic
+from hccycles.polynomial import vandermonde
+
+# Criteria 3 and 10 keep their own named tests; every other registry entry
+# runs under `test_claim`.
+NAMED = {"order", "limit"}
+NAMES = [fn.__name__.removeprefix("_chk_") for checks in SUITES.values() for _, fn in checks]
 
 
 def _report(num, text):
     print(f"PASS criterion {num}: {text}")
 
 
-def _random_generic(rng, n, kmin=Q(1, 5)):
-    while True:
-        lam = [Q(rng.randint(-30, 30), 41) + Q(1, 53) for _ in range(n)]
-        lam.append(-sum(lam))
-        sp = se.SpectralParam(rs.vec(lam), kmin + Q(rng.randint(1, 24), 29))
-        if sp.is_generic():
-            return sp
+@pytest.mark.parametrize("name", [name for name in NAMES if name not in NAMED])
+def test_claim(name, check_claim):
+    print(f"PASS {check_claim(name)}")
 
 
-def test_criterion_1_bijection_and_length():
-    t0 = time.time()
-    total = 0
-    for r in range(1, 7):
-        seen = set()
-        for d in dg.all_diagrams(r):
-            w = d.to_permutation()
-            seen.add(w.images)
-            assert dg.Diagram.from_permutation(w) == d
-            assert d.length() == w.inversions()
-            total += 1
-        assert len(seen) == math.factorial(r)
-    dt = time.time() - t0
-    assert dt < 5.0
-    _report(1, f"bijection + length exact on {total} diagrams (r<=6) in {dt:.2f}s")
+def test_criterion_3_order_counts(check_claim):
+    _report(3, check_claim("order"))
 
 
-def test_criterion_2_poincare_identities():
-    t0 = time.time()
-    for n in range(1, 8):
-        assert dg.poincare_sum(n) == dg.poincare_product(n)
-    for n in range(1, 6):
-        assert dg.multiparam_sum(n) == dg.multiparam_product(n)
-        assert dg.specialize_to_single_q(dg.multiparam_sum(n)) == dg.poincare_sum(n)
-    dt = time.time() - t0
-    assert dt < 10.0
-    _report(2, f"Poincare (n<=7) and multiparametric (n<=5) exact in {dt:.2f}s")
-
-
-def test_criterion_3_order_counts():
-    for n in range(1, 6):
-        perms = list(dg.all_permutations(n))
-        lengths = {w: dg.Diagram.from_permutation(w).length() for w in perms}
-        for w in perms:
-            geq = [v for v in perms if dg.partial_leq(w, v)]
-            leq = [v for v in perms if dg.partial_leq(v, w)]
-            assert dg.count_geq(w) == len(geq)
-            assert dg.count_leq(w) == len(leq)
-            assert dg.qpoly_geq(w) == dg.qpoly_geq_bruteforce(w)
-            assert dg.qpoly_leq(w) == dg.qpoly_leq_bruteforce(w)
-            for v in geq:
-                assert lengths[w] <= lengths[v]
-    _report(3, "closed-form counts/q-polynomials/monotonicity exact, exhaustive n<=5")
-
-
-def test_criterion_4_reduced_words():
-    for r in range(1, 7):
-        for w in dg.all_permutations(r):
-            d = dg.Diagram.from_permutation(w)
-            word = d.reduced_word()
-            assert dg.evaluate_word(word, r) == w
-            assert len(word) == d.length()
-    _report(4, "block presentations reduce and multiply back, exhaustive n<=6")
-
-
-def test_criterion_5_gz_patterns():
-    rng = random.Random(2024)
-    checked = 0
-    for n in range(1, 5):
-        for _ in range(20):
-            m = sorted(rng.sample(range(-40, 41), n))
-            for w in dg.all_permutations(n):
-                pat = dg.gz_pattern(w, m)
-                assert pat.betweenness_holds()
-                winv = w.inverse()
-                assert pat.weight() == tuple(m[winv(i) - 1] for i in range(1, n + 1))
-                checked += 1
-    _report(5, f"betweenness + w-permuted lowest weight exact on {checked} patterns (n<=4)")
+def test_criterion_10_limit_identity(check_claim):
+    _report(10, check_claim("limit"))
 
 
 def test_criterion_6_freudenthal_recurrence():
@@ -104,51 +47,22 @@ def test_criterion_6_freudenthal_recurrence():
     rng = random.Random(99)
     for n in (1, 2):
         for _ in range(20):
-            sp = _random_generic(rng, n)
+            sp = random_generic(rng, n, Q(1, 5), 29)
             for w in dg.all_permutations(n + 1):
                 table = se.freudenthal_table_for_w(w, sp, 5)
                 assert se.residual_L(table) == 0
-    sp = se.SpectralParam(rs.vec([Q(3, 10), Q(-3, 10)]), Q(3, 2))
-    for w in dg.all_permutations(2):
-        table = se.freudenthal_table_for_w(w, sp, 8)
-        oracle = se.a1_hypergeometric_coefficients(sp, w, 8)
-        assert [table.entries[(c,)] for c in range(9)] == oracle
     dt = time.time() - t0
     assert dt < 30.0
-    _report(6, f"residual exactly 0 (n<=2, all w, depth 5, 20 draws); A1 oracle equal to depth 8; {dt:.1f}s")
-
-
-def test_criterion_7_commuting_operator_examples():
-    for n in (1, 2):
-        k = Q(5, 7)
-        nv = n + 1
-        tab = se.commuting_symbol_table(Poly.const(nv, 1), n, k, 2)
-        assert tab[(0,) * n] == Poly.const(nv, 1)
-        assert all(p.is_zero for o, p in tab.items() if sum(o) > 0)
-        s1 = se.elementary_power_sum(nv, 1)
-        tab1 = se.commuting_symbol_table(s1, n, k, 2)
-        assert tab1[(0,) * n] == s1
-        assert all(p.is_zero for o, p in tab1.items() if sum(o) > 0)
-        tab2 = se.commuting_symbol_table(se.elementary_power_sum(nv, 2), n, k, 2)
-        L = se.l_operator_symbols(n, k, 2)
-        rho = rs.rho(n, k)
-        assert tab2[(0,) * n] == L[(0,) * n] + Poly.const(nv, rs.inner(rho, rho))
-        for off, p in L.items():
-            if sum(off) > 0:
-                assert tab2[off] == p
-    _report(7, "identity, sum of derivatives, and L + (rho,rho) reproduced exactly (depth 2, n<=2)")
+    _report(6, f"residual exactly 0 (n<=2, all w, depth 5, 20 draws); {dt:.1f}s")
 
 
 def test_criterion_8_leading_asymptotics():
     t0 = time.time()
     sp = se.SpectralParam(rs.vec([Q(3, 10), Q(-3, 10)]), Q(3, 2))
     quad = cy.QuadratureSpec(points_per_axis=121)
-    worst = 0.0
     raw_devs = []
     for w in dg.all_permutations(2):
         a = cf.a_w(w, sp)
-        est = cy.leading_coeff_estimate(w, sp, 1e-3, quad)
-        worst = max(worst, abs(est - a) / abs(a))
         z = [1e-3, 1.0]
         ratio = cy.integrate_for_w(w, z, sp, quad) / cy.leading_power(w, sp, z)
         raw = abs(ratio - a) / abs(a)
@@ -156,7 +70,6 @@ def test_criterion_8_leading_asymptotics():
         # the raw ratio carries the first series correction G_1 * r exactly
         g1 = abs(se.freudenthal_table_for_w(w, sp, 1).entries[(1,)])
         assert raw < 1.5 * float(g1) * 1e-3
-    assert worst <= 1e-3
 
     # rank-2 property level: grid-doubling self-convergence and bump independence
     lam = [Q(3, 10), Q(1, 7)]
@@ -180,59 +93,19 @@ def test_criterion_8_leading_asymptotics():
     assert dt < 60.0
     _report(
         8,
-        f"n=1 both w: Richardson estimate within {worst:.2e} of a(w) (raw ratio dev {max(raw_devs):.2e} "
-        f"= first-order series term); n=2: doubling {doubling:.1e} <= 1e-4, bump-independence {eps_dev:.1e} "
-        f"<= 1e-6, measured a(w) deviation {rank2_dev:.1e} (no unimodular discrepancy); {dt:.1f}s",
+        f"n=1 both w: raw ratio dev {max(raw_devs):.2e} = first-order series term; n=2: doubling "
+        f"{doubling:.1e} <= 1e-4, bump-independence {eps_dev:.1e} <= 1e-6, measured a(w) deviation "
+        f"{rank2_dev:.1e} (no unimodular discrepancy); {dt:.1f}s",
     )
 
 
-def test_criterion_9_differential_equation():
-    sp = se.SpectralParam(rs.vec([Q(3, 10), Q(-3, 10)]), Q(3, 2))
-    target = float(se.gamma_L(sp))
-    quad = cy.QuadratureSpec(points_per_axis=121)
-    worst = 0.0
-    for w in dg.all_permutations(2):
-        got = cy.fd_eigenvalue(w, [1e-2, 1.0], sp, quad, h=1e-3)
-        worst = max(worst, abs(got - target) / abs(target))
-    assert worst <= 1e-3
-    _report(9, f"finite-difference L reproduces (lambda,lambda)-(rho,rho) to {worst:.2e}")
-
-
-def test_criterion_10_limit_identity():
-    t0 = time.time()
-    rng = random.Random(42)
-    worst = 0.0
-    for n in (1, 2, 3):
-        trials = 0
-        while trials < 50:
-            sp = _random_generic(rng, n)
-            try:
-                for w in dg.all_permutations(n + 1):
-                    lhs = cf.limit_value(w, sp)
-                    rhs = cf.a_w(w, sp) * cf.F_w_at_1(w, sp)
-                    worst = max(worst, abs(lhs - rhs) / abs(rhs))
-            except (cf.PoleError, ZeroDivisionError):
-                continue
-            trials += 1
-    dt = time.time() - t0
-    assert worst <= 1e-10
-    assert dt < 5.0
-    _report(10, f"limit = a(w)F_w(1) to {worst:.2e} (50 draws/rank, n<=3, all w, no discrepancy constant); {dt:.1f}s")
-
-
 def test_criterion_11_vandermonde_identities():
-    for n in (1, 2, 3):
-        lhs, rhs = cf.mixed_euler_on_vandermonde(n)
-        assert lhs == rhs
-    assert [cf.lemma_sum_constant(n) for n in (1, 2, 3)] == [0, 2, 11]
     assert cf.mixed_euler_on_vandermonde(3)[0] == vandermonde(4) * Q(11)
-    for n in range(1, 201):
-        assert cf.sum_identity_check(n)
     for n in (1, 2):
         assert cf.lemma_6_4_check(n, 0.5, 100, seed=21, tol=1e-9)
         assert cf.lemma_6_4_check(n, 0.75, 100, seed=22, tol=1e-9)
         assert cf.lemma_6_4_check(n, 1.25, 100, seed=23, tol=1e-9)
-    _report(11, "Vandermonde identity exact (constants 0, 2, 11); 100-point residuals < 1e-9 incl. k=1/2")
+    _report(11, "c_3 V_4 = 11 V_4 exact; 100-point residuals < 1e-9 at seeds 21-23 incl. k=1/2 and k=5/4")
 
 
 def test_criterion_12_opdam_value():
@@ -248,4 +121,4 @@ def test_criterion_12_opdam_value():
             ref = ss.hyp2f1(float(sp.k), float(sp.k) + m, 1.0 + m, 1.0)
             worst = max(worst, abs(got - ref) / abs(ref))
     assert worst <= 1e-10
-    _report(12, f"F_w(1) matches the Gauss-summation 2F1 oracle to {worst:.2e} at 20 parameter points")
+    _report(12, f"F_w(1) matches the scipy 2F1 oracle to {worst:.2e} at 20 parameter points")

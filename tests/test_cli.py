@@ -2,6 +2,9 @@ import json
 import subprocess
 import sys
 
+import pytest
+
+from hccycles.claims import SUITES
 from hccycles.cli import main
 
 RUN = [sys.executable, "-m", "hccycles.cli"]
@@ -75,7 +78,11 @@ def test_integrate_default_deviation():
     out = run_cli(["integrate", "--points", "81", "--w", "id"])
     assert out.returncode == 0
     doc = json.loads(out.stdout)
+    assert set(doc) == {"n", "k", "lambda", "z", "spec", "results"}
+    assert doc["spec"]["points_per_axis"] == 81
     rec = doc["results"][0]
+    assert rec["w"] == [1, 2]
+    assert isinstance(rec["integral"]["re"], float) and isinstance(rec["integral"]["im"], float)
     assert rec["relative_deviation"] < 1e-3
     assert rec["convergence"]["relative_change"] < 1e-8
 
@@ -110,16 +117,6 @@ def test_verify_determinism_and_exit():
     assert len(doc["checks"]) == 12
 
 
-def test_verify_thread_cap_keeps_output():
-    import os
-
-    env = dict(os.environ, HC_THREADS="4")
-    a = run_cli(["verify", "combinatorics", "--seed", "3"])
-    b = run_cli(["verify", "combinatorics", "--seed", "3"], env=env)
-    assert a.returncode == b.returncode == 0
-    assert a.stdout == b.stdout
-
-
 def test_verify_identities():
     out = run_cli(["verify", "identities", "--seed", "7"])
     assert out.returncode == 0
@@ -129,15 +126,68 @@ def test_verify_identities():
 
 
 def test_verify_all_tag_census():
-    from hccycles.cli import SUITES
-
-    tags = [t for suite in SUITES.values() for t, _ in suite]
-    assert len(tags) == len(set(tags)) == 28
+    census = {suite: [tag for tag, _ in checks] for suite, checks in SUITES.items()}
+    assert list(census) == ["combinatorics", "series", "integrals", "identities"]
+    assert census == {
+        "combinatorics": [
+            "Def 1.1 / Rem 1.2 diagrams",
+            "Prop 2.2 bijection",
+            "Rem 2.3 top-row mark",
+            "Rem 2.4 component rule",
+            "Def 2.5 / Thm 2.6 length",
+            "Rem 2.7 left arrows",
+            "Thm 2.8 Poincare identity",
+            "Thm 2.9 multiparametric identity",
+            "Thm 2.10 reduced words",
+            "Def 2.12 / Prop 2.13 order counts",
+            "Thm 3.1 GZ patterns",
+            "Sec 6.2 induction mechanism",
+        ],
+        "series": [
+            "Sec 0.2 root data",
+            "Sec 0.4 Harish-Chandra image of L",
+            "Thm 0.9(1-2) commuting symbols",
+            "Thm 0.9(3) pairwise commutation",
+            "Sec 0.14 Freudenthal recurrence",
+        ],
+        "integrals": [
+            "Def 4.1 bump",
+            "Def 4.3 / Rem 4.4 cycles",
+            "Def 5.1 / 5.2 / Rem 5.3 phases",
+            "Sec 0.15 algebraic integral form",
+            "Thm 6.1 leading coefficient",
+            "Thm 6.3 differential equation",
+        ],
+        "identities": [
+            "Lemma 6.4 twisted Euler identity",
+            "Lemma 6.5 Vandermonde identity",
+            "Lemma 6.5 summation identity",
+            "Thm 6.7 Opdam value",
+            "Thm 6.8 unit-argument limit",
+        ],
+    }
 
 
 def test_usage_error_exit_code():
     out = run_cli(["nonsense"])
     assert out.returncode == 2
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["integrate", "--w", "1,x"],
+        ["diagrams", "order", "3", "--count-geq", "1,2"],
+        ["integrate", "--w", "1,2,3"],
+        ["series", "--n", "0", "--lambda", "0"],
+        ["integrate", "--points", "5"],
+        ["integrate", "--epsilon", "0.3"],
+        ["series", "--depth", "-1"],
+    ],
+)
+def test_bad_input_is_usage_error(argv, capsys):
+    assert main(argv) == 2
+    assert capsys.readouterr().err.startswith("usage error:")
 
 
 def test_main_entry_inprocess(capsys):

