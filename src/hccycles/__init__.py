@@ -17,7 +17,6 @@ from .closedforms import F_w_at_1, a_w, limit_value
 from .cycles import BumpFn, CyclePath, QuadratureSpec, integrate, integrate_for_w, leading_coeff_estimate
 from .diagrams import Diagram, GZPattern, Permutation, gz_pattern
 from .polynomial import Poly
-from .rootsystem import RootSystemAn
 from .series import CoeffTable, ResonanceError, SpectralParam, freudenthal_table, gamma_L, phi_eval
 
 __version__ = "0.1.0"
@@ -33,7 +32,6 @@ __all__ = [
     "Poly",
     "QuadratureSpec",
     "ResonanceError",
-    "RootSystemAn",
     "SpectralParam",
     "a_w",
     "closedforms",

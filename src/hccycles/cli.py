@@ -82,6 +82,8 @@ def _qcoeffs(p: Poly) -> list[str]:
 
 def cmd_diagrams(args) -> int:
     n = args.n
+    if n < 1:
+        raise SystemExit(f"usage error: n = {n} must be >= 1")
     if n > MAX_ENUM:
         raise SystemExit(f"usage error: n = {n} exceeds the exhaustive-enumeration bound {MAX_ENUM}")
     if args.subcommand == "enumerate":
@@ -168,6 +170,8 @@ def cmd_integrate(args) -> int:
     k = _parse_rational(args.k, "k")
     sp = se.SpectralParam(lam, k)
     ws = _parse_w(args.w, n + 1)
+    if args.csv_steps < 1:
+        raise SystemExit(f"usage error: --csv-steps {args.csv_steps} must be >= 1")
     r = args.z_ratio
     z = [args.scale * r ** (n - i) for i in range(n + 1)]
     try:

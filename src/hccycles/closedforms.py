@@ -16,6 +16,7 @@ comparisons carry tolerances.
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction as Q
@@ -124,7 +125,7 @@ class GammaProduct:
 
     def _check_pole(self, arg, tag: str):
         if isinstance(arg, (int, Q)):
-            if arg <= 0 and Q(arg).denominator == 1:
+            if arg <= 0 and arg.denominator == 1:
                 raise PoleError(f"Gamma argument {arg} is a nonpositive integer{tag and f' ({tag})'}")
         elif _near_nonpositive_int(complex(arg), self.pole_tol):
             raise PoleError(f"Gamma argument {complex(arg)} within {self.pole_tol} of a pole{tag and f' ({tag})'}")
@@ -151,10 +152,26 @@ def _length(w: Permutation) -> int:
     return Diagram.from_permutation(w).length()
 
 
-def _pairings(w: Permutation, sp: SpectralParam) -> list[tuple[rs.Vector, Q]]:
-    """[(alpha, (w.lambda, coroot alpha))] over the positive roots."""
+def _pairings(w: Permutation, sp: SpectralParam) -> list[tuple[int, int, Q]]:
+    """[(a, b, (w.lambda, coroot of e_a - e_b))] over the positive roots;
+    each pairing is the coordinate difference w.lambda_a - w.lambda_b."""
     wlam = rs.weyl_apply(w, sp.lam)
-    return [(a, rs.inner(wlam, rs.coroot(a))) for a in rs.positive_roots(sp.rank)]
+    return [(a, b, wlam[a] - wlam[b]) for a, b in rs.positive_root_pairs(sp.rank)]
+
+
+@functools.lru_cache(maxsize=16)
+def _root_tags(n: int) -> dict[tuple[int, int], str]:
+    """PoleError tag of each positive root, e.g. "alpha = ('1', '-1', '0')"."""
+    return {
+        pair: f"alpha = {tuple(map(str, alpha))}"
+        for pair, alpha in zip(rs.positive_root_pairs(n), rs.positive_roots(n))
+    }
+
+
+def _lam_delta(sp: SpectralParam) -> Q:
+    """(lambda, delta) with delta_i = n/2 - i (0-based i); as lambda sums to
+    zero, this is -sum_i i lambda_i."""
+    return -sum(i * x for i, x in enumerate(sp.lam) if i)
 
 
 def a_w_product(w: Permutation, sp: SpectralParam) -> GammaProduct:
@@ -165,14 +182,15 @@ def a_w_product(w: Permutation, sp: SpectralParam) -> GammaProduct:
     """
     n = sp.rank
     N = n * (n + 1) // 2
+    tags = _root_tags(n)
     prod = GammaProduct()
-    for alpha, pairing in _pairings(w, sp):
+    for a, b, pairing in _pairings(w, sp):
         x = -pairing
-        tag = f"alpha = {tuple(map(str, alpha))}"
+        tag = tags[a, b]
         prod.times_gamma(x, +1, tag)
         prod.times_sin(x, tag)
         prod.times_gamma(x + sp.k, -1, tag)
-    prod.times_exp_pi_i(-2 * rs.inner(sp.lam, rs.delta(n)))
+    prod.times_exp_pi_i(-2 * _lam_delta(sp))
     prod.times_exp_pi_i(-(sp.k - 1) * _length(w))
     prod.times_gamma(sp.k, N, "coupling")
     # (2i)^N with principal i = e^{i pi/2}
@@ -193,16 +211,20 @@ def F_w_at_1(w: Permutation, sp: SpectralParam) -> complex:
 
     prod_alpha Gamma((w.lambda, av)+1)/Gamma((w.lambda, av)-k+1)
       / prod_alpha Gamma(-(rho, av)+1)/Gamma(-(rho, av)-k+1).
+
+    The pairing (rho, coroot of e_a - e_b) is k (b - a).
     """
+    k = sp.k
     prod = GammaProduct()
-    rho = sp.rho
-    for alpha, pairing in _pairings(w, sp):
-        tag = f"alpha = {tuple(map(str, alpha))}"
-        prod.times_gamma(pairing + 1, +1, tag)
-        prod.times_gamma(pairing - sp.k + 1, -1, tag)
-        rp = rs.inner(rho, rs.coroot(alpha))
-        prod.times_gamma(-rp + 1, -1, tag)
-        prod.times_gamma(-rp - sp.k + 1, +1, tag)
+    tags = _root_tags(sp.rank)
+    for a, b, pairing in _pairings(w, sp):
+        tag = tags[a, b]
+        shifted = pairing + 1
+        prod.times_gamma(shifted, +1, tag)
+        prod.times_gamma(shifted - k, -1, tag)
+        rho_shifted = 1 - k * (b - a)
+        prod.times_gamma(rho_shifted, -1, tag)
+        prod.times_gamma(rho_shifted - k, +1, tag)
     return prod.eval()
 
 
@@ -222,10 +244,11 @@ def limit_value(w: Permutation, sp: SpectralParam, tol: float = 1e-8) -> complex
             raise ZeroDivisionError(
                 f"denominator sin({m} pi k) = {s:.2e} vanishes at k = {sp.k}"
             )
+    tags = _root_tags(n)
     prod = GammaProduct()
-    for alpha, pairing in _pairings(w, sp):
-        prod.times_sin(-pairing + sp.k, f"alpha = {tuple(map(str, alpha))}")
-    prod.times_exp_pi_i(-2 * rs.inner(sp.lam, rs.delta(n)))
+    for a, b, pairing in _pairings(w, sp):
+        prod.times_sin(-pairing + sp.k, tags[a, b])
+    prod.times_exp_pi_i(-2 * _lam_delta(sp))
     prod.times_exp_pi_i(-(sp.k - 1) * _length(w))
     prod.times_const(2.0 ** N)
     prod.times_exp_pi_i(Q(N, 2))

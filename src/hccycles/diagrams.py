@@ -16,6 +16,7 @@ Permutations are stored as 1-based image tuples and compose as functions:
 
 from __future__ import annotations
 
+import functools
 import json
 from dataclasses import dataclass
 from itertools import permutations as _itperms
@@ -136,13 +137,7 @@ class Diagram:
     @classmethod
     def from_permutation(cls, w: Permutation) -> "Diagram":
         """Inverse of to_permutation: i_r = w^{-1}(1), then strip and recurse."""
-        images = list(w.images)
-        marks: list[int] = []
-        while images:
-            pos = images.index(1) + 1
-            marks.append(pos)
-            images = [v - 1 for v in images[:pos - 1] + images[pos:]]
-        return cls(tuple(reversed(marks)))
+        return _diagram_of(w.images)
 
     def length(self) -> int:
         """Coxeter length of the associated permutation: sum (i_j - 1)."""
@@ -178,6 +173,19 @@ class Diagram:
     @classmethod
     def from_json(cls, text: str) -> "Diagram":
         return cls(tuple(json.loads(text)))
+
+
+@functools.lru_cache(maxsize=256)
+def _diagram_of(images: tuple[int, ...]) -> Diagram:
+    """Diagram.from_permutation on a 1-based image tuple, memoized: the order
+    checks ask for the same few hundred permutations many times over."""
+    rest = list(images)
+    marks: list[int] = []
+    while rest:
+        pos = rest.index(1) + 1
+        marks.append(pos)
+        rest = [v - 1 for v in rest[:pos - 1] + rest[pos:]]
+    return Diagram(tuple(reversed(marks)))
 
 
 def all_diagrams(r: int) -> Iterator[Diagram]:

@@ -4,6 +4,12 @@ Vectors live in V = Q^{n+1} in the orthonormal e-basis; weight-type vectors
 (spectral parameters) are constrained to the sum-zero subspace E.  All
 values are tuples of Fractions and immutable.
 
+Every root of A_n is e_a - e_b and equals its own coroot, so the exact
+layers carry a positive root as the 0-based index pair (a, b), a < b, and
+compute each pairing as a coordinate difference: (v, coroot) = v[a] - v[b].
+The vector forms below (root, positive_roots, coroot, inner) state the same
+data in the e-basis.
+
 Convention: a permutation w acts on coordinates by (w.v)_i = v_{w(i)}, so
 that w.lambda = (lambda_{w(1)}, ..., lambda_{w(n+1)}).  This is a right
 action: apply(w1*w2, v) = apply(w2, apply(w1, v)).
@@ -11,8 +17,8 @@ action: apply(w1*w2, v) = apply(w2, apply(w1, v)).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction as Q
+from itertools import combinations
 from typing import Sequence, Union
 
 Scalar = Union[int, Q]
@@ -60,26 +66,27 @@ def coroot(alpha: Vector) -> Vector:
     return scale(Q(2) / norm2, alpha)
 
 
-def basis_vector(dim: int, i: int) -> Vector:
-    """e_i with 1-based index i."""
-    if not 1 <= i <= dim:
-        raise ValueError("basis index out of range")
-    return tuple(Q(1) if j == i - 1 else Q(0) for j in range(dim))
-
-
 def root(n: int, i: int, j: int) -> Vector:
     """e_i - e_j in Q^{n+1} (1-based, i != j)."""
     if i == j:
         raise ValueError("i and j must differ")
-    return sub(basis_vector(n + 1, i), basis_vector(n + 1, j))
+    if not (1 <= i <= n + 1 and 1 <= j <= n + 1):
+        raise ValueError("basis index out of range")
+    return tuple(Q(1) if m == i - 1 else Q(-1) if m == j - 1 else Q(0) for m in range(n + 1))
 
 
 def simple_roots(n: int) -> list[Vector]:
     return [root(n, i, i + 1) for i in range(1, n + 1)]
 
 
+def positive_root_pairs(n: int) -> list[tuple[int, int]]:
+    """The positive roots e_a - e_b as 0-based pairs (a, b), a < b, in the
+    order of positive_roots."""
+    return list(combinations(range(n + 1), 2))
+
+
 def positive_roots(n: int) -> list[Vector]:
-    return [root(n, i, j) for i in range(1, n + 1) for j in range(i + 1, n + 2)]
+    return [root(n, a + 1, b + 1) for a, b in positive_root_pairs(n)]
 
 
 def delta(n: int) -> Vector:
@@ -144,35 +151,3 @@ def dominance_leq(mu: Vector, lam: Vector) -> bool:
             return False
     return True
 
-
-@dataclass(frozen=True)
-class RootSystemAn:
-    """Rank-n root data with a coupling constant k."""
-
-    rank: int
-    k: Q = Q(1)
-
-    def __post_init__(self):
-        if self.rank < 1:
-            raise ValueError("rank must be >= 1")
-        object.__setattr__(self, "k", Q(self.k))
-
-    @property
-    def positive_roots(self) -> list[Vector]:
-        return positive_roots(self.rank)
-
-    @property
-    def simple_roots(self) -> list[Vector]:
-        return simple_roots(self.rank)
-
-    @property
-    def delta(self) -> Vector:
-        return delta(self.rank)
-
-    @property
-    def rho(self) -> Vector:
-        return rho(self.rank, self.k)
-
-    @property
-    def fundamental_weights(self) -> list[Vector]:
-        return fundamental_weights(self.rank)

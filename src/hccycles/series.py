@@ -11,6 +11,10 @@ in exact rational arithmetic, normalized by G_mu = 1.  Exponent offsets
 nu - mu are stored in simple-root coordinates (nonnegative integers); the
 coordinate sum is the grading ("depth").
 
+Roots are 0-based index pairs (a, b) for e_a - e_b, so every pairing is a
+coordinate difference: (nu - j alpha, alpha) = nu_a - nu_b - 2j, and the
+offset of alpha covers simple-root coordinates a..b-1.
+
 The same module builds symbol tables p_mu(lambda) of differential operators
 commuting with L from their constant term p_0(lambda) = sigma(lambda - rho),
 again by exact recurrence, and checks truncated commutators.
@@ -61,11 +65,8 @@ class SpectralParam:
 
     def is_generic(self) -> bool:
         """(lambda, alpha_check) not an integer, for every root."""
-        for alpha in rs.positive_roots(self.rank):
-            pairing = rs.inner(self.lam, rs.coroot(alpha))
-            if pairing.denominator == 1:
-                return False
-        return True
+        lam = self.lam
+        return all((lam[a] - lam[b]).denominator != 1 for a, b in rs.positive_root_pairs(self.rank))
 
 
 def gamma_L(sp: SpectralParam) -> Q:
@@ -78,11 +79,7 @@ def gamma_L(sp: SpectralParam) -> Q:
 
 def root_offset_coords(n: int) -> list[Offset]:
     """Positive roots as 0/1 vectors in simple-root coordinates."""
-    out = []
-    for a in range(1, n + 1):
-        for b in range(a + 1, n + 2):
-            out.append(tuple(1 if a - 1 <= i <= b - 2 else 0 for i in range(n)))
-    return out
+    return [tuple(1 if a <= i < b else 0 for i in range(n)) for a, b in rs.positive_root_pairs(n)]
 
 
 def offsets_of_height(n: int, h: int) -> Iterator[Offset]:
@@ -94,12 +91,26 @@ def offsets_of_height(n: int, h: int) -> Iterator[Offset]:
             yield (first,) + rest
 
 
-def offset_vector(n: int, offset: Offset) -> tuple[Q, ...]:
-    v = rs.zero_vec(n + 1)
-    for c, alpha in zip(offset, rs.simple_roots(n)):
-        if c:
-            v = rs.add(v, rs.scale(c, alpha))
-    return v
+def offset_vector(n: int, offset: Offset) -> tuple[int, ...]:
+    """beta = sum_i c_i alpha_i in the e-basis: beta_i = c_i - c_{i-1}, with
+    c_{-1} = c_n = 0."""
+    c = tuple(offset)
+    if len(c) != n:
+        raise ValueError("offset has wrong length")
+    return tuple(x - y for x, y in zip(c + (0,), (0,) + c))
+
+
+def _lowered(offset: Offset, a: int, b: int) -> Iterator[tuple[int, Offset]]:
+    """(j, offset - j alpha) for j >= 1 while nonnegative, alpha = e_a - e_b:
+    the coordinates a..b-1 drop by j."""
+    head, mid, tail = offset[:a], offset[a:b], offset[b:]
+    for j in range(1, min(mid) + 1):
+        yield j, head + tuple(c - j for c in mid) + tail
+
+
+def _bracket(wlam: Sequence[Q], beta: Sequence[int]) -> Q:
+    """(w.lambda + beta, w.lambda + beta) - (w.lambda, w.lambda) = 2(w.lambda, beta) + (beta, beta)."""
+    return 2 * sum((x * c for x, c in zip(wlam, beta) if c), Q(0)) + sum(c * c for c in beta)
 
 
 # -- Freudenthal-type coefficient tables --------------------------------------
@@ -167,12 +178,13 @@ def freudenthal_table(
     """
     mu = _validate_mu(mu, sp)
     n = sp.rank
+    pairs = rs.positive_root_pairs(n)
     if require_generic:
-        for alpha in rs.positive_roots(n):
-            pairing = rs.inner(sp.lam, rs.coroot(alpha))
+        for a, b in pairs:
+            pairing = sp.lam[a] - sp.lam[b]
             if pairing.denominator == 1:
-                j = abs(int(pairing))
-                nu = rs.add(mu, rs.scale(j, alpha))
+                alpha = rs.root(n, a + 1, b + 1)
+                nu = rs.add(mu, rs.scale(abs(int(pairing)), alpha))
                 raise ResonanceError(
                     "resonant spectral parameter: (lambda, coroot of "
                     f"{tuple(map(str, alpha))}) = {pairing} is an integer; "
@@ -181,34 +193,26 @@ def freudenthal_table(
                 )
 
     wlam = rs.sub(mu, sp.rho)
-    roots = rs.positive_roots(n)
-    root_coords = root_offset_coords(n)
+    gaps = [(a, b, mu[a] - mu[b]) for a, b in pairs]
     table: dict[Offset, Q] = {(0,) * n: Q(1)}
 
     for h in range(1, depth + 1):
         for offset in sorted(offsets_of_height(n, h)):
             beta = offset_vector(n, offset)
-            nu_minus_rho = rs.add(wlam, beta)
-            bracket = rs.inner(nu_minus_rho, nu_minus_rho) - rs.inner(wlam, wlam)
-            rhs = Q(0)
-            nu = rs.add(mu, beta)
-            for alpha, coords in zip(roots, root_coords):
-                j = 1
-                while True:
-                    lower = tuple(c - j * rc for c, rc in zip(offset, coords))
-                    if any(c < 0 for c in lower):
-                        break
-                    term = rs.inner(rs.sub(nu, rs.scale(j, alpha)), alpha)
-                    rhs += term * table[lower]
-                    j += 1
-            rhs *= 2 * sp.k
+            bracket = _bracket(wlam, beta)
             if bracket == 0:
+                nu = rs.add(mu, beta)
                 raise ResonanceError(
                     "resonant spectral parameter: recurrence bracket vanishes "
                     f"at nu = {tuple(map(str, nu))}",
                     nu=nu,
                 )
-            table[offset] = rhs / bracket
+            rhs = Q(0)
+            for a, b, gap in gaps:
+                nu_ab = gap + beta[a] - beta[b]
+                for j, lower in _lowered(offset, a, b):
+                    rhs += (nu_ab - 2 * j) * table[lower]
+            table[offset] = 2 * sp.k * rhs / bracket
 
     return CoeffTable(mu=mu, k=sp.k, depth=depth, entries=table)
 
@@ -229,26 +233,19 @@ def residual_L(table: CoeffTable) -> Q:
     coefficient by coefficient in the e^{nu(u)} basis; exact zero expected.
     """
     n = table.rank
-    k = table.k
-    rho = rs.rho(n, k)
+    two_k = 2 * table.k
     wlam = table.wlam
-    lam_norm2 = rs.inner(wlam, wlam)
-    eigen = lam_norm2 - rs.inner(rho, rho)
-    roots = rs.positive_roots(n)
-    root_coords = root_offset_coords(n)
+    gaps = [(a, b, table.mu[a] - table.mu[b]) for a, b in rs.positive_root_pairs(n)]
 
     worst = Q(0)
     for offset, g in table.entries.items():
-        nu = rs.add(rs.add(wlam, rho), offset_vector(n, offset))
-        acc = (rs.inner(nu, nu) - 2 * rs.inner(rho, nu) - eigen) * g
-        for alpha, coords in zip(roots, root_coords):
-            m = 1
-            while True:
-                lower = tuple(c - m * rc for c, rc in zip(offset, coords))
-                if any(c < 0 for c in lower):
-                    break
-                acc -= 2 * k * rs.inner(rs.sub(nu, rs.scale(m, alpha)), alpha) * table.entries[lower]
-                m += 1
+        beta = offset_vector(n, offset)
+        # (nu, nu) - 2 (rho, nu) - eigenvalue at nu = mu + beta is the bracket
+        acc = _bracket(wlam, beta) * g
+        for a, b, gap in gaps:
+            nu_ab = gap + beta[a] - beta[b]
+            for m, lower in _lowered(offset, a, b):
+                acc -= two_k * (nu_ab - 2 * m) * table.entries[lower]
         worst = max(worst, abs(acc))
     return worst
 
@@ -342,30 +339,25 @@ def commuting_symbol_table(
     if not sigma.is_symmetric():
         raise ValueError("sigma must be a symmetric polynomial")
 
-    rho = rs.rho(n, k)
-    roots = rs.positive_roots(n)
-    root_coords = root_offset_coords(n)
+    neg_rho = [-r for r in rs.rho(n, k)]
+    roots = list(zip(rs.positive_root_pairs(n), rs.positive_roots(n)))
 
-    table: dict[Offset, Poly] = {(0,) * n: sigma.shift([-r for r in rho])}
+    table: dict[Offset, Poly] = {(0,) * n: sigma.shift(neg_rho)}
     for h in range(1, depth + 1):
         for offset in sorted(offsets_of_height(n, h)):
             m = offset_vector(n, offset)
-            bracket = Poly.linear([2 * c for c in m], rs.inner(rs.sub(m, rs.scale(2, rho)), m))
+            # (m - 2 rho, m) is the bracket of the series recurrence at w.lambda = -rho
+            bracket = Poly.linear([2 * c for c in m], _bracket(neg_rho, m))
             if bracket.is_zero:
                 raise ArithmeticError(f"vanishing symbol bracket at offset {offset}")
             rhs = Poly.zero(nvars)
-            for alpha, coords in zip(roots, root_coords):
-                j = 1
-                while True:
-                    lower = tuple(c - j * rc for c, rc in zip(offset, coords))
-                    if any(c < 0 for c in lower):
-                        break
+            for (a, b), alpha in roots:
+                lin2 = Poly.linear(alpha, 0)
+                for j, lower in _lowered(offset, a, b):
                     p_low = table[lower]
-                    lin1 = Poly.linear(list(alpha), rs.inner(rs.sub(m, rs.scale(j, alpha)), alpha))
-                    lin2 = Poly.linear(list(alpha), 0)
+                    lin1 = Poly.linear(alpha, m[a] - m[b] - 2 * j)
                     shifted = p_low.shift([j * c for c in alpha])
                     rhs = rhs + lin1 * p_low - lin2 * shifted
-                    j += 1
             rhs = rhs * (2 * k)
             quotient, rem = rhs.divide_by_linear(bracket)
             if not rem.is_zero:
@@ -380,27 +372,21 @@ def symbol_recurrence_residuals(table: Mapping[Offset, Poly], n: int, k: Q) -> d
     """bracket*p_mu - rhs recomputed from the table; all zero iff it commutes with L."""
     k = Q(k)
     nvars = n + 1
-    rho = rs.rho(n, k)
-    roots = rs.positive_roots(n)
-    root_coords = root_offset_coords(n)
+    neg_rho = [-r for r in rs.rho(n, k)]
+    roots = list(zip(rs.positive_root_pairs(n), rs.positive_roots(n)))
     out: dict[Offset, Poly] = {}
     for offset, p in table.items():
         if sum(offset) == 0:
             continue
         m = offset_vector(n, offset)
-        bracket = Poly.linear([2 * c for c in m], rs.inner(rs.sub(m, rs.scale(2, rho)), m))
+        bracket = Poly.linear([2 * c for c in m], _bracket(neg_rho, m))
         rhs = Poly.zero(nvars)
-        for alpha, coords in zip(roots, root_coords):
-            j = 1
-            while True:
-                lower = tuple(c - j * rc for c, rc in zip(offset, coords))
-                if any(c < 0 for c in lower):
-                    break
+        for (a, b), alpha in roots:
+            lin2 = Poly.linear(alpha, 0)
+            for j, lower in _lowered(offset, a, b):
                 p_low = table.get(lower, Poly.zero(nvars))
-                lin1 = Poly.linear(list(alpha), rs.inner(rs.sub(m, rs.scale(j, alpha)), alpha))
-                lin2 = Poly.linear(list(alpha), 0)
+                lin1 = Poly.linear(alpha, m[a] - m[b] - 2 * j)
                 rhs = rhs + lin1 * p_low - lin2 * p_low.shift([j * c for c in alpha])
-                j += 1
         out[offset] = bracket * p - rhs * (2 * k)
     return out
 

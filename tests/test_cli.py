@@ -183,11 +183,17 @@ def test_usage_error_exit_code():
         ["integrate", "--points", "5"],
         ["integrate", "--epsilon", "0.3"],
         ["series", "--depth", "-1"],
+        ["diagrams", "enumerate", "-1"],
+        ["diagrams", "poincare", "0"],
+        ["integrate", "--csv-steps", "-2", "--csv-out", "f.csv"],
+        ["integrate", "--csv-steps", "0"],
     ],
 )
-def test_bad_input_is_usage_error(argv, capsys):
+def test_bad_input_is_usage_error(argv, capsys, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
     assert main(argv) == 2
     assert capsys.readouterr().err.startswith("usage error:")
+    assert not any(tmp_path.iterdir())
 
 
 def test_main_entry_inprocess(capsys):

@@ -208,3 +208,26 @@ def test_gamma_product_pole_tagging():
     with pytest.raises(cf.PoleError) as err:
         cf.a_w(W_ID, sp)
     assert "alpha" in str(err.value)
+    # the tag names the root in the e-basis, as strings
+    sp2 = SpectralParam(rs.vec([Q(1, 2), 0, Q(-1, 2)]), Q(3, 2))
+    for images, alpha in (((1, 2, 3), "('1', '0', '-1')"), ((1, 3, 2), "('1', '-1', '0')"),
+                          ((2, 1, 3), "('0', '1', '-1')")):
+        with pytest.raises(cf.PoleError) as err:
+            cf.a_w(dg.Permutation(images), sp2)
+        assert str(err.value) == f"Gamma argument -1 is a nonpositive integer (alpha = {alpha})"
+
+
+def test_pairings_are_coordinate_differences():
+    # vector-form oracle: (w.lambda, coroot alpha), (rho, coroot alpha), (lambda, delta)
+    rng = random.Random(5)
+    for n in range(1, 5):
+        sp = random_generic(rng, n, Q(1, 5), 29)
+        roots = rs.positive_roots(n)
+        assert cf._lam_delta(sp) == rs.inner(sp.lam, rs.delta(n))
+        for (a, b), alpha in zip(rs.positive_root_pairs(n), roots, strict=True):
+            assert rs.inner(sp.rho, rs.coroot(alpha)) == sp.k * (b - a)
+        for w in dg.all_permutations(n + 1):
+            wlam = rs.weyl_apply(w, sp.lam)
+            pairings = cf._pairings(w, sp)
+            assert [rs.root(n, a + 1, b + 1) for a, b, _ in pairings] == roots
+            assert [p for _, _, p in pairings] == [rs.inner(wlam, rs.coroot(alpha)) for alpha in roots]

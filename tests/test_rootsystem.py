@@ -97,11 +97,3 @@ def test_dominance():
     # non-integral combination is rejected
     assert not rs.dominance_leq(rs.zero_vec(3), rs.scale(Q(1, 2), a1))
 
-
-def test_root_system_dataclass():
-    sys2 = rs.RootSystemAn(2, Q(3, 2))
-    assert sys2.rho == rs.rho(2, Q(3, 2))
-    assert len(sys2.positive_roots) == 3
-    assert len(sys2.fundamental_weights) == 2
-    with pytest.raises(ValueError):
-        rs.RootSystemAn(0)

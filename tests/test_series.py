@@ -51,6 +51,129 @@ def test_gamma_L_weyl_invariance():
         assert len(vals) == 1
 
 
+# -- vector-form reference ------------------------------------------------------
+# The recurrence and its residual as first written, on root vectors in the
+# e-basis and inner products of Fraction tuples; the library works on index
+# pairs and coordinate differences, and must agree with this exactly.
+
+
+def _reference_offset_vector(n, offset):
+    v = rs.zero_vec(n + 1)
+    for c, alpha in zip(offset, rs.simple_roots(n)):
+        if c:
+            v = rs.add(v, rs.scale(c, alpha))
+    return v
+
+
+def _reference_freudenthal_table(mu, sp, depth, require_generic=True):
+    mu = se._validate_mu(mu, sp)
+    n = sp.rank
+    if require_generic:
+        for alpha in rs.positive_roots(n):
+            pairing = rs.inner(sp.lam, rs.coroot(alpha))
+            if pairing.denominator == 1:
+                j = abs(int(pairing))
+                nu = rs.add(mu, rs.scale(j, alpha))
+                raise se.ResonanceError(
+                    "resonant spectral parameter: (lambda, coroot of "
+                    f"{tuple(map(str, alpha))}) = {pairing} is an integer; "
+                    f"exponents collide at nu = {tuple(map(str, nu))}",
+                    nu=nu,
+                )
+
+    wlam = rs.sub(mu, sp.rho)
+    roots = rs.positive_roots(n)
+    root_coords = se.root_offset_coords(n)
+    table = {(0,) * n: Q(1)}
+
+    for h in range(1, depth + 1):
+        for offset in sorted(se.offsets_of_height(n, h)):
+            beta = _reference_offset_vector(n, offset)
+            nu_minus_rho = rs.add(wlam, beta)
+            bracket = rs.inner(nu_minus_rho, nu_minus_rho) - rs.inner(wlam, wlam)
+            rhs = Q(0)
+            nu = rs.add(mu, beta)
+            for alpha, coords in zip(roots, root_coords):
+                j = 1
+                while True:
+                    lower = tuple(c - j * rc for c, rc in zip(offset, coords))
+                    if any(c < 0 for c in lower):
+                        break
+                    term = rs.inner(rs.sub(nu, rs.scale(j, alpha)), alpha)
+                    rhs += term * table[lower]
+                    j += 1
+            rhs *= 2 * sp.k
+            if bracket == 0:
+                raise se.ResonanceError(
+                    "resonant spectral parameter: recurrence bracket vanishes "
+                    f"at nu = {tuple(map(str, nu))}",
+                    nu=nu,
+                )
+            table[offset] = rhs / bracket
+
+    return se.CoeffTable(mu=mu, k=sp.k, depth=depth, entries=table)
+
+
+def _reference_residual_L(table):
+    n = table.rank
+    k = table.k
+    rho = rs.rho(n, k)
+    wlam = table.wlam
+    lam_norm2 = rs.inner(wlam, wlam)
+    eigen = lam_norm2 - rs.inner(rho, rho)
+    roots = rs.positive_roots(n)
+    root_coords = se.root_offset_coords(n)
+
+    worst = Q(0)
+    for offset, g in table.entries.items():
+        nu = rs.add(rs.add(wlam, rho), _reference_offset_vector(n, offset))
+        acc = (rs.inner(nu, nu) - 2 * rs.inner(rho, nu) - eigen) * g
+        for alpha, coords in zip(roots, root_coords):
+            m = 1
+            while True:
+                lower = tuple(c - m * rc for c, rc in zip(offset, coords))
+                if any(c < 0 for c in lower):
+                    break
+                acc -= 2 * k * rs.inner(rs.sub(nu, rs.scale(m, alpha)), alpha) * table.entries[lower]
+                m += 1
+        worst = max(worst, abs(acc))
+    return worst
+
+
+def test_offset_vector_is_prefix_difference():
+    for n in (1, 2, 3, 4):
+        for h in range(5):
+            for offset in se.offsets_of_height(n, h):
+                assert se.offset_vector(n, offset) == _reference_offset_vector(n, offset)
+    with pytest.raises(ValueError):
+        se.offset_vector(2, (1,))
+
+
+def test_root_pairs_match_root_vectors():
+    for n in (1, 2, 3, 4):
+        roots = rs.positive_roots(n)
+        for (a, b), alpha in zip(rs.positive_root_pairs(n), roots, strict=True):
+            assert a < b and alpha[a] == 1 and alpha[b] == -1 and sum(map(abs, alpha)) == 2
+        for coords, alpha in zip(se.root_offset_coords(n), roots, strict=True):
+            assert _reference_offset_vector(n, coords) == alpha
+
+
+def test_freudenthal_matches_vector_form_reference():
+    rng = random.Random(11)
+    for n, depth in ((1, 12), (2, 6), (3, 4)):
+        for _ in range(2):
+            sp = random_generic(rng, n)
+            for w in dg.all_permutations(n + 1):
+                mu = rs.add(rs.weyl_apply(w, sp.lam), sp.rho)
+                t = se.freudenthal_table(mu, sp, depth)
+                ref = _reference_freudenthal_table(mu, sp, depth)
+                assert list(t.entries.items()) == list(ref.entries.items())
+                assert se.residual_L(t) == 0
+    # corrupt the last (rank-3) table: both residuals see the same defect
+    t.entries[(1, 1, 0)] += Q(1, 1000)
+    assert se.residual_L(t) == _reference_residual_L(t) != 0
+
+
 def test_freudenthal_depth0_and_first_step():
     sp = sp1()
     w = dg.Permutation((1, 2))
@@ -91,6 +214,20 @@ def test_resonance_flag_lambda_zero():
     with pytest.raises(se.ResonanceError) as err:
         se.freudenthal_table(sp.rho, sp, 2)
     assert "resonant spectral parameter" in str(err.value)
+    assert str(err.value) == (
+        "resonant spectral parameter: (lambda, coroot of ('1', '-1')) = 0 is an integer; "
+        "exponents collide at nu = ('1/4', '-1/4')"
+    )
+    assert err.value.nu == (Q(1, 4), Q(-1, 4)) and all(type(c) is Q for c in err.value.nu)
+    # a nonzero integer pairing moves nu off mu by that multiple of the root
+    sp = se.SpectralParam(rs.vec([Q(1, 2), Q(-1, 2), 0]), Q(1, 2))
+    with pytest.raises(se.ResonanceError) as err:
+        se.freudenthal_table_for_w(dg.Permutation.identity(3), sp, 2)
+    assert str(err.value) == (
+        "resonant spectral parameter: (lambda, coroot of ('1', '-1', '0')) = 1 is an integer; "
+        "exponents collide at nu = ('2', '-3/2', '-1/2')"
+    )
+    assert err.value.nu == (Q(2), Q(-3, 2), Q(-1, 2)) and all(type(c) is Q for c in err.value.nu)
 
 
 def test_resonance_bracket_mid_cone():
@@ -99,11 +236,14 @@ def test_resonance_bracket_mid_cone():
     assert sp.is_generic()
     for a in rs.positive_roots(2):
         assert rs.inner(sp.lam, rs.coroot(a)).denominator != 1
-    with pytest.raises(se.ResonanceError) as err:
-        se.freudenthal_table_for_w(dg.Permutation.identity(3), sp, 3, require_generic=False)
-    assert err.value.nu is not None
-    with pytest.raises(se.ResonanceError):
-        se.freudenthal_table_for_w(dg.Permutation.identity(3), sp, 3)
+    for require_generic in (False, True):
+        with pytest.raises(se.ResonanceError) as err:
+            se.freudenthal_table_for_w(dg.Permutation.identity(3), sp, 3, require_generic=require_generic)
+        assert err.value.nu is not None
+        assert str(err.value) == (
+            "resonant spectral parameter: recurrence bracket vanishes at nu = ('3/2', '-2/3', '-5/6')"
+        )
+        assert err.value.nu == (Q(3, 2), Q(-2, 3), Q(-5, 6)) and all(type(c) is Q for c in err.value.nu)
 
 
 def test_mu_validation():
