@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 from fractions import Fraction as Q
 
@@ -176,15 +177,16 @@ def cmd_integrate(args) -> int:
     z = [args.scale * r ** (n - i) for i in range(n + 1)]
     try:
         quad = cy.QuadratureSpec(scheme=args.scheme, points_per_axis=args.points, epsilon=args.epsilon)
+        cycles = [cy.cycle_for_w(w, z, quad.epsilon) for w in ws]
     except ValueError as exc:
         raise SystemExit(f"usage error: {exc}")
     quad2 = cy.QuadratureSpec(scheme=args.scheme, points_per_axis=2 * args.points - 1, epsilon=args.epsilon)
     results = []
     csv_rows = []
     try:
-        for w in ws:
-            value = cy.integrate_for_w(w, z, sp, quad)
-            value2 = cy.integrate_for_w(w, z, sp, quad2)
+        for w, c in zip(ws, cycles):
+            value = cy.integrate(c, sp, quad)
+            value2 = cy.integrate(c, sp, quad2)
             head = cy.leading_power(w, sp, z)
             rec = {
                 "w": list(w.images),
@@ -308,6 +310,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    argv = list(sys.argv[1:] if argv is None else argv)
+    for i in range(len(argv) - 1, 0, -1):  # argparse would read "-1,1/3,2/3" as an option
+        if argv[i - 1] in ("--lambda", "--k") and re.match(r"-[\d.]", argv[i]):
+            argv[i - 1 : i + 1] = [f"{argv[i - 1]}={argv[i]}"]
     args = build_parser().parse_args(argv)
     try:
         return args.fn(args)

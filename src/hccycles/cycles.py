@@ -35,17 +35,18 @@ closed form.
 
 Quadrature is a tensor product of one-dimensional rules per tau-axis;
 tanh-sinh by default (the integrand has algebraic endpoint behavior
-tau^{k-1} for non-integer k), Gauss-Legendre optionally.  Node evaluation
-is vectorized with numpy and summed in a fixed order, so results are
-bit-stable for a fixed spec.
+tau^{k-1} for non-integer k), Gauss-Legendre optionally.  The integrand is
+broadcast over per-axis tau arrays, so each factor carries only the axes of
+its chain; blocks of the grid fix its leading axes and are summed in C
+order, so results are bit-stable for a fixed spec.
 """
 
 from __future__ import annotations
 
 import cmath
+import itertools
 import math
 from dataclasses import dataclass
-from fractions import Fraction as Q
 from typing import Sequence
 
 import numpy as np
@@ -57,6 +58,7 @@ from .series import SpectralParam
 Point = tuple[int, int]
 
 _SEPARATION_MARGIN = 0.85
+_BLOCK_NODES = 1 << 17  # most grid nodes `integrate` evaluates at once
 
 
 @dataclass(frozen=True)
@@ -154,8 +156,8 @@ class CyclePath:
         if len(self.z) != n + 1:
             raise ValueError("z must have one entry per top-row point")
         mods = [abs(v) for v in self.z]
-        if mods[0] <= 0 or any(a >= b for a, b in zip(mods, mods[1:])):
-            raise ValueError("need 0 < |z_1| < ... < |z_{n+1}|")
+        if not all(0 < a < b < math.inf for a, b in zip(mods, mods[1:])):
+            raise ValueError("need finite 0 < |z_1| < ... < |z_{n+1}|")
         sep = (1.0 - self.bump.epsilon) ** n * _SEPARATION_MARGIN
         worst = max(a / b for a, b in zip(mods, mods[1:]))
         if worst > sep:
@@ -184,19 +186,9 @@ class CyclePath:
     def naxes(self) -> int:
         return len(self.points)
 
-    def t_values(self, tau: np.ndarray) -> dict[Point, np.ndarray]:
-        """All t-points for a (naxes, M) batch of tau vectors."""
-        tau = np.atleast_2d(np.asarray(tau, dtype=float))
-        out: dict[Point, np.ndarray] = {}
-        m = tau.shape[1]
-        for i, zi in enumerate(self.z, start=1):
-            out[(i, self.rank + 1)] = np.full(m, zi, dtype=complex)
-        for j in range(self.rank, 0, -1):
-            for i in range(1, j + 1):
-                tj = tau[self.axis[(i, j)]]
-                f = self.bump(tj)
-                out[(i, j)] = np.exp(2j * np.pi * tj) * (1.0 - f) * out[self.diagram.target((i, j))]
-        return out
+    def t_values(self, tau) -> dict[Point, np.ndarray]:
+        """All t-points from per-axis tau arrays, e.g. a (naxes, M) batch."""
+        return _log_data(self, np.asarray(tau, dtype=float))[0]
 
 
 def cycle_for_w(w: Permutation, z: Sequence[complex], epsilon: float = 0.1) -> CyclePath:
@@ -205,8 +197,7 @@ def cycle_for_w(w: Permutation, z: Sequence[complex], epsilon: float = 0.1) -> C
 
 def cycle_point(c: CyclePath, tau: Sequence[float]) -> dict[Point, complex]:
     """The t-assignment at one tau vector (top row included, fixed at z)."""
-    arr = np.asarray(tau, dtype=float).reshape(c.naxes, 1)
-    return {p: complex(v[0]) for p, v in c.t_values(arr).items()}
+    return {p: complex(v) for p, v in c.t_values(tau).items()}
 
 
 # -- the multivalued form ------------------------------------------------------
@@ -264,19 +255,18 @@ def omega_factor_list(c: CyclePath, sp: SpectralParam) -> tuple[complex, list[Fa
     return const, factors
 
 
-def _log_data(c: CyclePath, tau: np.ndarray):
-    """t values plus log-moduli and unwound arguments for a tau batch."""
-    tau = np.atleast_2d(np.asarray(tau, dtype=float))
-    m = tau.shape[1]
+def _log_data(c: CyclePath, tau):
+    """t values plus log-moduli and unwound arguments; `tau[a]` is axis a's
+    array, the arrays broadcast, and each t carries only its chain's axes."""
     t: dict[Point, np.ndarray] = {}
     logabs: dict[Point, np.ndarray] = {}
     arg: dict[Point, np.ndarray] = {}
     n = c.rank
     for i, zi in enumerate(c.z, start=1):
         p = (i, n + 1)
-        t[p] = np.full(m, zi, dtype=complex)
-        logabs[p] = np.full(m, math.log(abs(zi)))
-        arg[p] = np.full(m, cmath.phase(zi))
+        t[p] = zi
+        logabs[p] = math.log(abs(zi))
+        arg[p] = cmath.phase(zi)
     for j in range(n, 0, -1):
         for i in range(1, j + 1):
             p = (i, j)
@@ -301,9 +291,8 @@ def _vanish_base(c: CyclePath, tau_axis: np.ndarray) -> np.ndarray:
     return f + (1.0 - f) * (2.0 * s * s - 1j * np.sin(2.0 * np.pi * tau_axis))
 
 
-def _factor_logs(c: CyclePath, sp: SpectralParam, tau: np.ndarray):
+def _factor_logs(c: CyclePath, sp: SpectralParam, tau):
     """Per-factor (log-modulus, argument) arrays under the anchored branch."""
-    tau = np.atleast_2d(np.asarray(tau, dtype=float))
     const, factors = omega_factor_list(c, sp)
     t, logabs, arg = _log_data(c, tau)
     logs = []
@@ -333,38 +322,35 @@ def omega_w_eval(c: CyclePath, sp: SpectralParam, tau: Sequence[float]) -> Phase
     The differential (the dt/dtau Jacobian) is not included; `integrate`
     applies it.  Raises if any factor base vanishes at tau.
     """
-    arr = np.asarray(tau, dtype=float).reshape(c.naxes, 1)
-    const, factors, logs, _ = _factor_logs(c, sp, arr)
+    const, factors, logs, _ = _factor_logs(c, sp, np.asarray(tau, dtype=float))
     lm, ar = const.real, const.imag
     for f, (la, aa) in zip(factors, logs):
-        if not np.isfinite(la[0]):
+        if not np.isfinite(la):
             raise ValueError(f"factor {f} evaluated on the singular locus at tau={list(tau)}")
-        lm += f.expo * float(la[0])
-        ar += f.expo * float(aa[0])
+        lm += f.expo * float(la)
+        ar += f.expo * float(aa)
     return PhasedValue(lm, ar)
 
 
 def factor_arguments(c: CyclePath, sp: SpectralParam, tau: Sequence[float]) -> list[float]:
     """Per-factor anchored arguments at one tau (closed-form branch)."""
-    arr = np.asarray(tau, dtype=float).reshape(c.naxes, 1)
-    _, _, logs, _ = _factor_logs(c, sp, arr)
-    return [float(aa[0]) for _, aa in logs]
+    _, _, logs, _ = _factor_logs(c, sp, np.asarray(tau, dtype=float))
+    return [float(aa) for _, aa in logs]
 
 
 def _factor_bases(c: CyclePath, sp: SpectralParam, tau: Sequence[float]) -> list[complex]:
-    arr = np.asarray(tau, dtype=float).reshape(c.naxes, 1)
     const, factors = omega_factor_list(c, sp)
-    t = c.t_values(arr)
+    t = c.t_values(tau)
     out = []
     for f in factors:
         if f.kind == "mono":
-            out.append(complex(t[f.pts[0]][0]))
+            out.append(complex(t[f.pts[0]]))
         elif f.kind == "vanish":
             p = f.pts[0]
-            out.append(complex(t[c.diagram.target(p)][0] - t[p][0]))
+            out.append(complex(t[c.diagram.target(p)] - t[p]))
         else:
             big, small = f.pts
-            out.append(complex(t[big][0] - t[small][0]))
+            out.append(complex(t[big] - t[small]))
     return out
 
 
@@ -447,38 +433,33 @@ def _rule(quad: QuadratureSpec) -> tuple[np.ndarray, np.ndarray]:
     return gauss_legendre_rule(quad.points_per_axis)
 
 
-def integrate(
-    c: CyclePath,
-    sp: SpectralParam,
-    quad: QuadratureSpec | None = None,
-    block: int = 1 << 17,
-) -> complex:
+def integrate(c: CyclePath, sp: SpectralParam, quad: QuadratureSpec | None = None) -> complex:
     """Quadrature of the pulled-back form over [0,1]^N, N = n(n+1)/2.
 
     Includes the triangular Jacobian prod dt_{ij}/dtau_{ij} with
-    dt/dtau = e^{2 pi i tau} (2 pi i (1-f) - f') t_tar.  The tensor grid is
-    evaluated in fixed-size blocks in C order, so memory stays bounded and
-    the summation order (hence the result) is deterministic for a spec.
+    dt/dtau = e^{2 pi i tau} (2 pi i (1-f) - f') t_tar.  Integrand and
+    weights are broadcast from per-axis node arrays; each block fixes the
+    fewest leading axes that keep it within `_BLOCK_NODES` nodes (one axis
+    stays free), and blocks are summed in C order, so memory stays bounded
+    and the result is deterministic for a spec.
     """
     quad = quad or QuadratureSpec(epsilon=c.bump.epsilon)
     if abs(quad.epsilon - c.bump.epsilon) > 1e-12:
         raise ValueError("quadrature epsilon disagrees with the cycle's bump height")
     x, wts = _rule(quad)
-    naxes = c.naxes
-    shape = (len(x),) * naxes
-    total_nodes = len(x) ** naxes
+    lead = 0
+    while lead < c.naxes - 1 and len(x) ** (c.naxes - lead) > _BLOCK_NODES:
+        lead += 1
+    free = c.naxes - lead
+    shapes = [(-1,) + (1,) * (free - 1 - a) for a in range(free)]
+    x_free = [x.reshape(s) for s in shapes]
+    w_free = math.prod(wts.reshape(s) for s in shapes)
     acc = 0.0 + 0.0j
-    for start in range(0, total_nodes, block):
-        flat = np.arange(start, min(start + block, total_nodes))
-        idx = np.unravel_index(flat, shape)
-        tau = np.stack([x[ix] for ix in idx])
-        weight = np.ones(len(flat))
-        for ix in idx:
-            weight = weight * wts[ix]
-
+    for idx in itertools.product(range(len(x)), repeat=lead):
+        tau = [x[i] for i in idx] + x_free
         const, factors, logs, t = _factor_logs(c, sp, tau)
         with np.errstate(over="ignore", invalid="ignore"):
-            total_log = np.full(len(flat), const, dtype=complex)
+            total_log = const
             for f, (la, aa) in zip(factors, logs):
                 total_log = total_log + f.expo * (la + 1j * aa)
             vals = np.exp(total_log)
@@ -489,9 +470,9 @@ def integrate(
                 vals = vals * np.exp(2j * np.pi * tj) * (2j * np.pi * (1.0 - f) - fp) * t[c.diagram.target(p)]
         bad = ~np.isfinite(vals)
         if np.any(bad):
-            j = int(np.argmax(bad))
-            raise ArithmeticError(f"non-finite integrand at tau = {tau[:, j].tolist()}")
-        acc += complex(np.sum(vals * weight))
+            node = (*idx, *np.argwhere(bad)[0])
+            raise ArithmeticError(f"non-finite integrand at tau = {[float(x[i]) for i in node]}")
+        acc += complex(np.sum(vals * (math.prod(wts[i] for i in idx) * w_free)))
     return acc
 
 

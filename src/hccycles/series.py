@@ -23,6 +23,7 @@ again by exact recurrence, and checks truncated commutators.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction as Q
 from typing import Iterator, Mapping, Sequence
@@ -253,7 +254,7 @@ def residual_L(table: CoeffTable) -> Q:
 def phi_eval(table: CoeffTable, z: Sequence[complex], depth: int | None = None) -> complex:
     """z^mu * sum G_nu z^{nu-mu}, truncated; principal powers.
 
-    Requires 0 < |z_1| < ... < |z_{n+1}| (the asymptotic zone).
+    Requires finite 0 < |z_1| < ... < |z_{n+1}| (the asymptotic zone).
     """
     import cmath
 
@@ -261,8 +262,8 @@ def phi_eval(table: CoeffTable, z: Sequence[complex], depth: int | None = None) 
     if len(zs) != table.rank + 1:
         raise ValueError("z has wrong length")
     mods = [abs(v) for v in zs]
-    if mods[0] <= 0 or any(a >= b for a, b in zip(mods, mods[1:])):
-        raise ValueError("need 0 < |z_1| < ... < |z_{n+1}| for the asymptotic zone")
+    if not all(0 < a < b < math.inf for a, b in zip(mods, mods[1:])):
+        raise ValueError("need finite 0 < |z_1| < ... < |z_{n+1}| for the asymptotic zone")
 
     head = cmath.exp(sum(float(m) * cmath.log(zi) for m, zi in zip(table.mu, zs)))
     ratios = [zs[i] / zs[i + 1] for i in range(table.rank)]

@@ -187,6 +187,10 @@ def test_usage_error_exit_code():
         ["diagrams", "poincare", "0"],
         ["integrate", "--csv-steps", "-2", "--csv-out", "f.csv"],
         ["integrate", "--csv-steps", "0"],
+        ["integrate", "--z-ratio", "nan"],
+        ["integrate", "--z-ratio", "2"],
+        ["integrate", "--scale", "0"],
+        ["integrate", "--z-ratio", "0.9"],
     ],
 )
 def test_bad_input_is_usage_error(argv, capsys, tmp_path, monkeypatch):
@@ -194,6 +198,23 @@ def test_bad_input_is_usage_error(argv, capsys, tmp_path, monkeypatch):
     assert main(argv) == 2
     assert capsys.readouterr().err.startswith("usage error:")
     assert not any(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize(
+    "two_token, joined",
+    [
+        (["series", "--n", "2", "--lambda", "-1,1/3,2/3", "--k", "1/2"],
+         ["series", "--n", "2", "--lambda=-1,1/3,2/3", "--k", "1/2"]),
+        (["series", "--n", "1", "--lambda", "3/10,-3/10", "--k", "-1/2"],
+         ["series", "--n", "1", "--lambda", "3/10,-3/10", "--k=-1/2"]),
+    ],
+)
+def test_negative_values_in_two_token_form(two_token, joined, capsys):
+    rc = main(two_token)
+    out = capsys.readouterr().out
+    assert rc != 2 and out
+    assert main(joined) == rc
+    assert capsys.readouterr().out == out
 
 
 def test_main_entry_inprocess(capsys):

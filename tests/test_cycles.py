@@ -1,4 +1,6 @@
+import ast
 import cmath
+import functools
 import json
 import math
 import random
@@ -66,6 +68,10 @@ def test_rules_integrate_smooth():
 def test_cycle_validation():
     with pytest.raises(ValueError):
         cy.cycle_for_w(W_ID, [1.0, 0.5])
+    with pytest.raises(ValueError):
+        cy.cycle_for_w(W_ID, [float("nan"), 1.0])
+    with pytest.raises(ValueError):
+        phi_eval(freudenthal_table_for_w(W_ID, sp1(), 2), [float("nan"), 1.0])
     with pytest.raises(ValueError):
         cy.cycle_for_w(W_ID, [0.95, 1.0])  # too close for loop separation
     c = cy.cycle_for_w(W_ID, [1e-2, 1.0])
@@ -311,12 +317,101 @@ def test_fd_eigenvalue_rank2():
     assert abs(got - target) < 1e-3 * abs(target)
 
 
-def test_nonfinite_guard():
+def _flat_index_integrate(c, sp, quad=None, block=1 << 17):
+    """Test-only reference: the flat-index node loop `integrate` had before
+    it broadcast per-axis tau arrays, kept verbatim."""
+    quad = quad or cy.QuadratureSpec(epsilon=c.bump.epsilon)
+    if abs(quad.epsilon - c.bump.epsilon) > 1e-12:
+        raise ValueError("quadrature epsilon disagrees with the cycle's bump height")
+    x, wts = cy._rule(quad)
+    naxes = c.naxes
+    shape = (len(x),) * naxes
+    total_nodes = len(x) ** naxes
+    acc = 0.0 + 0.0j
+    for start in range(0, total_nodes, block):
+        flat = np.arange(start, min(start + block, total_nodes))
+        idx = np.unravel_index(flat, shape)
+        tau = np.stack([x[ix] for ix in idx])
+        weight = np.ones(len(flat))
+        for ix in idx:
+            weight = weight * wts[ix]
+
+        const, factors, logs, t = cy._factor_logs(c, sp, tau)
+        with np.errstate(over="ignore", invalid="ignore"):
+            total_log = np.full(len(flat), const, dtype=complex)
+            for f, (la, aa) in zip(factors, logs):
+                total_log = total_log + f.expo * (la + 1j * aa)
+            vals = np.exp(total_log)
+            for p in c.points:
+                tj = tau[c.axis[p]]
+                f = c.bump(tj)
+                fp = c.bump.deriv(tj)
+                vals = vals * np.exp(2j * np.pi * tj) * (2j * np.pi * (1.0 - f) - fp) * t[c.diagram.target(p)]
+        bad = ~np.isfinite(vals)
+        if np.any(bad):
+            j = int(np.argmax(bad))
+            raise ArithmeticError(f"non-finite integrand at tau = {tau[:, j].tolist()}")
+        acc += complex(np.sum(vals * weight))
+    return acc
+
+
+@functools.lru_cache(maxsize=None)
+def _rank3_case(w):
+    """Rank-3 cycle, parameter, 8-point spec and the reference integral."""
+    lam = [Q(3, 10), Q(1, 7), Q(-2, 9)]
+    sp = SpectralParam(rs.vec(lam + [-sum(lam)]), Q(3, 2))
+    quad = cy.QuadratureSpec(points_per_axis=8)  # the fewest points a spec allows
+    c = cy.cycle_for_w(dg.Permutation(w), [1e-6, 1e-4, 1e-2, 1.0], 0.1)
+    return c, sp, quad, _flat_index_integrate(c, sp, quad)
+
+
+def test_broadcast_matches_flat_index_reference():
+    sp = sp2()
+    quad = cy.QuadratureSpec(points_per_axis=25)
+    for w in dg.all_permutations(3):
+        c = cy.cycle_for_w(w, [1e-4, 1e-2, 1.0], 0.1)
+        ref = _flat_index_integrate(c, sp, quad)
+        assert abs(cy.integrate(c, sp, quad) - ref) <= 1e-13 * abs(ref)
+    for w in ((1, 2, 3, 4), (2, 4, 1, 3)):
+        c, sp_3, quad_3, ref = _rank3_case(w)
+        assert abs(cy.integrate(c, sp_3, quad_3) - ref) <= 1e-13 * abs(ref)
+
+
+@pytest.mark.parametrize("lead", [0, 1, 2])
+def test_leading_axis_blocks(lead, monkeypatch):
+    # rank 3 has 6 axes: fixing `lead` leading axes leaves 8^(6-lead) nodes per block
+    c, sp_3, quad, ref = _rank3_case((2, 4, 1, 3))
+    monkeypatch.setattr(cy, "_BLOCK_NODES", 8 ** (6 - lead))
+    blocks = []
+    factor_logs = cy._factor_logs
+    monkeypatch.setattr(cy, "_factor_logs", lambda *args: blocks.append(1) or factor_logs(*args))
+    assert abs(cy.integrate(c, sp_3, quad) - ref) <= 1e-13 * abs(ref)
+    assert len(blocks) == 8**lead  # one `_factor_logs` call per block
+
+
+def test_nonfinite_guard(monkeypatch):
     # a wildly negative coupling overflows the endpoint factors
     sp = sp1(Q(3, 10), Q(-800))
     c = cy.cycle_for_w(W_ID, [1e-2, 1.0], 0.1)
     with pytest.raises(ArithmeticError):
         cy.integrate(c, sp, cy.QuadratureSpec(points_per_axis=33))
+    # rank 2: large lambda differences overflow the monomials inside the cube
+    # while the vanishing factors keep the faces finite; the message names the
+    # first bad node in C order, the same in every blocking
+    sp_2 = SpectralParam(rs.vec([Q(-100), Q(-300), Q(400)]), Q(20))
+    c2 = cy.cycle_for_w(dg.Permutation((2, 3, 1)), [1e-4, 1e-2, 1.0], 0.1)
+    quad = cy.QuadratureSpec(points_per_axis=9)
+    x, _ = cy.tanh_sinh_rule(9)
+    with pytest.raises(ArithmeticError) as ref:
+        _flat_index_integrate(c2, sp_2, quad)
+    for lead in (0, 1, 2):
+        monkeypatch.setattr(cy, "_BLOCK_NODES", 9 ** (3 - lead))
+        with pytest.raises(ArithmeticError) as err:
+            cy.integrate(c2, sp_2, quad)
+        assert str(err.value) == str(ref.value)
+        node = ast.literal_eval(str(err.value).split("tau = ")[1])
+        assert len(node) == c2.naxes and all(v in x for v in node)
+        assert node != [float(x[0])] * c2.naxes
 
 
 def test_integrate_epsilon_mismatch_guard():
