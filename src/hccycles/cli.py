@@ -187,40 +187,44 @@ def cmd_integrate(args) -> int:
         for w, c in zip(ws, cycles):
             value = cy.integrate(c, sp, quad)
             value2 = cy.integrate(c, sp, quad2)
-            head = cy.leading_power(w, sp, z)
+            try:
+                a = cf.a_w(w, sp)
+            except cf.PoleError as exc:
+                a, pole = None, exc
+            # Ratios to the leading power at rr = r, r/2, r/4, ...: the JSON
+            # record, the Richardson estimate and the CSV rows share them, so
+            # each z is integrated once.
+            count = max(args.csv_steps if args.csv_out else 1, 1 if a is None else 2)
+            rrs = [r / 2.0**j for j in range(count)]
+            ratios = [value / cy.leading_power(w, sp, z)]
+            ratios += [cy._ratio_at(w, sp, rr, quad, args.scale) for rr in rrs[1:]]
             rec = {
                 "w": list(w.images),
                 "integral": {"re": value.real, "im": value.imag},
-                "ratio_to_leading_power": {"re": (value / head).real, "im": (value / head).imag},
+                "ratio_to_leading_power": {"re": ratios[0].real, "im": ratios[0].imag},
                 "convergence": {
                     "points": [quad.points_per_axis, quad2.points_per_axis],
                     "relative_change": abs(value2 - value) / abs(value2),
                 },
             }
-            try:
-                a = cf.a_w(w, sp)
-                est = cy.leading_coeff_estimate(w, sp, r, quad, scale=args.scale)
+            if a is None:
+                rec["a_w"] = {"error": str(pole)}
+            else:
+                est = cy._richardson(ratios[0], ratios[1])
                 rec["a_w"] = {"re": a.real, "im": a.imag}
                 rec["leading_coefficient_estimate"] = {"re": est.real, "im": est.imag}
                 rec["relative_deviation"] = abs(est - a) / abs(a)
-            except cf.PoleError as exc:
-                rec["a_w"] = {"error": str(exc)}
             if k == 1:
                 mell = cy.mellin_value_at_unit_coupling(w, z, sp)
                 ok = abs(value - mell) / abs(mell) < 1e-6
                 rec["k=1 closed-form check"] = "pass" if ok else "fail"
             results.append(rec)
             if args.csv_out:
-                rr = r
-                for _ in range(args.csv_steps):
-                    zz = [args.scale * rr ** (n - i) for i in range(n + 1)]
-                    vv = cy.integrate_for_w(w, zz, sp, quad) / cy.leading_power(w, sp, zz)
+                for rr, vv in zip(rrs[: args.csv_steps], ratios):
                     row = ["-".join(map(str, w.images)), rr, vv.real, vv.imag]
-                    if "a_w" in rec and "re" in rec["a_w"]:
-                        a = complex(rec["a_w"]["re"], rec["a_w"]["im"])
+                    if a is not None:
                         row.append(abs(vv - a) / abs(a))
                     csv_rows.append(row)
-                    rr /= 2.0
     except (ValueError, ArithmeticError) as exc:
         _emit({"error": str(exc)}, args.out)
         return 1

@@ -502,14 +502,17 @@ def leading_coeff_estimate(
     correction term of the asymptotic series.
     """
     quad = quad or QuadratureSpec()
-    n = sp.rank
+    return _richardson(_ratio_at(w, sp, r, quad, scale), _ratio_at(w, sp, r / 2.0, quad, scale))
 
-    def ratio_at(rv: float) -> complex:
-        z = [scale * rv ** (n - i) for i in range(n + 1)]
-        return integrate_for_w(w, z, sp, quad) / leading_power(w, sp, z)
 
-    a1 = ratio_at(r)
-    a2 = ratio_at(r / 2.0)
+def _ratio_at(w: Permutation, sp: SpectralParam, r: float, quad: QuadratureSpec, scale: float) -> complex:
+    """Integral over z = scale*(r^n, ..., 1) divided by its leading power."""
+    z = [scale * r ** (sp.rank - i) for i in range(sp.rank + 1)]
+    return integrate_for_w(w, z, sp, quad) / leading_power(w, sp, z)
+
+
+def _richardson(a1: complex, a2: complex) -> complex:
+    """Combine the ratios at r and r/2 so the first correction term cancels."""
     return 2.0 * a2 - a1
 
 

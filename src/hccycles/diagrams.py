@@ -20,7 +20,7 @@ import functools
 import json
 from dataclasses import dataclass
 from itertools import permutations as _itperms
-from typing import Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .polynomial import Poly, geometric_sum
 
@@ -239,10 +239,7 @@ def stripped_relation_holds(w: Permutation) -> bool:
 
 def poincare_sum(n: int) -> Poly:
     """Brute-force sum over S_n of q^{l(w)}."""
-    out = Poly.zero(1)
-    for d in all_diagrams(n):
-        out = out + Poly(1, {(d.length(),): 1})
-    return out
+    return Poly(1, (((d.length(),), 1) for d in all_diagrams(n)))
 
 
 def poincare_product(n: int) -> Poly:
@@ -255,10 +252,7 @@ def poincare_product(n: int) -> Poly:
 
 def multiparam_sum(n: int) -> Poly:
     """Brute-force sum over diagrams of prod_j q_j^{i_j(w)-1}."""
-    out = Poly.zero(n)
-    for d in all_diagrams(n):
-        out = out + Poly(n, {tuple(m - 1 for m in d.marks): 1})
-    return out
+    return Poly(n, ((tuple(m - 1 for m in d.marks), 1) for d in all_diagrams(n)))
 
 
 def multiparam_product(n: int) -> Poly:
@@ -271,10 +265,7 @@ def multiparam_product(n: int) -> Poly:
 
 def specialize_to_single_q(p: Poly) -> Poly:
     """Set every q_j = q in a multiparametric polynomial."""
-    out = Poly.zero(1)
-    for e, c in p.terms.items():
-        out = out + Poly(1, {(sum(e),): c})
-    return out
+    return Poly(1, (((sum(e),), c) for e, c in p.terms.items()))
 
 
 # -- partial order of marks (componentwise) ----------------------------------
@@ -329,19 +320,16 @@ def count_and_generating(w: Permutation) -> tuple[int, int, Poly, Poly]:
 
 
 def qpoly_geq_bruteforce(w: Permutation) -> Poly:
-    out = Poly.zero(1)
-    for v in all_permutations(w.rank):
-        if partial_leq(w, v):
-            out = out + Poly(1, {(Diagram.from_permutation(v).length(),): 1})
-    return out
+    return _length_sum(v for v in all_permutations(w.rank) if partial_leq(w, v))
 
 
 def qpoly_leq_bruteforce(w: Permutation) -> Poly:
-    out = Poly.zero(1)
-    for v in all_permutations(w.rank):
-        if partial_leq(v, w):
-            out = out + Poly(1, {(Diagram.from_permutation(v).length(),): 1})
-    return out
+    return _length_sum(v for v in all_permutations(w.rank) if partial_leq(v, w))
+
+
+def _length_sum(perms: Iterable[Permutation]) -> Poly:
+    """sum over perms of q^{l(v)}."""
+    return Poly(1, (((Diagram.from_permutation(v).length(),), 1) for v in perms))
 
 
 # -- Gelfand-Zetlin patterns --------------------------------------------------

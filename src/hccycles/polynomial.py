@@ -4,6 +4,13 @@ Terms are stored as ``{exponent_tuple: Fraction}`` with zero coefficients
 dropped, so equality of dictionaries is equality of polynomials.  A fixed
 number of variables is part of the value; mixing arities is an error.
 
+``Poly(nvars, terms)`` is the one place where terms combine: ``terms`` is a
+mapping or any iterable of ``(exponents, coefficient)`` pairs, the
+coefficients of a repeated exponent vector are added and zero sums are
+dropped.  Sums, products and substitutions here, and the brute-force sums
+of ``diagrams``, build their result in one such call over a generator of
+terms.
+
 Used for q-polynomials of the symmetric-group identities, for operator
 symbols p_mu(lambda_1..lambda_{n+1}), and for the Vandermonde differential
 identities.
@@ -12,8 +19,10 @@ identities.
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import product
-from typing import Mapping, Sequence, Union
+from itertools import chain, product
+from math import comb, prod
+from operator import add
+from typing import Iterable, Mapping, Sequence, Union
 
 Scalar = Union[int, Fraction]
 
@@ -31,20 +40,31 @@ class Poly:
 
     __slots__ = ("nvars", "terms")
 
-    def __init__(self, nvars: int, terms: Mapping[tuple, Scalar] | None = None):
+    def __init__(
+        self, nvars: int, terms: Mapping[tuple, Scalar] | Iterable[tuple[Sequence[int], Scalar]] | None = None
+    ):
+        """``terms`` is a mapping ``{exponents: coefficient}`` or an iterable
+        of ``(exponents, coefficient)`` pairs.  Each exponent vector must have
+        ``nvars`` nonnegative entries and each coefficient must be an int or
+        a Fraction.  Coefficients of a repeated exponent vector are added;
+        exponent vectors whose coefficients sum to zero are dropped."""
         if nvars < 0:
             raise ValueError("nvars must be nonnegative")
         self.nvars = nvars
+        if isinstance(terms, Mapping):
+            terms = terms.items()
         clean: dict[tuple, Fraction] = {}
-        for exps, c in (terms or {}).items():
+        for exps, c in terms or ():
             exps = tuple(int(e) for e in exps)
             if len(exps) != nvars or any(e < 0 for e in exps):
                 raise ValueError(f"bad exponent vector {exps} for {nvars} variables")
             c = _coerce(c)
-            if c != 0:
-                clean[exps] = clean.get(exps, Fraction(0)) + c
-                if clean[exps] == 0:
-                    del clean[exps]
+            if exps in clean:
+                c = clean[exps] + c
+            if c:
+                clean[exps] = c
+            else:
+                clean.pop(exps, None)
         self.terms = clean
 
     # -- constructors ------------------------------------------------------
@@ -55,29 +75,20 @@ class Poly:
 
     @classmethod
     def const(cls, nvars: int, c: Scalar) -> "Poly":
-        c = _coerce(c)
-        return cls(nvars, {(0,) * nvars: c} if c != 0 else {})
+        return cls(nvars, {(0,) * nvars: c})
 
     @classmethod
     def var(cls, nvars: int, i: int) -> "Poly":
         """The variable x_i (0-based)."""
         if not 0 <= i < nvars:
             raise ValueError(f"variable index {i} out of range")
-        e = [0] * nvars
-        e[i] = 1
-        return cls(nvars, {tuple(e): 1})
+        return cls(nvars, {_unit(nvars, i, 1): 1})
 
     @classmethod
     def linear(cls, coeffs: Sequence[Scalar], const: Scalar = 0) -> "Poly":
         """c_0*x_0 + ... + c_{m-1}*x_{m-1} + const."""
         n = len(coeffs)
-        p = cls.const(n, const)
-        for i, c in enumerate(coeffs):
-            if _coerce(c) != 0:
-                e = [0] * n
-                e[i] = 1
-                p = p + cls(n, {tuple(e): c})
-        return p
+        return cls(n, chain([((0,) * n, const)], ((_unit(n, i, 1), c) for i, c in enumerate(coeffs))))
 
     # -- ring operations ---------------------------------------------------
 
@@ -89,14 +100,7 @@ class Poly:
         if not isinstance(other, Poly):
             other = Poly.const(self.nvars, other)
         self._check(other)
-        out = dict(self.terms)
-        for e, c in other.terms.items():
-            s = out.get(e, Fraction(0)) + c
-            if s == 0:
-                out.pop(e, None)
-            else:
-                out[e] = s
-        return Poly(self.nvars, out)
+        return Poly(self.nvars, chain(self.terms.items(), other.terms.items()))
 
     __radd__ = __add__
 
@@ -116,16 +120,14 @@ class Poly:
             c = _coerce(other)
             return Poly(self.nvars, {e: c * v for e, v in self.terms.items()})
         self._check(other)
-        out: dict[tuple, Fraction] = {}
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                e = tuple(a + b for a, b in zip(e1, e2))
-                s = out.get(e, Fraction(0)) + c1 * c2
-                if s == 0:
-                    out.pop(e, None)
-                else:
-                    out[e] = s
-        return Poly(self.nvars, out)
+        return Poly(
+            self.nvars,
+            (
+                (tuple(map(add, e1, e2)), c1 * c2)
+                for e1, c1 in self.terms.items()
+                for e2, c2 in other.terms.items()
+            ),
+        )
 
     __rmul__ = __mul__
 
@@ -182,39 +184,24 @@ class Poly:
         if len(deltas) != self.nvars:
             raise ValueError("wrong number of shifts")
         ds = [_coerce(d) for d in deltas]
-        # Expand each monomial prod (x_i + d_i)^{e_i} by binomials.
-        from math import comb
-
-        out = Poly.zero(self.nvars)
-        for e, c in self.terms.items():
-            expanded = Poly.const(self.nvars, c)
-            for i, (p, d) in enumerate(zip(e, ds)):
-                if p == 0:
-                    continue
-                if d == 0:
-                    expanded = expanded * Poly.var(self.nvars, i) ** p
-                    continue
-                binom = Poly.zero(self.nvars)
-                for j in range(p + 1):
-                    ev = [0] * self.nvars
-                    ev[i] = j
-                    binom = binom + Poly(self.nvars, {tuple(ev): comb(p, j) * d ** (p - j)})
-                expanded = expanded * binom
-            out = out + expanded
-        return out
+        # Expand each monomial prod (x_i + d_i)^{e_i} by binomials: the term
+        # x^js, 0 <= js_i <= e_i, gets prod_i C(e_i, js_i) d_i^(e_i - js_i).
+        return Poly(
+            self.nvars,
+            (
+                (js, c * prod(comb(p, j) * d ** (p - j) for p, j, d in zip(e, js, ds)))
+                for e, c in self.terms.items()
+                for js in product(*(range(p + 1) if d else (p,) for p, d in zip(e, ds)))
+            ),
+        )
 
     def permute_vars(self, images: Sequence[int]) -> "Poly":
         """Substitute x_i -> x_{images[i]} (0-based images, a bijection)."""
         if sorted(images) != list(range(self.nvars)):
             raise ValueError("images must be a permutation of the variables")
-        out: dict[tuple, Fraction] = {}
-        for e, c in self.terms.items():
-            ne = [0] * self.nvars
-            for i, p in enumerate(e):
-                ne[images[i]] = p
-            key = tuple(ne)
-            out[key] = out.get(key, Fraction(0)) + c
-        return Poly(self.nvars, out)
+        # The exponent of x_i moves to x_{images[i]}, so new slot j reads old slot inv[j].
+        inv = sorted(range(self.nvars), key=images.__getitem__)
+        return Poly(self.nvars, ((tuple(e[i] for i in inv), c) for e, c in self.terms.items()))
 
     def is_symmetric(self) -> bool:
         """Invariance under every transposition of adjacent variables."""
@@ -226,14 +213,12 @@ class Poly:
         return True
 
     def deriv(self, i: int) -> "Poly":
-        out: dict[tuple, Fraction] = {}
-        for e, c in self.terms.items():
-            if e[i] == 0:
-                continue
-            ne = list(e)
-            ne[i] -= 1
-            out[tuple(ne)] = c * e[i]
-        return Poly(self.nvars, out)
+        if not 0 <= i < self.nvars:
+            raise ValueError(f"variable index {i} out of range")
+        return Poly(
+            self.nvars,
+            ((e[:i] + (e[i] - 1,) + e[i + 1 :], c * e[i]) for e, c in self.terms.items() if e[i]),
+        )
 
     def divide_by_linear(self, linear: "Poly") -> tuple["Poly", "Poly"]:
         """Divide by a polynomial of total degree 1; returns (quotient, remainder).
@@ -244,15 +229,8 @@ class Poly:
         self._check(linear)
         if linear.degree() != 1:
             raise ValueError("divisor must have total degree 1")
-        pivot = None
-        for e, c in linear.terms.items():
-            if sum(e) == 1:
-                pivot = e.index(1)
-                break
-        assert pivot is not None
-        ev = [0] * self.nvars
-        ev[pivot] = 1
-        lead = linear.terms[tuple(ev)]
+        pivot = min(e.index(1) for e in linear.terms if sum(e) == 1)
+        lead = linear.terms[_unit(self.nvars, pivot, 1)]
 
         quotient = Poly.zero(self.nvars)
         rem = self
@@ -295,14 +273,16 @@ def univariate_coeffs(p: Poly) -> list[Fraction]:
     return [p.terms.get((i,), Fraction(0)) for i in range(d + 1)]
 
 
+def _unit(nvars: int, i: int, p: int) -> tuple[int, ...]:
+    """Exponent vector of x_i^p."""
+    return (0,) * i + (p,) + (0,) * (nvars - i - 1)
+
+
 def geometric_sum(nvars: int, i: int, length: int) -> Poly:
     """1 + x_i + ... + x_i^{length-1}."""
-    out = Poly.zero(nvars)
-    for j in range(length):
-        ev = [0] * nvars
-        ev[i] = j
-        out = out + Poly(nvars, {tuple(ev): 1})
-    return out
+    if not 0 <= i < nvars:
+        raise ValueError(f"variable index {i} out of range")
+    return Poly(nvars, ((_unit(nvars, i, j), 1) for j in range(length)))
 
 
 def vandermonde(nvars: int) -> Poly:

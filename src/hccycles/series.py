@@ -462,7 +462,4 @@ def l_operator_symbols(n: int, k: Q, depth: int) -> dict[Offset, Poly]:
 
 def elementary_power_sum(nvars: int, power: int) -> Poly:
     """sum_i x_i^power."""
-    out = Poly.zero(nvars)
-    for i in range(nvars):
-        out = out + Poly.var(nvars, i) ** power
-    return out
+    return Poly(nvars, ((tuple(power if j == i else 0 for j in range(nvars)), 1) for i in range(nvars)))

@@ -107,6 +107,28 @@ def test_integrate_csv(tmp_path):
     assert len(lines) == 4
 
 
+@pytest.mark.parametrize("csv, calls", [(False, 3), (True, 6)])
+def test_integrate_integrates_each_z_once(monkeypatch, tmp_path, capsys, csv, calls):
+    # Per w: the grid P and the grid 2P-1 at z(r), then z(r/2) for the
+    # Richardson estimate; the CSV rows at r, r/2, ..., r/16 reuse those.
+    from hccycles import cycles as cy
+
+    seen = []
+    real = cy.integrate
+
+    def counting(*args, **kw):
+        seen.append(args)
+        return real(*args, **kw)
+
+    monkeypatch.setattr(cy, "integrate", counting)
+    argv = ["integrate", "--points", "33", "--w", "id"]
+    if csv:
+        argv += ["--csv-out", str(tmp_path / "trace.csv"), "--csv-steps", "5"]
+    assert main(argv) == 0
+    assert len(seen) == calls
+    assert "leading_coefficient_estimate" in json.loads(capsys.readouterr().out)["results"][0]
+
+
 def test_verify_determinism_and_exit():
     a = run_cli(["verify", "combinatorics", "--seed", "42"])
     b = run_cli(["verify", "combinatorics", "--seed", "42"])

@@ -1,5 +1,6 @@
 import json
 import random
+import time
 
 import pytest
 
@@ -115,6 +116,16 @@ def test_multiparam():
     p2 = dg.multiparam_sum(2)
     assert p2.terms == {(0, 0): 1, (0, 1): 1}
     assert len(dg.multiparam_sum(3).terms) == 6
+
+
+def test_multiparam_sum_n7_is_fast():
+    # 5040 one-term polynomials built in one constructor call, not 5040 copies
+    # of a growing accumulator.
+    t0 = time.perf_counter()
+    lhs = dg.multiparam_sum(7)
+    elapsed = time.perf_counter() - t0
+    assert lhs == dg.multiparam_product(7)
+    assert elapsed < 5.0
 
 
 def test_partial_order():

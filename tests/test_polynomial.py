@@ -50,6 +50,15 @@ def test_permute_vars_and_symmetry():
     x, y, z = (Poly.var(3, i) for i in range(3))
     p = x * y + z
     assert p.permute_vars([1, 0, 2]) == p
+    # A 3-cycle is not its own inverse: x_i -> x_{images[i]} must agree with
+    # evaluation, p.permute_vars(images)(v) == p(v[images[0]], v[images[1]], ...).
+    rng = random.Random(3)
+    images = [1, 2, 0]
+    for _ in range(10):
+        q = rand_poly(rng, 3)
+        v = [Q(rng.randint(-5, 5), rng.randint(1, 4)) for _ in range(3)]
+        assert q.permute_vars(images)(v) == q([v[images[i]] for i in range(3)])
+    assert (x ** 2 * y).permute_vars(images) == y ** 2 * z
     assert not (x + 2 * y).is_symmetric()
     assert (x + y + z).is_symmetric()
     assert (x * y + x * z + y * z).is_symmetric()
@@ -78,6 +87,13 @@ def test_divide_by_linear_remainder():
     assert rem == Poly.const(1, 2)
 
 
+def test_divide_by_linear_pivot_is_first_variable():
+    x0 = Poly.var(2, 0)
+    quo, rem = (x0 ** 2).divide_by_linear(Poly(2, {(0, 1): 1, (1, 0): 2}))
+    assert all(e[0] == 0 for e in rem.terms)
+    assert quo * Poly(2, {(0, 1): 1, (1, 0): 2}) + rem == x0 ** 2
+
+
 def test_divide_requires_degree_one():
     x = Poly.var(1, 0)
     with pytest.raises(ValueError):
@@ -95,6 +111,13 @@ def test_geometric_sum_and_univariate():
     g = geometric_sum(1, 0, 4)
     assert univariate_coeffs(g) == [1, 1, 1, 1]
     assert univariate_coeffs(Poly.zero(1)) == [0]
+    assert geometric_sum(3, 2, 3) == 1 + Poly.var(3, 2) + Poly.var(3, 2) ** 2
+
+
+@pytest.mark.parametrize("i", [-1, 2, 5])
+def test_geometric_sum_index_out_of_range(i):
+    with pytest.raises(ValueError):
+        geometric_sum(2, i, 3)
 
 
 def test_vandermonde_alternates():
@@ -110,3 +133,36 @@ def test_bad_inputs():
         Poly.var(2, 5)
     with pytest.raises(ValueError):
         Poly.var(2, 0) + Poly.var(3, 0)
+
+
+def test_constructor_combines_pairs():
+    p = Poly(2, [((1, 0), 2), ((0, 1), Q(1, 2)), ((1, 0), 3)])
+    assert p.terms == {(1, 0): 5, (0, 1): Q(1, 2)}
+    # A pair sum of zero is dropped, also when a later pair brings it back.
+    assert Poly(1, [((2,), 1), ((2,), -1)]).is_zero
+    assert Poly(1, [((2,), 1), ((2,), -1), ((0,), 4), ((2,), Q(1, 3))]).terms == {(0,): 4, (2,): Q(1, 3)}
+    assert Poly(1, [((3,), 0)]).is_zero
+    gen = Poly(2, (((j, 0), 1) for j in (0, 1, 1)))
+    assert gen == 1 + 2 * Poly.var(2, 0)
+    assert Poly(2, [([1, 0], 1)]) == Poly.var(2, 0)  # any exponent sequence
+    assert Poly(1, []).is_zero and Poly(1, {}).is_zero and Poly(0, [((), 3)]) == 3
+
+
+@pytest.mark.parametrize("bad", [(1,), (2, 0, 1), (0, -1)])
+def test_constructor_checks_every_pair(bad):
+    pairs = [((1, 0), 1), (bad, 1)]
+    with pytest.raises(ValueError):
+        Poly(2, pairs)
+    with pytest.raises(ValueError):
+        Poly(2, iter(pairs))
+
+
+def test_constructor_rejects_float_coefficients():
+    with pytest.raises(TypeError):
+        Poly(1, [((0,), 1), ((1,), 0.5)])
+    with pytest.raises(TypeError):
+        Poly(1, [((1,), 1.0), ((1,), -1.0)])
+    with pytest.raises(TypeError):
+        Poly(1, {(1,): 0.0})
+    with pytest.raises(ValueError):
+        Poly(-1)
