@@ -233,21 +233,22 @@ def _chk_words(seed):
 def _chk_order(seed):
     for n in range(1, 6):
         perms = list(dg.all_permutations(n))
+        above = {w: [v for v in perms if dg.partial_leq(w, v)] for w in perms}
+        below = {w: [] for w in perms}
         for w in perms:
-            geq = [v for v in perms if dg.partial_leq(w, v)]
-            leq = [v for v in perms if dg.partial_leq(v, w)]
+            for v in above[w]:
+                below[v].append(w)
+        length = {w: dg.Diagram.from_permutation(w).length() for w in perms}
+        for w in perms:
+            geq, leq = above[w], below[w]
             if len(geq) != dg.count_geq(w) or len(leq) != dg.count_leq(w):
                 return False, "closed-form counts differ from enumeration"
-            if dg.qpoly_geq(w) != dg.qpoly_geq_bruteforce(w):
+            if dg.qpoly_geq(w) != dg.length_sum(geq):
                 return False, "q-polynomial (geq) differs"
-            if dg.qpoly_leq(w) != dg.qpoly_leq_bruteforce(w):
+            if dg.qpoly_leq(w) != dg.length_sum(leq):
                 return False, "q-polynomial (leq) differs"
-            for v in perms:
-                if dg.partial_leq(w, v):
-                    lw = dg.Diagram.from_permutation(w).length()
-                    lv = dg.Diagram.from_permutation(v).length()
-                    if lw > lv:
-                        return False, "monotonicity of length fails"
+            if any(length[w] > length[v] for v in geq):
+                return False, "monotonicity of length fails"
     return True, "counts, q-polynomials, and length monotonicity, exhaustive n<=5"
 
 

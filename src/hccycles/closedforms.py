@@ -7,6 +7,27 @@ rational constants) so the same object can be evaluated directly or after
 reflection-formula rewriting Gamma(x) sin(pi x) -> pi / Gamma(1-x); the two
 routes agree to ~1e-12 away from poles and that agreement is a test.
 
+a(w), F_w(1) and the limit are evaluated from a factor table, one per
+spectral parameter.  Under w the pairing of the positive root (a, b) is
+lambda_i - lambda_j with (i, j) = (w(a) - 1, w(b) - 1), so every Gamma or
+sine argument is x = lambda_i - lambda_j + c + c_k k: a pairing shifted by
+0, 1, k or 1 - k, a rho argument 1 - k d or 1 - k d - k (d = b - a), or
+m k (i = j for the last two kinds).  The table is keyed by (i, j, c, c_k)
+and holds, for each key, the exact Fraction argument, its exact pole test
+and the evaluated Gamma or sine value, so all w of one (lambda, k) share
+them and the rho factors are evaluated once per table.  It fills lazily:
+each factor is built and evaluated on first use, and a one-off a(w) pays
+for its own factors only.  Tables are memoized per `SpectralParam` by an
+lru_cache of 4 entries.  Each closed form lists its factors once, as table
+keys per w (`_a_w_factors`, `_F_w_factors`, `_limit_factors`); the symbolic
+`a_w_product` is built from the same keys, and the fast evaluation
+multiplies the table's values in exactly the order `GammaProduct.eval`
+multiplies the symbolic product, `** power` steps included.  The results
+are therefore bit-identical to the symbolic route's, and so are its
+PoleErrors and the zeros of a reciprocal Gamma at a pole.  A failure comes
+only from the function whose factor fails: at k = 1/2, a(w) is finite
+while F_w(1) and the limit raise.
+
 The complex Gamma function is a Lanczos approximation (g = 7, 9 terms,
 about 15 significant digits on the test domain) with the reflection formula
 for Re z < 1/2.  No exactness is claimed for any analytic value here; all
@@ -20,7 +41,7 @@ import functools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction as Q
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from . import rootsystem as rs
 from .diagrams import Diagram, Permutation
@@ -42,15 +63,28 @@ _LANCZOS_C = (
 )
 
 
+_POLE_TOL = 1e-8
+
+
 class PoleError(ArithmeticError):
     """A Gamma factor is evaluated at (or within 1e-8 of) a nonpositive integer."""
 
 
-def _near_nonpositive_int(x: complex, tol: float = 1e-8) -> bool:
+def _near_nonpositive_int(x: complex, tol: float = _POLE_TOL) -> bool:
     if abs(x.imag) > tol:
         return False
     r = round(x.real)
     return r <= 0 and abs(x.real - r) <= tol
+
+
+def _check_pole(arg, tag: str, tol: float = _POLE_TOL):
+    """Raise PoleError if Gamma(arg) has a pole at an exact arg, or within tol
+    of a float one."""
+    if isinstance(arg, (int, Q)):
+        if arg <= 0 and arg.denominator == 1:
+            raise PoleError(f"Gamma argument {arg} is a nonpositive integer{tag and f' ({tag})'}")
+    elif _near_nonpositive_int(complex(arg), tol):
+        raise PoleError(f"Gamma argument {complex(arg)} within {tol} of a pole{tag and f' ({tag})'}")
 
 
 def gamma(z: complex) -> complex:
@@ -85,7 +119,7 @@ class GammaProduct:
     sins: list[tuple[object, str]] = field(default_factory=list)         # sin(pi*arg)
     exp_pi_i: object = 0                                                  # e^{i pi * arg}
     const: complex = 1.0
-    pole_tol: float = 1e-8
+    pole_tol: float = _POLE_TOL
 
     def times_gamma(self, arg, power: int = 1, tag: str = "") -> "GammaProduct":
         self.gammas.append((arg, power, tag))
@@ -123,18 +157,11 @@ class GammaProduct:
         out.sins.extend(sins)
         return out
 
-    def _check_pole(self, arg, tag: str):
-        if isinstance(arg, (int, Q)):
-            if arg <= 0 and arg.denominator == 1:
-                raise PoleError(f"Gamma argument {arg} is a nonpositive integer{tag and f' ({tag})'}")
-        elif _near_nonpositive_int(complex(arg), self.pole_tol):
-            raise PoleError(f"Gamma argument {complex(arg)} within {self.pole_tol} of a pole{tag and f' ({tag})'}")
-
     def eval(self) -> complex:
         val = complex(self.const)
         for arg, power, tag in self.gammas:
             if power > 0:
-                self._check_pole(arg, tag)
+                _check_pole(arg, tag, self.pole_tol)
                 val *= gamma(complex(arg)) ** power
             else:
                 # reciprocal of Gamma is entire: a pole upstairs is a zero here
@@ -146,17 +173,6 @@ class GammaProduct:
             val *= sinpi(complex(arg))
         val *= cmath.exp(1j * math.pi * complex(self.exp_pi_i))
         return val
-
-
-def _length(w: Permutation) -> int:
-    return Diagram.from_permutation(w).length()
-
-
-def _pairings(w: Permutation, sp: SpectralParam) -> list[tuple[int, int, Q]]:
-    """[(a, b, (w.lambda, coroot of e_a - e_b))] over the positive roots;
-    each pairing is the coordinate difference w.lambda_a - w.lambda_b."""
-    wlam = rs.weyl_apply(w, sp.lam)
-    return [(a, b, wlam[a] - wlam[b]) for a, b in rs.positive_root_pairs(sp.rank)]
 
 
 @functools.lru_cache(maxsize=16)
@@ -174,36 +190,180 @@ def _lam_delta(sp: SpectralParam) -> Q:
     return -sum(i * x for i, x in enumerate(sp.lam) if i)
 
 
+def _phase_arg(sp: SpectralParam, length: int | None):
+    """p in the phase e^{i pi p} of a(w) and of the limit,
+    e^{-2 pi i (lambda, delta)} e^{-pi i (k-1) l(w)} i^N with l(w) = length;
+    0 (no phase) for length None."""
+    if length is None:
+        return 0
+    n = sp.rank
+    return -2 * _lam_delta(sp) - (sp.k - 1) * length + Q(n * (n + 1) // 2, 2)
+
+
+class _FactorTable(dict):
+    """The factors of the closed forms at one (lambda, k), keyed by
+    (kind, spec) and built on first use.
+
+    For kind "arg", "gamma" and "sin" the spec (i, j, c, ck) names the exact
+    argument x = lambda_i - lambda_j + c + ck k; "arg" holds x, "gamma" holds
+    (x, x is a nonpositive integer, x is within 1e-8 of one so that 1/Gamma(x)
+    is taken as 0, Gamma(x) unless it is) and "sin" holds sin(pi x).  "phase" holds e^{i pi p} with p = _phase_arg(sp, spec),
+    and "limit" the w-independent factors of `limit_value`.
+    """
+
+    __slots__ = ("sp",)
+
+    def __init__(self, sp: SpectralParam):
+        super().__init__()
+        self.sp = sp
+
+    def __missing__(self, key):
+        kind, spec = key
+        sp = self.sp
+        if kind == "arg":  # each pairing and each shift is formed once
+            i, j, c, ck = spec
+            if i == j:
+                value = Q(c * sp.k.denominator + ck * sp.k.numerator, sp.k.denominator)
+            elif c or ck:
+                value = self["arg", (i, j, 0, 0)] + self["arg", (0, 0, c, ck)]
+            else:
+                value = sp.lam[i] - sp.lam[j]
+        elif kind == "gamma":
+            x = self["arg", spec]
+            pole = x <= 0 and x.denominator == 1
+            zero = pole or _near_nonpositive_int(z := complex(x), _POLE_TOL)
+            value = x, pole, zero, None if zero else gamma(z)
+        elif kind == "sin":
+            value = sinpi(complex(self["arg", spec]))
+        elif kind == "phase":
+            value = cmath.exp(1j * math.pi * complex(_phase_arg(sp, spec)))
+        else:  # "limit"
+            n, k = sp.rank, sp.k
+            den = 1.0 + 0j
+            for m in range(1, n + 2):
+                den *= self["sin", (0, 0, 0, m)]
+            gnum = gamma(complex(k)) ** ((n + 1) * (n + 2) // 2)
+            gden = 1.0 + 0j
+            for m in range(1, n + 2):
+                gden *= gamma(complex(m * k))
+            value = self["sin", (0, 0, 0, 1)] ** (n + 1) / den, gnum, gden
+        self[key] = value
+        return value
+
+
+@functools.lru_cache(maxsize=4)
+def _factor_table(sp: SpectralParam) -> _FactorTable:
+    return _FactorTable(sp)
+
+
+class _Product(NamedTuple):
+    """One closed form at one w as factor-table keys, in GammaProduct order:
+    the constant, the Gamma factors (key, power, tag), the sine factors
+    (key, tag) and the phase."""
+
+    const: float
+    gammas: tuple
+    sins: tuple
+    phase: tuple
+
+
+def _roots(images: tuple[int, ...], n: int) -> list[tuple[int, int, int, str]]:
+    """(i, j, d, tag) per positive root (a, b), in order: the pairing
+    (w.lambda, coroot of e_a - e_b) is lambda_i - lambda_j with
+    (i, j) = (w(a) - 1, w(b) - 1), and (rho, coroot) = k d with d = b - a."""
+    index = rs.weyl_apply(images, tuple(range(n + 1)))  # raises on a bad w
+    tags = _root_tags(n)
+    return [(index[a], index[b], b - a, tags[a, b]) for a, b in rs.positive_root_pairs(n)]
+
+
+def _length(images: tuple[int, ...]) -> int:
+    return Diagram.from_permutation(Permutation(images)).length()
+
+
+# The factor list of each closed form at one w, written once; the formulas
+# are in the docstrings of a_w_product, F_w_at_1 and limit_value.
+
+
+@functools.lru_cache(maxsize=1024)
+def _key(kind: str, i: int, j: int, c: int, ck: int) -> tuple[str, tuple[int, int, int, int]]:
+    """The table key (kind, (i, j, c, ck)) as one shared object, so that the
+    cached factor lists of all w do not each hold a copy."""
+    return kind, (i, j, c, ck)
+
+
+@functools.lru_cache(maxsize=256)
+def _a_w_factors(images: tuple[int, ...], n: int) -> _Product:
+    N = n * (n + 1) // 2
+    gammas, sins = [], []
+    for i, j, _, tag in _roots(images, n):
+        # x = (-w.lambda, coroot) = lambda_j - lambda_i
+        gammas += [(_key("gamma", j, i, 0, 0), +1, tag), (_key("gamma", j, i, 0, 1), -1, tag)]
+        sins.append((_key("sin", j, i, 0, 0), tag))
+    gammas.append((_key("gamma", 0, 0, 0, 1), N, "coupling"))
+    return _Product(2.0 ** N, tuple(gammas), tuple(sins), ("phase", _length(images)))
+
+
+@functools.lru_cache(maxsize=256)
+def _F_w_factors(images: tuple[int, ...], n: int) -> _Product:
+    gammas = []
+    for i, j, d, tag in _roots(images, n):
+        gammas += [
+            (_key("gamma", i, j, 1, 0), +1, tag),
+            (_key("gamma", i, j, 1, -1), -1, tag),
+            (_key("gamma", 0, 0, 1, -d), -1, tag),
+            (_key("gamma", 0, 0, 1, -d - 1), +1, tag),
+        ]
+    return _Product(1.0, tuple(gammas), (), ("phase", None))
+
+
+@functools.lru_cache(maxsize=256)
+def _limit_factors(images: tuple[int, ...], n: int) -> _Product:
+    sins = tuple((_key("sin", j, i, 0, 1), tag) for i, j, _, tag in _roots(images, n))
+    return _Product(2.0 ** (n * (n + 1) // 2), (), sins, ("phase", _length(images)))
+
+
+def _symbolic(prod: _Product, table: _FactorTable) -> GammaProduct:
+    out = GammaProduct(const=prod.const)
+    for (_, spec), power, tag in prod.gammas:
+        out.times_gamma(table["arg", spec], power, tag)
+    for (_, spec), tag in prod.sins:
+        out.times_sin(table["arg", spec], tag)
+    return out.times_exp_pi_i(_phase_arg(table.sp, prod.phase[1]))
+
+
+def _evaluate(prod: _Product, table: _FactorTable) -> complex:
+    """`_symbolic(prod, table).eval()` from the table's values: the same
+    factors in the same order, so the same bits, PoleErrors and zeros."""
+    val = complex(prod.const)
+    for key, power, tag in prod.gammas:
+        x, pole, zero, g = table[key]
+        if power > 0:
+            if pole:
+                _check_pole(x, tag)
+            val *= (gamma(complex(x)) if g is None else g) ** power
+        elif zero:
+            return 0.0 + 0.0j
+        else:
+            val *= g ** power
+    for key, _ in prod.sins:
+        val *= table[key]
+    val *= table[prod.phase]
+    return val
+
+
 def a_w_product(w: Permutation, sp: SpectralParam) -> GammaProduct:
     """Leading coefficient of the cycle integral as a symbolic product:
 
     prod_alpha Gamma((-w.lambda, av)) sin(pi (-w.lambda, av)) / Gamma((-w.lambda, av) + k)
       * e^{-2 pi i (lambda, delta)} e^{-pi i (k-1) l(w)} Gamma(k)^N (2i)^N,  N = n(n+1)/2.
     """
-    n = sp.rank
-    N = n * (n + 1) // 2
-    tags = _root_tags(n)
-    prod = GammaProduct()
-    for a, b, pairing in _pairings(w, sp):
-        x = -pairing
-        tag = tags[a, b]
-        prod.times_gamma(x, +1, tag)
-        prod.times_sin(x, tag)
-        prod.times_gamma(x + sp.k, -1, tag)
-    prod.times_exp_pi_i(-2 * _lam_delta(sp))
-    prod.times_exp_pi_i(-(sp.k - 1) * _length(w))
-    prod.times_gamma(sp.k, N, "coupling")
-    # (2i)^N with principal i = e^{i pi/2}
-    prod.times_const(2.0 ** N)
-    prod.times_exp_pi_i(Q(N, 2))
-    return prod
+    return _symbolic(_a_w_factors(w.images, sp.rank), _factor_table(sp))
 
 
 def a_w(w: Permutation, sp: SpectralParam, use_reflection: bool = False) -> complex:
-    prod = a_w_product(w, sp)
     if use_reflection:
-        prod = prod.reflected()
-    return prod.eval()
+        return a_w_product(w, sp).reflected().eval()
+    return _evaluate(_a_w_factors(w.images, sp.rank), _factor_table(sp))
 
 
 def F_w_at_1(w: Permutation, sp: SpectralParam) -> complex:
@@ -214,18 +374,7 @@ def F_w_at_1(w: Permutation, sp: SpectralParam) -> complex:
 
     The pairing (rho, coroot of e_a - e_b) is k (b - a).
     """
-    k = sp.k
-    prod = GammaProduct()
-    tags = _root_tags(sp.rank)
-    for a, b, pairing in _pairings(w, sp):
-        tag = tags[a, b]
-        shifted = pairing + 1
-        prod.times_gamma(shifted, +1, tag)
-        prod.times_gamma(shifted - k, -1, tag)
-        rho_shifted = 1 - k * (b - a)
-        prod.times_gamma(rho_shifted, -1, tag)
-        prod.times_gamma(rho_shifted - k, +1, tag)
-    return prod.eval()
+    return _evaluate(_F_w_factors(w.images, sp.rank), _factor_table(sp))
 
 
 def limit_value(w: Permutation, sp: SpectralParam, tol: float = 1e-8) -> complex:
@@ -237,31 +386,16 @@ def limit_value(w: Permutation, sp: SpectralParam, tol: float = 1e-8) -> complex
       * Gamma(k)^{(n+1)(n+2)/2} / (Gamma(k) ... Gamma((n+1)k)).
     """
     n = sp.rank
-    N = n * (n + 1) // 2
+    table = _factor_table(sp)
     for m in range(1, n + 2):
-        s = sinpi(complex(m * sp.k))
+        s = table["sin", (0, 0, 0, m)]
         if abs(s) < tol:
             raise ZeroDivisionError(
                 f"denominator sin({m} pi k) = {s:.2e} vanishes at k = {sp.k}"
             )
-    tags = _root_tags(n)
-    prod = GammaProduct()
-    for a, b, pairing in _pairings(w, sp):
-        prod.times_sin(-pairing + sp.k, tags[a, b])
-    prod.times_exp_pi_i(-2 * _lam_delta(sp))
-    prod.times_exp_pi_i(-(sp.k - 1) * _length(w))
-    prod.times_const(2.0 ** N)
-    prod.times_exp_pi_i(Q(N, 2))
-    val = prod.eval()
-    num = sinpi(complex(sp.k)) ** (n + 1)
-    den = 1.0 + 0j
-    for m in range(1, n + 2):
-        den *= sinpi(complex(m * sp.k))
-    val *= num / den
-    gnum = gamma(complex(sp.k)) ** ((n + 1) * (n + 2) // 2)
-    gden = 1.0 + 0j
-    for m in range(1, n + 2):
-        gden *= gamma(complex(m * sp.k))
+    val = _evaluate(_limit_factors(w.images, n), table)
+    sin_ratio, gnum, gden = table["limit", None]
+    val *= sin_ratio
     return val * gnum / gden
 
 

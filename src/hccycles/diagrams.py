@@ -319,16 +319,9 @@ def count_and_generating(w: Permutation) -> tuple[int, int, Poly, Poly]:
     return count_geq(w), count_leq(w), qpoly_geq(w), qpoly_leq(w)
 
 
-def qpoly_geq_bruteforce(w: Permutation) -> Poly:
-    return _length_sum(v for v in all_permutations(w.rank) if partial_leq(w, v))
-
-
-def qpoly_leq_bruteforce(w: Permutation) -> Poly:
-    return _length_sum(v for v in all_permutations(w.rank) if partial_leq(v, w))
-
-
-def _length_sum(perms: Iterable[Permutation]) -> Poly:
-    """sum over perms of q^{l(v)}."""
+def length_sum(perms: Iterable[Permutation]) -> Poly:
+    """sum over perms of q^{l(v)}: over the set above or below w, the
+    brute-force oracle for qpoly_geq(w) or qpoly_leq(w)."""
     return Poly(1, (((Diagram.from_permutation(v).length(),), 1) for v in perms))
 
 

@@ -56,6 +56,11 @@ class SpectralParam:
         object.__setattr__(self, "lam", lam)
         object.__setattr__(self, "k", Q(self.k))
 
+    def __hash__(self) -> int:
+        # Fraction.__hash__ costs about 1 us a coordinate; closedforms looks
+        # its factor table up by parameter on every call.
+        return hash((tuple(map(Q.as_integer_ratio, self.lam)), self.k.as_integer_ratio()))
+
     @property
     def rank(self) -> int:
         return len(self.lam) - 1

@@ -16,7 +16,7 @@ from hccycles import cycles as cy
 from hccycles import diagrams as dg
 from hccycles import rootsystem as rs
 from hccycles import series as se
-from hccycles.claims import SUITES, random_generic
+from hccycles.claims import SUITES, _chk_limit, _chk_order, random_generic
 from hccycles.polynomial import vandermonde
 
 # Criteria 3 and 10 keep their own named tests; every other registry entry
@@ -40,6 +40,27 @@ def test_criterion_3_order_counts(check_claim):
 
 def test_criterion_10_limit_identity(check_claim):
     _report(10, check_claim("limit"))
+
+
+# The order and limit checks must still reject wrong input.
+
+
+def test_order_check_rejects_wrong_qpoly(monkeypatch):
+    monkeypatch.setattr(dg, "qpoly_leq", dg.qpoly_geq)
+    assert _chk_order(42) == (False, "q-polynomial (leq) differs")
+
+
+def test_order_check_rejects_wrong_count(monkeypatch):
+    count_geq = dg.count_geq
+    monkeypatch.setattr(dg, "count_geq", lambda w: count_geq(w) + 1)
+    assert _chk_order(42) == (False, "closed-form counts differ from enumeration")
+
+
+def test_limit_check_rejects_perturbed_F(monkeypatch):
+    F_w_at_1 = cf.F_w_at_1
+    monkeypatch.setattr(cf, "F_w_at_1", lambda w, sp: F_w_at_1(w, sp) * (1 + 1e-8))
+    passed, detail = _chk_limit(42)
+    assert not passed and detail.startswith("limit != a*F by 1.00e-08")
 
 
 def test_criterion_6_freudenthal_recurrence():

@@ -222,12 +222,130 @@ def test_pairings_are_coordinate_differences():
     rng = random.Random(5)
     for n in range(1, 5):
         sp = random_generic(rng, n, Q(1, 5), 29)
+        table = cf._factor_table(sp)
         roots = rs.positive_roots(n)
         assert cf._lam_delta(sp) == rs.inner(sp.lam, rs.delta(n))
-        for (a, b), alpha in zip(rs.positive_root_pairs(n), roots, strict=True):
-            assert rs.inner(sp.rho, rs.coroot(alpha)) == sp.k * (b - a)
         for w in dg.all_permutations(n + 1):
             wlam = rs.weyl_apply(w, sp.lam)
-            pairings = cf._pairings(w, sp)
-            assert [rs.root(n, a + 1, b + 1) for a, b, _ in pairings] == roots
-            assert [p for _, _, p in pairings] == [rs.inner(wlam, rs.coroot(alpha)) for alpha in roots]
+            got = cf._roots(w.images, n)
+            pairings = [rs.inner(wlam, rs.coroot(alpha)) for alpha in roots]
+            assert [table["arg", (i, j, 0, 0)] for i, j, _, _ in got] == pairings
+            assert [sp.k * d for _, _, d, _ in got] == [rs.inner(sp.rho, rs.coroot(alpha)) for alpha in roots]
+            for (i, j, d, _), p in zip(got, pairings, strict=True):
+                for c, ck in ((0, 1), (1, 0), (1, -1)):
+                    assert table["arg", (i, j, c, ck)] == p + c + ck * sp.k
+                    assert table["arg", (j, i, c, ck)] == -p + c + ck * sp.k
+                assert table["arg", (0, 0, 1, -d)] == 1 - sp.k * d
+
+
+# -- the factor table: bit-identical values, same failures ----------------------
+
+# float.hex of (re, im) of a_w, F_w_at_1 and limit_value, recorded before the
+# factor table existed; any change to the order of the multiplications shows.
+GOLDEN = [
+    ((1, 2), ("3/10", "-3/10"), "2/7", (
+        ("-0x1.409e33e8e779ep+2", "0x1.a0b34c815ba53p+0"),
+        ("0x1.9decaf65c4402p+0", "0x0.0p+0"),
+        ("-0x1.0333d3a118ea9p+3", "0x1.50e1429bb7ca8p+1"))),
+    ((2, 1), ("3/10", "-3/10"), "2/7", (
+        ("-0x1.73546d5d1ce38p+1", "0x1.eeb3cd1e29f4ep+2"),
+        ("0x1.bcbe5f185700bp-2", "0x0.0p+0"),
+        ("-0x1.428d482325f43p+0", "0x1.adb7dc7b27a0ep+1"))),
+    ((1, 2, 3), ("3/10", "-1/7", "-11/70"), "3/8", (
+        ("-0x1.289d460cf370bp+1", "0x1.0cb0826b894c6p+3"),
+        ("-0x1.2607f9c7a610ap+3", "-0x0.0p+0"),
+        ("0x1.54addc2815bb7p+4", "-0x1.349b14c44afa6p+6"))),
+    ((2, 1, 3), ("3/10", "-1/7", "-11/70"), "3/8", (
+        ("0x1.99e3d62fe72d2p+5", "0x1.3f6b4691f9739p+5"),
+        ("-0x1.93a95b278cef5p+1", "-0x0.0p+0"),
+        ("-0x1.432869c48f864p+7", "-0x1.f7a92fa5dd55cp+6"))),
+    ((3, 2, 1), ("3/10", "-1/7", "-11/70"), "3/8", (
+        ("0x1.a29e24e8045a9p+5", "0x1.a5d2a87693e03p+8"),
+        ("-0x1.f90164c20f8f3p-1", "-0x0.0p+0"),
+        ("-0x1.9ce61f177899fp+5", "-0x1.a00f6d154fa12p+8"))),
+    ((2, 1, 4, 3), ("1/3", "-1/5", "2/11", "-52/165"), "5/12", (
+        ("0x1.b944272b080b5p+12", "-0x1.48d590d879af1p+14"),
+        ("0x1.4d56327ae5d59p-4", "0x0.0p+0"),
+        ("0x1.1f491d6da41c3p+9", "-0x1.ac2c85ffd24d9p+10"))),
+    ((3, 4, 1, 2), ("1/3", "-1/5", "2/11", "-52/165"), "5/12", (
+        ("0x1.cf089f9af1b37p+7", "-0x1.9900d100e63b2p+7"),
+        ("-0x1.2395069b60962p+0", "-0x0.0p+0"),
+        ("-0x1.07b22cb2a14b9p+8", "0x1.d1da059bedf05p+7"))),
+    ((4, 3, 2, 1), ("1/3", "-1/5", "2/11", "-52/165"), "5/12", (
+        ("-0x1.f079a65942747p+12", "0x1.926549851aaf9p+10"),
+        ("-0x1.4d569acbc5d0ep-6", "-0x0.0p+0"),
+        ("0x1.433b193a2dcc8p+7", "-0x1.05faf0fd08f48p+5"))),
+]
+
+
+@pytest.mark.parametrize("images, lam, k, expected", GOLDEN)
+def test_closed_forms_bit_identical(images, lam, k, expected):
+    w, sp = dg.Permutation(images), SpectralParam(rs.vec(lam), Q(k))
+    for f, (re, im) in zip((cf.a_w, cf.F_w_at_1, cf.limit_value), expected, strict=True):
+        v = f(w, sp)
+        assert (v.real.hex(), v.imag.hex()) == (re, im), f.__name__
+
+
+def test_a_w_table_matches_symbolic_product_bitwise():
+    # the table multiplies the values of exactly the factors a_w_product lists
+    rng = random.Random(11)
+    for n in (1, 2, 3):
+        for _ in range(5):
+            sp = random_generic(rng, n, Q(1, 5), 29)
+            for w in dg.all_permutations(n + 1):
+                assert cf.a_w(w, sp) == cf.a_w_product(w, sp).eval()
+
+
+SP_K_HALF = ((Q(3, 10), Q(-3, 10)), Q(1, 2))
+
+
+def _outcome(f, w, sp):
+    try:
+        return f(w, sp)
+    except (cf.PoleError, ZeroDivisionError) as exc:
+        return type(exc), str(exc)
+
+
+def test_table_failures_stay_in_their_function():
+    # at k = 1/2 only F_w(1) and the limit fail, twice and in either order
+    pole = (cf.PoleError, "Gamma argument 0 is a nonpositive integer (alpha = ('1', '-1'))")
+    zero = (ZeroDivisionError, "denominator sin(2 pi k) = 1.22e-16-0.00e+00j vanishes at k = 1/2")
+    funcs = (cf.a_w, cf.F_w_at_1, cf.limit_value)
+    for order in (funcs, funcs[::-1]):
+        cf._factor_table.cache_clear()
+        sp = SpectralParam(*SP_K_HALF)
+        for f in order * 2:
+            got = _outcome(f, W_S, sp)
+            if f is cf.a_w:
+                assert cmath.isfinite(got)
+            else:
+                assert got == (pole if f is cf.F_w_at_1 else zero)
+
+
+def test_table_interleaving_and_equal_params():
+    rng = random.Random(13)
+    draws = [random_generic(rng, 2, Q(1, 5), 29) for _ in range(2)]
+    funcs = (cf.a_w, cf.F_w_at_1, cf.limit_value)
+    ws = list(dg.all_permutations(3))
+    isolated = {}
+    for d, sp in enumerate(draws):
+        for f in funcs:
+            for w in ws:
+                cf._factor_table.cache_clear()
+                isolated[d, f, w] = _outcome(f, w, sp)
+    cf._factor_table.cache_clear()
+    for w in ws:
+        for f in funcs:
+            for d, sp in enumerate(draws):
+                # a fresh SpectralParam equal to the draw shares its table
+                twin = SpectralParam(tuple(sp.lam), sp.k)
+                assert _outcome(f, w, sp) == isolated[d, f, w]
+                assert _outcome(f, w, twin) == isolated[d, f, w]
+
+
+def test_table_memo_is_bounded():
+    rng = random.Random(17)
+    for _ in range(1000):
+        cf.a_w(W_S, random_generic(rng, 1, Q(1, 5), 29))
+    info = cf._factor_table.cache_info()
+    assert info.maxsize is not None and info.currsize == info.maxsize
