@@ -39,15 +39,25 @@ tau^{k-1} for non-integer k), Gauss-Legendre optionally.  The integrand is
 broadcast over per-axis tau arrays, so each factor carries only the axes of
 its chain; blocks of the grid fix its leading axes and are summed in C
 order, so results are bit-stable for a fixed spec.
+
+What depends on an axis's nodes alone, and not on z, lambda or k, is one
+per-axis node record: x, the bump f and f', log1p(-f), 2 pi tau,
+e^{2 pi i tau}, the log-modulus and argument of the vanishing base
+1 - e^{2 pi i tau}(1 - f), and the Jacobian factor 2 pi i (1 - f) - f'.
+`integrate` takes its rule's record from a small cache keyed by (scheme,
+points per axis, bump), so the bump is evaluated once per rule and not once
+per call; the cached arrays are read-only.  Pointwise evaluation and
+`phase_continuation` build records from their own tau.
 """
 
 from __future__ import annotations
 
 import cmath
+import functools
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -61,6 +71,13 @@ _SEPARATION_MARGIN = 0.85
 _BLOCK_NODES = 1 << 17  # most grid nodes `integrate` evaluates at once
 
 
+def _unit_interval(x) -> np.ndarray:
+    xs = np.asarray(x, dtype=float)
+    if np.any(xs < 0.0) or np.any(xs > 1.0):
+        raise ValueError("bump argument outside [0, 1]")
+    return xs
+
+
 @dataclass(frozen=True)
 class BumpFn:
     """f_eps(x) = eps sin^2(pi x): smooth, range [0, eps], zero exactly at 0 and 1."""
@@ -72,16 +89,14 @@ class BumpFn:
             raise ValueError("bump height must lie in (0, 1/2)")
 
     def __call__(self, x):
-        xs = np.asarray(x, dtype=float)
-        if np.any(xs < 0.0) or np.any(xs > 1.0):
-            raise ValueError("bump argument outside [0, 1]")
+        xs = _unit_interval(x)
         # evaluate on the nearer endpoint's side so f vanishes exactly there
         u = np.where(xs <= 0.5, xs, 1.0 - xs)
         out = self.epsilon * np.sin(np.pi * u) ** 2
         return float(out) if np.isscalar(x) or xs.ndim == 0 else out
 
     def deriv(self, x):
-        xs = np.asarray(x, dtype=float)
+        xs = _unit_interval(x)
         u = np.where(xs <= 0.5, xs, 1.0 - xs)
         sign = np.where(xs <= 0.5, 1.0, -1.0)
         out = self.epsilon * np.pi * sign * np.sin(2.0 * np.pi * u)
@@ -96,7 +111,7 @@ class QuadratureSpec:
     continuation_steps: int = 16
 
     def __post_init__(self):
-        if self.scheme not in ("tanh-sinh", "gauss-legendre"):
+        if self.scheme not in _RULES:
             raise ValueError(f"unknown scheme {self.scheme!r}")
         if self.points_per_axis < 8:
             raise ValueError("need at least 8 points per axis")
@@ -188,7 +203,7 @@ class CyclePath:
 
     def t_values(self, tau) -> dict[Point, np.ndarray]:
         """All t-points from per-axis tau arrays, e.g. a (naxes, M) batch."""
-        return _log_data(self, np.asarray(tau, dtype=float))[0]
+        return _t_values(self, _axis_nodes(self, np.asarray(tau, dtype=float)))
 
 
 def cycle_for_w(w: Permutation, z: Sequence[complex], epsilon: float = 0.1) -> CyclePath:
@@ -198,6 +213,76 @@ def cycle_for_w(w: Permutation, z: Sequence[complex], epsilon: float = 0.1) -> C
 def cycle_point(c: CyclePath, tau: Sequence[float]) -> dict[Point, complex]:
     """The t-assignment at one tau vector (top row included, fixed at z)."""
     return {p: complex(v) for p, v in c.t_values(tau).items()}
+
+
+# -- per-axis node records -----------------------------------------------------
+
+
+class _Nodes(NamedTuple):
+    """Everything about one axis's tau array that depends on neither z,
+    lambda nor k: the bump f and its derivative f', the pieces of
+    t = e^{2 pi i tau}(1 - f) t_tar and of its log, the vanishing base
+    1 - e^{2 pi i tau}(1 - f) as log-modulus and principal argument, and
+    the Jacobian factor 2 pi i (1 - f) - f'."""
+
+    x: np.ndarray
+    f: np.ndarray
+    fp: np.ndarray
+    log1m_f: np.ndarray  # log1p(-f)
+    angle: np.ndarray  # 2 pi tau
+    rot: np.ndarray  # e^{2 pi i tau}
+    vlog: np.ndarray
+    varg: np.ndarray
+    jac: np.ndarray
+
+    @classmethod
+    def of(cls, x, bump: BumpFn) -> "_Nodes":
+        f = bump(x)
+        fp = bump.deriv(x)
+        # the vanishing base is f + (1-f)(2 sin^2(pi tau) - i sin(2 pi tau)),
+        # free of cancellation; its real part is nonnegative, so the principal
+        # argument lies in [-pi/2, pi/2] and is continuous on 0 < tau < 1
+        s = np.sin(np.pi * x)
+        g = f + (1.0 - f) * (2.0 * s * s - 1j * np.sin(2.0 * np.pi * x))
+        with np.errstate(divide="ignore"):  # log(0) where the base vanishes is caught downstream
+            vlog = 0.5 * np.log(g.real**2 + g.imag**2)
+        return cls(x, f, fp, np.log1p(-f), 2.0 * np.pi * x, np.exp(2j * np.pi * x),
+                   vlog, np.arctan2(g.imag, g.real), 2j * np.pi * (1.0 - f) - fp)
+
+    def at(self, i: int) -> "_Nodes":
+        """The record of node i alone, for an axis a block holds fixed."""
+        return _Nodes._make(v[i] for v in self)
+
+    def reshape(self, shape) -> "_Nodes":
+        return _Nodes._make(v.reshape(shape) for v in self)
+
+
+@functools.lru_cache(maxsize=8)
+def _quad_nodes(scheme: str, npoints: int, bump: BumpFn) -> tuple[_Nodes, np.ndarray]:
+    """The read-only node record and weights of one rule, built once.
+
+    Keyed on the cycle's bump, not on a spec's epsilon: the two may differ
+    by rounding, and the record must be the cycle's.
+    """
+    x, wts = _RULES[scheme](npoints)
+    nodes = _Nodes.of(x, bump)
+    for v in (*nodes, wts):
+        v.flags.writeable = False
+    return nodes, wts
+
+
+def _axis_nodes(c: CyclePath, tau) -> list[_Nodes]:
+    """Per-axis records: `tau[a]` is axis a's tau array or already its record."""
+    return [a if isinstance(a, _Nodes) else _Nodes.of(a, c.bump) for a in tau]
+
+
+def _t_values(c: CyclePath, nodes: Sequence[_Nodes]) -> dict[Point, np.ndarray]:
+    """t at every point, top row included; each t carries only its chain's axes."""
+    t: dict[Point, np.ndarray] = {(i, c.rank + 1): zi for i, zi in enumerate(c.z, start=1)}
+    for p in reversed(c.points):  # rows top-down, so every target comes first
+        nd = nodes[c.axis[p]]
+        t[p] = nd.rot * (1.0 - nd.f) * t[c.diagram.target(p)]
+    return t
 
 
 # -- the multivalued form ------------------------------------------------------
@@ -255,46 +340,29 @@ def omega_factor_list(c: CyclePath, sp: SpectralParam) -> tuple[complex, list[Fa
     return const, factors
 
 
-def _log_data(c: CyclePath, tau):
-    """t values plus log-moduli and unwound arguments; `tau[a]` is axis a's
-    array, the arrays broadcast, and each t carries only its chain's axes."""
-    t: dict[Point, np.ndarray] = {}
+def _log_data(c: CyclePath, nodes: Sequence[_Nodes]):
+    """t values plus log-moduli and unwound arguments from per-axis records;
+    the records' arrays broadcast."""
+    t = _t_values(c, nodes)
     logabs: dict[Point, np.ndarray] = {}
     arg: dict[Point, np.ndarray] = {}
-    n = c.rank
     for i, zi in enumerate(c.z, start=1):
-        p = (i, n + 1)
-        t[p] = zi
-        logabs[p] = math.log(abs(zi))
-        arg[p] = cmath.phase(zi)
-    for j in range(n, 0, -1):
-        for i in range(1, j + 1):
-            p = (i, j)
-            tar = c.diagram.target(p)
-            tj = tau[c.axis[p]]
-            f = c.bump(tj)
-            t[p] = np.exp(2j * np.pi * tj) * (1.0 - f) * t[tar]
-            logabs[p] = np.log1p(-f) + logabs[tar]
-            arg[p] = 2.0 * np.pi * tj + arg[tar]
+        logabs[(i, c.rank + 1)] = math.log(abs(zi))
+        arg[(i, c.rank + 1)] = cmath.phase(zi)
+    for p in reversed(c.points):
+        nd = nodes[c.axis[p]]
+        tar = c.diagram.target(p)
+        logabs[p] = nd.log1m_f + logabs[tar]
+        arg[p] = nd.angle + arg[tar]
     return t, logabs, arg
 
 
-def _vanish_base(c: CyclePath, tau_axis: np.ndarray) -> np.ndarray:
-    """1 - e^{2 pi i tau}(1 - f), evaluated without cancellation.
-
-    Equals f + (1-f)(2 sin^2(pi tau) - i sin(2 pi tau)); real part is
-    nonnegative, so the principal argument lies in [-pi/2, pi/2] and is
-    continuous on 0 < tau < 1.
-    """
-    f = c.bump(tau_axis)
-    s = np.sin(np.pi * tau_axis)
-    return f + (1.0 - f) * (2.0 * s * s - 1j * np.sin(2.0 * np.pi * tau_axis))
-
-
 def _factor_logs(c: CyclePath, sp: SpectralParam, tau):
-    """Per-factor (log-modulus, argument) arrays under the anchored branch."""
+    """Per-factor (log-modulus, argument) arrays under the anchored branch;
+    `tau[a]` is axis a's tau array or its node record."""
     const, factors = omega_factor_list(c, sp)
-    t, logabs, arg = _log_data(c, tau)
+    nodes = _axis_nodes(c, tau)
+    t, logabs, arg = _log_data(c, nodes)
     logs = []
     with np.errstate(divide="ignore"):  # log(0) on the boundary is caught downstream
         for f in factors:
@@ -304,9 +372,8 @@ def _factor_logs(c: CyclePath, sp: SpectralParam, tau):
             elif f.kind == "vanish":
                 p = f.pts[0]
                 tar = c.diagram.target(p)
-                g = _vanish_base(c, tau[c.axis[p]])
-                logs.append((logabs[tar] + 0.5 * np.log(g.real**2 + g.imag**2),
-                             arg[tar] + np.arctan2(g.imag, g.real)))
+                nd = nodes[c.axis[p]]
+                logs.append((logabs[tar] + nd.vlog, arg[tar] + nd.varg))
             else:
                 big, small = f.pts
                 ratio = t[small] / t[big]
@@ -338,19 +405,19 @@ def factor_arguments(c: CyclePath, sp: SpectralParam, tau: Sequence[float]) -> l
     return [float(aa) for _, aa in logs]
 
 
-def _factor_bases(c: CyclePath, sp: SpectralParam, tau: Sequence[float]) -> list[complex]:
-    const, factors = omega_factor_list(c, sp)
+def _factor_bases(c: CyclePath, factors: Sequence[Factor], tau) -> list[np.ndarray]:
+    """Per-factor bases at per-axis tau arrays, from the t values alone."""
     t = c.t_values(tau)
     out = []
     for f in factors:
         if f.kind == "mono":
-            out.append(complex(t[f.pts[0]]))
+            out.append(t[f.pts[0]])
         elif f.kind == "vanish":
             p = f.pts[0]
-            out.append(complex(t[c.diagram.target(p)] - t[p]))
+            out.append(t[c.diagram.target(p)] - t[p])
         else:
             big, small = f.pts
-            out.append(complex(t[big] - t[small]))
+            out.append(t[big] - t[small])
     return out
 
 
@@ -367,29 +434,29 @@ def phase_continuation(
 
     Subdivides until every factor's per-step principal argument change is
     below pi/2; raises if refinement exceeds `max_refinements` doublings
-    (segment passing too near the singular locus).
+    (segment passing too near the singular locus).  All points of the
+    segment are evaluated as one batch, then the steps are scanned in order,
+    factor by factor: the first zero base raises, the first change of pi/2
+    or more doubles `steps`.
     """
     a = np.asarray(tau_from, dtype=float)
     b = np.asarray(tau_to, dtype=float)
+    _, factors = omega_factor_list(c, sp)
     for _ in range(max_refinements):
-        ok = True
-        args = list(args_from)
-        bases = _factor_bases(c, sp, a)
-        for s in range(1, steps + 1):
-            nxt = _factor_bases(c, sp, a + (b - a) * (s / steps))
-            for idx, (b0, b1) in enumerate(zip(bases, nxt)):
-                if b0 == 0 or b1 == 0:
-                    raise ValueError("phase tracking failed near singular locus")
-                d = cmath.phase(b1 / b0)
-                if abs(d) >= math.pi / 2:
-                    ok = False
-                    break
-                args[idx] += d
-            if not ok:
-                break
-            bases = nxt
-        if ok:
-            return args
+        tau = a[:, None] + (b - a)[:, None] * (np.arange(steps + 1) / steps)
+        bases = np.array(_factor_bases(c, factors, tau))  # (factor, point)
+        zero = bases == 0
+        with np.errstate(divide="ignore", invalid="ignore"):
+            delta = np.angle(bases[:, 1:] / bases[:, :-1])
+        zero_step = zero[:, :-1] | zero[:, 1:]
+        stop = (zero_step | (np.abs(delta) >= math.pi / 2)).T.ravel()  # step-major
+        if not stop.any():
+            args = np.array(args_from, dtype=float)
+            for d in delta.T:  # added in step order, as a step-by-step walk does
+                args += d
+            return args.tolist()
+        if zero_step.T.ravel()[np.argmax(stop)]:
+            raise ValueError("phase tracking failed near singular locus")
         steps *= 2
     raise ValueError("phase tracking failed near singular locus")
 
@@ -397,7 +464,8 @@ def phase_continuation(
 def anchor_arguments(c: CyclePath, sp: SpectralParam, eta: float = 1e-3) -> tuple[np.ndarray, list[float]]:
     """Base point tau = eta*(1,..,1) and the principal arguments there."""
     tau = np.full(c.naxes, eta)
-    return tau, [cmath.phase(b) for b in _factor_bases(c, sp, tau)]
+    _, factors = omega_factor_list(c, sp)
+    return tau, [cmath.phase(b) for b in _factor_bases(c, factors, tau)]
 
 
 # -- quadrature ----------------------------------------------------------------
@@ -427,10 +495,11 @@ def gauss_legendre_rule(npoints: int) -> tuple[np.ndarray, np.ndarray]:
     return 0.5 * (x + 1.0), 0.5 * w
 
 
+_RULES = {"tanh-sinh": tanh_sinh_rule, "gauss-legendre": gauss_legendre_rule}
+
+
 def _rule(quad: QuadratureSpec) -> tuple[np.ndarray, np.ndarray]:
-    if quad.scheme == "tanh-sinh":
-        return tanh_sinh_rule(quad.points_per_axis)
-    return gauss_legendre_rule(quad.points_per_axis)
+    return _RULES[quad.scheme](quad.points_per_axis)
 
 
 def integrate(c: CyclePath, sp: SpectralParam, quad: QuadratureSpec | None = None) -> complex:
@@ -438,36 +507,36 @@ def integrate(c: CyclePath, sp: SpectralParam, quad: QuadratureSpec | None = Non
 
     Includes the triangular Jacobian prod dt_{ij}/dtau_{ij} with
     dt/dtau = e^{2 pi i tau} (2 pi i (1-f) - f') t_tar.  Integrand and
-    weights are broadcast from per-axis node arrays; each block fixes the
-    fewest leading axes that keep it within `_BLOCK_NODES` nodes (one axis
-    stays free), and blocks are summed in C order, so memory stays bounded
-    and the result is deterministic for a spec.
+    weights are broadcast from the rule's cached per-axis node record; each
+    block fixes the fewest leading axes that keep it within `_BLOCK_NODES`
+    nodes (one axis stays free), and blocks are summed in C order, so memory
+    stays bounded and the result is deterministic for a spec.
     """
     quad = quad or QuadratureSpec(epsilon=c.bump.epsilon)
     if abs(quad.epsilon - c.bump.epsilon) > 1e-12:
         raise ValueError("quadrature epsilon disagrees with the cycle's bump height")
-    x, wts = _rule(quad)
+    nodes, wts = _quad_nodes(quad.scheme, quad.points_per_axis, c.bump)
+    x = nodes.x
     lead = 0
     while lead < c.naxes - 1 and len(x) ** (c.naxes - lead) > _BLOCK_NODES:
         lead += 1
     free = c.naxes - lead
     shapes = [(-1,) + (1,) * (free - 1 - a) for a in range(free)]
-    x_free = [x.reshape(s) for s in shapes]
+    free_nodes = [nodes.reshape(s) for s in shapes]
     w_free = math.prod(wts.reshape(s) for s in shapes)
     acc = 0.0 + 0.0j
     for idx in itertools.product(range(len(x)), repeat=lead):
-        tau = [x[i] for i in idx] + x_free
-        const, factors, logs, t = _factor_logs(c, sp, tau)
+        axes = [nodes.at(i) for i in idx] + free_nodes
+        const, factors, logs, t = _factor_logs(c, sp, axes)
         with np.errstate(over="ignore", invalid="ignore"):
             total_log = const
             for f, (la, aa) in zip(factors, logs):
                 total_log = total_log + f.expo * (la + 1j * aa)
             vals = np.exp(total_log)
             for p in c.points:
-                tj = tau[c.axis[p]]
-                f = c.bump(tj)
-                fp = c.bump.deriv(tj)
-                vals = vals * np.exp(2j * np.pi * tj) * (2j * np.pi * (1.0 - f) - fp) * t[c.diagram.target(p)]
+                nd = axes[c.axis[p]]
+                # not `rot * jac` folded into one array: that rounds differently
+                vals = vals * nd.rot * nd.jac * t[c.diagram.target(p)]
         bad = ~np.isfinite(vals)
         if np.any(bad):
             node = (*idx, *np.argwhere(bad)[0])

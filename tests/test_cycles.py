@@ -40,8 +40,10 @@ def test_bump():
     for x in (0.2, 0.5, 0.83):
         fd = (b(x + 1e-6) - b(x - 1e-6)) / 2e-6
         assert abs(b.deriv(x) - fd) < 1e-8
-    with pytest.raises(ValueError):
-        b(1.5)
+    for fn in (b, b.deriv):
+        for x in (1.5, -1e-9, [0.5, 1.0 + 1e-12]):
+            with pytest.raises(ValueError):
+                fn(x)
     with pytest.raises(ValueError):
         cy.BumpFn(0.0)
 
@@ -166,6 +168,26 @@ def test_phase_tracking_matches_closed_form():
                 analytic = cy.factor_arguments(c, sp, tau1)
                 assert max(abs(a - b) for a, b in zip(coarse, fine)) < 1e-6
                 assert max(abs(a - b) for a, b in zip(coarse, analytic)) < 1e-6
+
+
+def test_phase_continuation_refines_and_raises(monkeypatch):
+    sp = sp1()
+    c = cy.cycle_for_w(W_ID, [1e-2, 1.0], 0.1)
+    # one step across more than a half turn: the monomial's argument grows by
+    # 1.2 pi, which one principal step would read as -0.8 pi; the step is
+    # refined until every change is below pi/2
+    a0 = cy.factor_arguments(c, sp, [0.2])
+    one = cy.phase_continuation(c, sp, [0.2], [0.8], a0, steps=1)
+    fine = cy.phase_continuation(c, sp, [0.2], [0.8], a0, steps=96)
+    assert max(abs(a - b) for a, b in zip(one, fine)) < 1e-9
+    assert max(abs(a - b) for a, b in zip(one, cy.factor_arguments(c, sp, [0.8]))) < 1e-9
+    # at tau = 0 the vanishing base is exactly 0: the first pass raises
+    calls = []
+    factor_bases = cy._factor_bases
+    monkeypatch.setattr(cy, "_factor_bases", lambda *args: calls.append(1) or factor_bases(*args))
+    with pytest.raises(ValueError):
+        cy.phase_continuation(c, sp, [0.0], [0.5], [0.0, 0.0, 0.0])
+    assert len(calls) == 1
 
 
 def test_phase_loop_winding_and_reversal():
@@ -387,6 +409,69 @@ def test_leading_axis_blocks(lead, monkeypatch):
     monkeypatch.setattr(cy, "_factor_logs", lambda *args: blocks.append(1) or factor_logs(*args))
     assert abs(cy.integrate(c, sp_3, quad) - ref) <= 1e-13 * abs(ref)
     assert len(blocks) == 8**lead  # one `_factor_logs` call per block
+
+
+# float.hex of (re, im) of `integrate` as computed before the node record
+# existed; the record keeps every operation and its order, so the bits hold.
+# The last bits follow numpy's float64 kernels for exp, sin, log and arctan2,
+# which may differ between builds and CPUs (these are x86-64 with AVX-512).
+GOLDEN = [
+    ((1, 2), "tanh-sinh", 121, 0.1, "0x1.01d51edcd114ap-8", "-0x1.4f197473520efp-10"),
+    ((2, 1), "tanh-sinh", 121, 0.1, "-0x1.102af4a0e6f60p-5", "-0x1.a2d2bb5bea29bp-4"),
+    ((1, 2), "tanh-sinh", 241, 0.1, "0x1.01d51edcd1170p-8", "-0x1.4f19747352120p-10"),
+    ((2, 1), "tanh-sinh", 241, 0.1, "-0x1.102af4a0e6f86p-5", "-0x1.a2d2bb5bea2d8p-4"),
+    ((1, 2, 3), "tanh-sinh", 25, 0.1, "0x1.c382ae87565dap-18", "0x1.44700fd2bc628p-22"),
+    ((1, 3, 2), "tanh-sinh", 25, 0.1, "0x1.022d2bf6cbc00p-19", "-0x1.674bed050c17ap-15"),
+    ((2, 1, 3), "tanh-sinh", 25, 0.1, "0x1.13cdabd390690p-21", "-0x1.7fd3d6bd09314p-17"),
+    ((2, 3, 1), "tanh-sinh", 25, 0.1, "-0x1.a5c302f34334cp-14", "-0x1.2f0fbd4fe2a00p-18"),
+    ((3, 1, 2), "tanh-sinh", 25, 0.1, "-0x1.87d86578e40bbp-12", "-0x1.19908f03eb780p-16"),
+    ((3, 2, 1), "tanh-sinh", 25, 0.1, "-0x1.d9fab500a9d00p-16", "0x1.49cfc1e20122ep-11"),
+    ((2, 4, 1, 3), "tanh-sinh", 8, 0.1, "-0x1.86ccd9988ebaap-45", "0x1.a26c44520edcdp-43"),
+    ((1, 2), "gauss-legendre", 41, 0.1, "0x1.01d55a70f9666p-8", "-0x1.4f19c1e239df8p-10"),
+    ((2, 1), "tanh-sinh", 161, 0.05, "-0x1.102af4a0e6f66p-5", "-0x1.a2d2bb5bea2a1p-4"),
+]
+
+
+@pytest.mark.parametrize("w, scheme, points, eps, re_hex, im_hex", GOLDEN)
+def test_integrate_golden_bits(w, scheme, points, eps, re_hex, im_hex):
+    if len(w) == 4:
+        c, sp, quad, _ = _rank3_case(w)  # 8^6 nodes: blocks fix the leading axis
+    else:
+        z, sp = ([1e-3, 1.0], sp1()) if len(w) == 2 else ([1e-4, 1e-2, 1.0], sp2())
+        c = cy.cycle_for_w(dg.Permutation(w), z, eps)
+        quad = cy.QuadratureSpec(scheme=scheme, points_per_axis=points, epsilon=eps)
+    val = cy.integrate(c, sp, quad)
+    assert (val.real.hex(), val.imag.hex()) == (re_hex, im_hex)
+
+
+def test_node_record_cached(monkeypatch):
+    # a repeated spec builds nothing: the bump is not evaluated again
+    calls = []
+    bump_call = cy.BumpFn.__call__
+    monkeypatch.setattr(cy.BumpFn, "__call__", lambda self, x: calls.append(1) or bump_call(self, x))
+    cy._quad_nodes.cache_clear()
+    c = cy.cycle_for_w(W_ID, [1e-2, 1.0], 0.1)
+    quad = cy.QuadratureSpec(points_per_axis=33)
+    first = cy.integrate(c, sp1(), quad)
+    assert calls
+    calls.clear()
+    assert cy.integrate(c, sp1(), quad) == first
+    assert calls == []
+
+
+def test_node_records_read_only_and_distinct():
+    nodes, wts = cy._quad_nodes("tanh-sinh", 33, cy.BumpFn(0.1))
+    for arr in (*nodes, wts):
+        with pytest.raises(ValueError):
+            arr[0] = 0.0
+    others = [
+        cy._quad_nodes("tanh-sinh", 33, cy.BumpFn(0.05))[0],
+        cy._quad_nodes("gauss-legendre", 33, cy.BumpFn(0.1))[0],
+    ]
+    for other in others:
+        assert other is not nodes and not np.array_equal(other.f, nodes.f)
+    assert np.array_equal(others[0].x, nodes.x) and not np.array_equal(others[1].x, nodes.x)
+    assert cy._quad_nodes("tanh-sinh", 33, cy.BumpFn(0.1))[0] is nodes
 
 
 def test_nonfinite_guard(monkeypatch):
