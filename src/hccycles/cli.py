@@ -19,7 +19,6 @@ from . import closedforms as cf
 from . import cycles as cy
 from . import diagrams as dg
 from . import series as se
-from .polynomial import Poly, univariate_coeffs
 
 MAX_ENUM = 8
 
@@ -74,10 +73,6 @@ def _emit(doc, out: str | None):
         print(blob)
 
 
-def _qcoeffs(p: Poly) -> list[str]:
-    return [str(c) for c in univariate_coeffs(p)]
-
-
 # -- diagrams ------------------------------------------------------------------
 
 
@@ -87,6 +82,9 @@ def cmd_diagrams(args) -> int:
         raise SystemExit(f"usage error: n = {n} must be >= 1")
     if n > MAX_ENUM:
         raise SystemExit(f"usage error: n = {n} exceeds the exhaustive-enumeration bound {MAX_ENUM}")
+    if args.count_geq is not None and args.subcommand != "order":
+        raise SystemExit("usage error: --count-geq applies to 'diagrams order' only")
+    query = None if args.count_geq is None else _parse_w(args.count_geq, n)[0]
     if args.subcommand == "enumerate":
         records = []
         for d in dg.all_diagrams(n):
@@ -98,8 +96,8 @@ def cmd_diagrams(args) -> int:
         _emit(
             {
                 "n": n,
-                "sum": [int(c) for c in univariate_coeffs(lhs)],
-                "product": [int(c) for c in univariate_coeffs(rhs)],
+                "sum": lhs,
+                "product": rhs,
                 "equal": lhs == rhs,
             },
             args.out,
@@ -122,13 +120,12 @@ def cmd_diagrams(args) -> int:
                     "length": d.length(),
                     "count_geq": dg.count_geq(w),
                     "count_leq": dg.count_leq(w),
-                    "qpoly_geq": _qcoeffs(dg.qpoly_geq(w)),
-                    "qpoly_leq": _qcoeffs(dg.qpoly_leq(w)),
+                    "qpoly_geq": [str(c) for c in dg.qpoly_geq(w)],
+                    "qpoly_leq": [str(c) for c in dg.qpoly_leq(w)],
                 }
             )
-        if args.count_geq:
-            w = _parse_w(args.count_geq, n)[0]
-            doc["count_geq_query"] = {"w": list(w.images), "count": dg.count_geq(w)}
+        if query is not None:
+            doc["count_geq_query"] = {"w": list(query.images), "count": dg.count_geq(query)}
         _emit(doc, args.out)
     return 0
 

@@ -12,6 +12,10 @@ points in the connected component of (i, r).
 
 Permutations are stored as 1-based image tuples and compose as functions:
 (w1 * w2)(i) = w1(w2(i)).
+
+A polynomial in the single variable q is an ascending tuple of int
+coefficients, (c_0, c_1, ..., c_d) for c_0 + c_1 q + ... + c_d q^d with
+c_d != 0, and () for zero; the multiparametric polynomials are ``Poly``.
 """
 
 from __future__ import annotations
@@ -19,7 +23,8 @@ from __future__ import annotations
 import functools
 import json
 from dataclasses import dataclass
-from itertools import permutations as _itperms
+from itertools import accumulate, permutations as _itperms
+from operator import sub
 from typing import Iterable, Iterator, Sequence
 
 from .polynomial import Poly, geometric_sum
@@ -237,17 +242,31 @@ def stripped_relation_holds(w: Permutation) -> bool:
 # -- counting identities -----------------------------------------------------
 
 
-def poincare_sum(n: int) -> Poly:
+def _coeff_tuple(pairs: Iterable[tuple[int, int]]) -> tuple[int, ...]:
+    """Coefficient tuple of the sum of c q^e over (e, c) pairs; () for none."""
+    coeffs: list[int] = []
+    for e, c in pairs:
+        coeffs.extend([0] * (e + 1 - len(coeffs)))
+        coeffs[e] += c
+    while coeffs and not coeffs[-1]:
+        coeffs.pop()
+    return tuple(coeffs)
+
+
+def _times_qint(coeffs: tuple[int, ...], m: int) -> tuple[int, ...]:
+    """coeffs times [m]_q = (1 - q^m)/(1 - q) for m >= 1: subtract the
+    sequence shifted by m, then divide by 1 - q with prefix sums."""
+    return tuple(accumulate(map(sub, coeffs + (0,) * (m - 1), (0,) * m + coeffs)))
+
+
+def poincare_sum(n: int) -> tuple[int, ...]:
     """Brute-force sum over S_n of q^{l(w)}."""
-    return Poly(1, (((d.length(),), 1) for d in all_diagrams(n)))
+    return _coeff_tuple((d.length(), 1) for d in all_diagrams(n))
 
 
-def poincare_product(n: int) -> Poly:
-    """prod_j (1 - q^j)/(1 - q) expanded as geometric sums."""
-    out = Poly.const(1, 1)
-    for j in range(1, n + 1):
-        out = out * geometric_sum(1, 0, j)
-    return out
+def poincare_product(n: int) -> tuple[int, ...]:
+    """prod_j (1 - q^j)/(1 - q)."""
+    return functools.reduce(_times_qint, range(1, n + 1), (1,))
 
 
 def multiparam_sum(n: int) -> Poly:
@@ -263,9 +282,11 @@ def multiparam_product(n: int) -> Poly:
     return out
 
 
-def specialize_to_single_q(p: Poly) -> Poly:
-    """Set every q_j = q in a multiparametric polynomial."""
-    return Poly(1, (((sum(e),), c) for e, c in p.terms.items()))
+def specialize_to_single_q(p: Poly) -> tuple[int, ...]:
+    """Set every q_j = q in a multiparametric polynomial with integer coefficients."""
+    if any(c.denominator != 1 for c in p.terms.values()):
+        raise ValueError("coefficients must be integers")
+    return _coeff_tuple((sum(e), int(c)) for e, c in p.terms.items())
 
 
 # -- partial order of marks (componentwise) ----------------------------------
@@ -297,32 +318,22 @@ def count_leq(w: Permutation) -> int:
     return out
 
 
-def qpoly_geq(w: Permutation) -> Poly:
+def qpoly_geq(w: Permutation) -> tuple[int, ...]:
     """q^{l(w)} prod_j (1 - q^{j-i_j+1})/(1 - q)."""
     d = Diagram.from_permutation(w)
-    out = Poly(1, {(d.length(),): 1})
-    for j, ij in enumerate(d.marks, start=1):
-        out = out * geometric_sum(1, 0, j - ij + 1)
-    return out
+    spans = (j - ij + 1 for j, ij in enumerate(d.marks, start=1))
+    return functools.reduce(_times_qint, spans, (0,) * d.length() + (1,))
 
 
-def qpoly_leq(w: Permutation) -> Poly:
+def qpoly_leq(w: Permutation) -> tuple[int, ...]:
     """prod_j (1 - q^{i_j})/(1 - q)."""
-    out = Poly.const(1, 1)
-    for ij in Diagram.from_permutation(w).marks:
-        out = out * geometric_sum(1, 0, ij)
-    return out
+    return functools.reduce(_times_qint, Diagram.from_permutation(w).marks, (1,))
 
 
-def count_and_generating(w: Permutation) -> tuple[int, int, Poly, Poly]:
-    """(count above, count below, q-polynomial above, q-polynomial below)."""
-    return count_geq(w), count_leq(w), qpoly_geq(w), qpoly_leq(w)
-
-
-def length_sum(perms: Iterable[Permutation]) -> Poly:
+def length_sum(perms: Iterable[Permutation]) -> tuple[int, ...]:
     """sum over perms of q^{l(v)}: over the set above or below w, the
     brute-force oracle for qpoly_geq(w) or qpoly_leq(w)."""
-    return Poly(1, (((Diagram.from_permutation(v).length(),), 1) for v in perms))
+    return _coeff_tuple((Diagram.from_permutation(v).length(), 1) for v in perms)
 
 
 # -- Gelfand-Zetlin patterns --------------------------------------------------

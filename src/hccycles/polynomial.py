@@ -11,9 +11,9 @@ dropped.  Sums, products and substitutions here, and the brute-force sums
 of ``diagrams``, build their result in one such call over a generator of
 terms.
 
-Used for q-polynomials of the symmetric-group identities, for operator
-symbols p_mu(lambda_1..lambda_{n+1}), and for the Vandermonde differential
-identities.
+Used for the multiparametric q-polynomials of the diagram identities, for
+operator symbols p_mu(lambda_1..lambda_{n+1}), and for the Vandermonde
+differential identities.
 """
 
 from __future__ import annotations
@@ -261,16 +261,6 @@ class Poly:
             mono = "*".join(f"x{i}^{p}" if p > 1 else f"x{i}" for i, p in enumerate(e) if p)
             bits.append(f"{c}" if not mono else f"{c}*{mono}")
         return " + ".join(bits)
-
-
-def univariate_coeffs(p: Poly) -> list[Fraction]:
-    """Ascending coefficient list of a 1-variable polynomial."""
-    if p.nvars != 1:
-        raise ValueError("not univariate")
-    if p.is_zero:
-        return [Fraction(0)]
-    d = max(e[0] for e in p.terms)
-    return [p.terms.get((i,), Fraction(0)) for i in range(d + 1)]
 
 
 def _unit(nvars: int, i: int, p: int) -> tuple[int, ...]:

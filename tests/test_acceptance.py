@@ -16,7 +16,7 @@ from hccycles import cycles as cy
 from hccycles import diagrams as dg
 from hccycles import rootsystem as rs
 from hccycles import series as se
-from hccycles.claims import SUITES, _chk_limit, _chk_order, random_generic
+from hccycles.claims import SUITES, _chk_limit, _chk_multiparam, _chk_order, _chk_poincare, random_generic
 from hccycles.polynomial import vandermonde
 
 # Criteria 3 and 10 keep their own named tests; every other registry entry
@@ -42,7 +42,8 @@ def test_criterion_10_limit_identity(check_claim):
     _report(10, check_claim("limit"))
 
 
-# The order and limit checks must still reject wrong input.
+# The order, Poincare, multiparametric and limit checks must still reject
+# wrong input.
 
 
 def test_order_check_rejects_wrong_qpoly(monkeypatch):
@@ -54,6 +55,18 @@ def test_order_check_rejects_wrong_count(monkeypatch):
     count_geq = dg.count_geq
     monkeypatch.setattr(dg, "count_geq", lambda w: count_geq(w) + 1)
     assert _chk_order(42) == (False, "closed-form counts differ from enumeration")
+
+
+def test_poincare_check_rejects_dropped_factor(monkeypatch):
+    poincare_product = dg.poincare_product
+    monkeypatch.setattr(dg, "poincare_product", lambda n: poincare_product(n - 1))
+    assert _chk_poincare(42) == (False, "Poincare identity fails at n=2")
+
+
+def test_multiparam_check_rejects_shifted_specialization(monkeypatch):
+    specialize = dg.specialize_to_single_q
+    monkeypatch.setattr(dg, "specialize_to_single_q", lambda p: (0,) + specialize(p))
+    assert _chk_multiparam(42) == (False, "specialization q_j = q fails")
 
 
 def test_limit_check_rejects_perturbed_F(monkeypatch):

@@ -4,6 +4,7 @@ import sys
 
 import pytest
 
+from hccycles import diagrams as dg
 from hccycles.claims import SUITES
 from hccycles.cli import main
 
@@ -213,13 +214,18 @@ def test_usage_error_exit_code():
         ["integrate", "--z-ratio", "2"],
         ["integrate", "--scale", "0"],
         ["integrate", "--z-ratio", "0.9"],
+        ["diagrams", "order", "7", "--count-geq", "1,x"],
+        ["diagrams", "poincare", "3", "--count-geq", "w0"],
     ],
 )
 def test_bad_input_is_usage_error(argv, capsys, tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
+    calls = []
+    monkeypatch.setattr(dg, "qpoly_geq", calls.append)
     assert main(argv) == 2
     assert capsys.readouterr().err.startswith("usage error:")
     assert not any(tmp_path.iterdir())
+    assert not calls  # rejected before any enumeration
 
 
 @pytest.mark.parametrize(

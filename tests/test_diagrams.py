@@ -1,10 +1,13 @@
 import json
 import random
 import time
+from fractions import Fraction as Q
 
 import pytest
 
 from hccycles import diagrams as dg
+from hccycles.diagrams import Diagram, Permutation
+from hccycles.polynomial import Poly, geometric_sum
 
 
 def test_diagram_validation():
@@ -104,12 +107,74 @@ def test_reduced_words_exhaustive():
 
 
 def test_poincare():
-    assert [int(c) for c in (dg.poincare_sum(2)).terms.values()]
-    from hccycles.polynomial import univariate_coeffs
+    assert dg.poincare_sum(2) == (1, 1)
+    assert dg.poincare_sum(3) == (1, 2, 2, 1)
+    assert dg.poincare_sum(1) == (1,)
 
-    assert univariate_coeffs(dg.poincare_sum(2)) == [1, 1]
-    assert univariate_coeffs(dg.poincare_sum(3)) == [1, 2, 2, 1]
-    assert univariate_coeffs(dg.poincare_sum(1)) == [1]
+
+# Test-only reference: the Poly-based q-polynomials that the int-tuple
+# functions replace, kept verbatim.
+
+
+def _ref_poincare_product(n: int) -> Poly:
+    """prod_j (1 - q^j)/(1 - q) expanded as geometric sums."""
+    out = Poly.const(1, 1)
+    for j in range(1, n + 1):
+        out = out * geometric_sum(1, 0, j)
+    return out
+
+
+def _ref_qpoly_geq(w: Permutation) -> Poly:
+    """q^{l(w)} prod_j (1 - q^{j-i_j+1})/(1 - q)."""
+    d = Diagram.from_permutation(w)
+    out = Poly(1, {(d.length(),): 1})
+    for j, ij in enumerate(d.marks, start=1):
+        out = out * geometric_sum(1, 0, j - ij + 1)
+    return out
+
+
+def _ref_qpoly_leq(w: Permutation) -> Poly:
+    """prod_j (1 - q^{i_j})/(1 - q)."""
+    out = Poly.const(1, 1)
+    for ij in Diagram.from_permutation(w).marks:
+        out = out * geometric_sum(1, 0, ij)
+    return out
+
+
+def _ref_coeffs(p: Poly) -> tuple:
+    return tuple(p.coeff((i,)) for i in range(p.degree() + 1))
+
+
+def _is_int_tuple(coeffs) -> bool:
+    return type(coeffs) is tuple and all(type(c) is int for c in coeffs)
+
+
+def test_qpolys_match_poly_reference():
+    for n in range(1, 7):
+        for w in dg.all_permutations(n):
+            for got, ref in ((dg.qpoly_geq(w), _ref_qpoly_geq(w)), (dg.qpoly_leq(w), _ref_qpoly_leq(w))):
+                assert _is_int_tuple(got) and got == _ref_coeffs(ref)
+    for n in range(1, 9):
+        ref = _ref_coeffs(_ref_poincare_product(n))
+        assert dg.poincare_sum(n) == ref and dg.poincare_product(n) == ref
+        assert _is_int_tuple(dg.poincare_sum(n)) and _is_int_tuple(dg.poincare_product(n))
+
+
+def test_qint_helpers():
+    rng = random.Random(8)
+    for _ in range(20):
+        coeffs = tuple(rng.randint(-5, 5) for _ in range(rng.randint(1, 6))) + (rng.randint(1, 5),)
+        assert dg._times_qint(coeffs, 1) == coeffs
+    assert dg.length_sum([]) == ()
+    assert dg._coeff_tuple([(2, 1), (0, 3), (2, 1)]) == (3, 0, 2)
+    assert dg._coeff_tuple([(1, 1), (1, -1)]) == ()
+
+
+def test_specialize_to_single_q():
+    assert _is_int_tuple(dg.specialize_to_single_q(dg.multiparam_sum(4)))
+    assert dg.specialize_to_single_q(Poly(2, {(1, 0): 1, (0, 1): -1})) == ()
+    with pytest.raises(ValueError):
+        dg.specialize_to_single_q(Poly(1, {(1,): Q(1, 2)}))
 
 
 def test_multiparam():
@@ -152,9 +217,7 @@ def test_order_special_values():
     assert dg.count_leq(e) == 1
     assert dg.qpoly_geq(e) == dg.poincare_sum(4)
     assert dg.qpoly_leq(w0) == dg.poincare_sum(4)
-    cg, cl, qg, ql = dg.count_and_generating(w0)
-    assert (cg, cl) == (1, 24)
-    assert qg == dg.qpoly_geq(w0) and ql == dg.qpoly_leq(w0)
+    assert (dg.count_geq(w0), dg.count_leq(w0)) == (1, 24)
 
 
 def test_length_monotonicity():
