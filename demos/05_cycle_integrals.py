@@ -25,7 +25,7 @@ for w in dg.all_permutations(2):
 
 # The integral solves the second-order equation: apply L by central
 # differences in log z and read off the eigenvalue.
-ev = cy.fd_eigenvalue(dg.Permutation.identity(2), [1e-2, 1.0], sp, quad, h=1e-3)
+ev = cy.fd_eigenvalue(dg.Permutation.identity(2), [1e-2, 1.0], sp, quad)
 print("finite-difference eigenvalue:", ev)
 print("(lambda,lambda) - (rho,rho) =", float(se.gamma_L(sp)))
 

@@ -29,13 +29,13 @@ print("F_id(1):", got.real, " Beta-quadrature oracle:", ref)
 
 # Reflection-formula rewriting is an internal consistency check.
 a_direct = cf.a_w(dg.Permutation((2, 1)), SpectralParam(rs.vec([Q(3, 10), Q(-3, 10)]), Q(3, 2)))
-a_refl = cf.a_w(dg.Permutation((2, 1)), SpectralParam(rs.vec([Q(3, 10), Q(-3, 10)]), Q(3, 2)),
-                use_reflection=True)
+a_refl = cf.a_w_product(dg.Permutation((2, 1)), SpectralParam(rs.vec([Q(3, 10), Q(-3, 10)]), Q(3, 2))
+                        ).reflected().eval()
 print("reflection rewrite deviation:", abs(a_direct - a_refl) / abs(a_direct))
 
 # The Vandermonde differential identities behind the eigenvalue bookkeeping.
 for n in (1, 2, 3):
     print(f"mixed Euler operator on Vandermonde, n={n}: "
           f"constant {cf.lemma_sum_constant(n)}, exact: {cf.lemma_6_5_check(n)}")
-print("twisted version residual ok at k=3/4:", cf.lemma_6_4_check(2, 0.75, 100, seed=1))
+print("twisted version residual ok at k=3/4:", cf.lemma_6_4_check(2, 0.75, seed=1))
 print("summation identity n<=50:", all(cf.sum_identity_check(n) for n in range(1, 51)))

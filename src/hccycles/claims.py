@@ -377,7 +377,7 @@ def _chk_diffeq(seed):
     target = float(se.gamma_L(sp))
     worst = 0.0
     for w in dg.all_permutations(2):
-        got = cy.fd_eigenvalue(w, [1e-2, 1.0], sp, quad, h=1e-3)
+        got = cy.fd_eigenvalue(w, [1e-2, 1.0], sp, quad)
         worst = max(worst, abs(got - target) / abs(target))
     if worst > 1e-3:
         return False, f"eigenvalue off by {worst:.2e}"
@@ -386,11 +386,11 @@ def _chk_diffeq(seed):
 
 def _chk_lemma64(seed):
     for n in (1, 2):
-        if not cf.lemma_6_4_check(n, 0.5, 100, seed=seed):
+        if not cf.lemma_6_4_check(n, 0.5, seed=seed):
             return False, f"k=1/2 forced-zero case fails at n={n}"
-        if not cf.lemma_6_4_check(n, 0.75, 100, seed=seed + 1):
+        if not cf.lemma_6_4_check(n, 0.75, seed=seed + 1):
             return False, f"k=3/4 fails at n={n}"
-        if not cf.lemma_6_4_check(n, 1.0, 100, seed=seed + 2):
+        if not cf.lemma_6_4_check(n, 1.0, seed=seed + 2):
             return False, f"k=1 fails at n={n}"
     return True, "residual < 1e-9 at 100 points, n<=2, k in {1/2, 3/4, 1}"
 

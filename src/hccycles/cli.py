@@ -9,6 +9,7 @@ asymptotic convergence of the integrals.  Exit codes: 0 pass, 1 failure,
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import re
 import sys
@@ -148,7 +149,7 @@ def cmd_series(args) -> int:
             tables.append(
                 {
                     "w": list(w.images),
-                    "table": json.loads(table.to_json()),
+                    "table": table.as_dict(),
                     "residual": str(se.residual_L(table)),
                 }
             )
@@ -230,7 +231,7 @@ def cmd_integrate(args) -> int:
         "k": str(k),
         "lambda": [str(x) for x in lam],
         "z": z,
-        "spec": quad.as_dict(),
+        "spec": dataclasses.asdict(quad),
         "results": results,
     }
     _emit(doc, args.out)

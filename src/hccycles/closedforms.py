@@ -4,8 +4,9 @@ integral, and the Vandermonde differential identities behind them.
 
 Products are kept as symbolic factor lists (Gamma, sin(pi x), e^{i pi x},
 rational constants) so the same object can be evaluated directly or after
-reflection-formula rewriting Gamma(x) sin(pi x) -> pi / Gamma(1-x); the two
-routes agree to ~1e-12 away from poles and that agreement is a test.
+reflection-formula rewriting Gamma(x) sin(pi x) -> pi / Gamma(1-x).  The
+reflection route of a(w) is `a_w_product(w, sp).reflected().eval()`; it
+agrees with `a_w` to ~1e-12 away from poles and that agreement is a test.
 
 a(w), F_w(1) and the limit are evaluated from a factor table, one per
 spectral parameter.  Under w the pairing of the positive root (a, b) is
@@ -64,6 +65,10 @@ _LANCZOS_C = (
 
 
 _POLE_TOL = 1e-8
+_SIN_ZERO_TOL = 1e-8  # |sin(m pi k)| below which `limit_value` refuses to divide
+_BETA_POINTS = 400  # tanh-sinh points of each Beta integral of the Gauss oracle
+_LEMMA_6_4_POINTS = 100  # random points of `lemma_6_4_check`
+_LEMMA_6_4_TOL = 1e-9  # its bound on the relative residual
 
 
 class PoleError(ArithmeticError):
@@ -77,14 +82,14 @@ def _near_nonpositive_int(x: complex, tol: float = _POLE_TOL) -> bool:
     return r <= 0 and abs(x.real - r) <= tol
 
 
-def _check_pole(arg, tag: str, tol: float = _POLE_TOL):
-    """Raise PoleError if Gamma(arg) has a pole at an exact arg, or within tol
-    of a float one."""
+def _check_pole(arg, tag: str):
+    """Raise PoleError if Gamma(arg) has a pole at an exact arg, or within
+    _POLE_TOL of a float one."""
     if isinstance(arg, (int, Q)):
         if arg <= 0 and arg.denominator == 1:
             raise PoleError(f"Gamma argument {arg} is a nonpositive integer{tag and f' ({tag})'}")
-    elif _near_nonpositive_int(complex(arg), tol):
-        raise PoleError(f"Gamma argument {complex(arg)} within {tol} of a pole{tag and f' ({tag})'}")
+    elif _near_nonpositive_int(complex(arg)):
+        raise PoleError(f"Gamma argument {complex(arg)} within {_POLE_TOL} of a pole{tag and f' ({tag})'}")
 
 
 def gamma(z: complex) -> complex:
@@ -119,7 +124,6 @@ class GammaProduct:
     sins: list[tuple[object, str]] = field(default_factory=list)         # sin(pi*arg)
     exp_pi_i: object = 0                                                  # e^{i pi * arg}
     const: complex = 1.0
-    pole_tol: float = _POLE_TOL
 
     def times_gamma(self, arg, power: int = 1, tag: str = "") -> "GammaProduct":
         self.gammas.append((arg, power, tag))
@@ -139,7 +143,7 @@ class GammaProduct:
 
     def reflected(self) -> "GammaProduct":
         """Rewrite every Gamma(x)^{+1} sin(pi x) pair as pi / Gamma(1-x)."""
-        out = GammaProduct(const=self.const, exp_pi_i=self.exp_pi_i, pole_tol=self.pole_tol)
+        out = GammaProduct(const=self.const, exp_pi_i=self.exp_pi_i)
         sins = list(self.sins)
         for arg, power, tag in self.gammas:
             match = None
@@ -161,12 +165,12 @@ class GammaProduct:
         val = complex(self.const)
         for arg, power, tag in self.gammas:
             if power > 0:
-                _check_pole(arg, tag, self.pole_tol)
+                _check_pole(arg, tag)
                 val *= gamma(complex(arg)) ** power
             else:
                 # reciprocal of Gamma is entire: a pole upstairs is a zero here
                 a = complex(arg)
-                if _near_nonpositive_int(a, self.pole_tol):
+                if _near_nonpositive_int(a):
                     return 0.0 + 0.0j
                 val *= gamma(a) ** power
         for arg, tag in self.sins:
@@ -231,7 +235,7 @@ class _FactorTable(dict):
         elif kind == "gamma":
             x = self["arg", spec]
             pole = x <= 0 and x.denominator == 1
-            zero = pole or _near_nonpositive_int(z := complex(x), _POLE_TOL)
+            zero = pole or _near_nonpositive_int(z := complex(x))
             value = x, pole, zero, None if zero else gamma(z)
         elif kind == "sin":
             value = sinpi(complex(self["arg", spec]))
@@ -360,9 +364,8 @@ def a_w_product(w: Permutation, sp: SpectralParam) -> GammaProduct:
     return _symbolic(_a_w_factors(w.images, sp.rank), _factor_table(sp))
 
 
-def a_w(w: Permutation, sp: SpectralParam, use_reflection: bool = False) -> complex:
-    if use_reflection:
-        return a_w_product(w, sp).reflected().eval()
+def a_w(w: Permutation, sp: SpectralParam) -> complex:
+    """`a_w_product(w, sp).eval()`, bit for bit, from the factor table."""
     return _evaluate(_a_w_factors(w.images, sp.rank), _factor_table(sp))
 
 
@@ -377,7 +380,7 @@ def F_w_at_1(w: Permutation, sp: SpectralParam) -> complex:
     return _evaluate(_F_w_factors(w.images, sp.rank), _factor_table(sp))
 
 
-def limit_value(w: Permutation, sp: SpectralParam, tol: float = 1e-8) -> complex:
+def limit_value(w: Permutation, sp: SpectralParam) -> complex:
     """z -> 1 limit of the cycle integral:
 
     prod_alpha sin(pi((-w.lambda, av)+k)) * e^{-2 pi i (lambda,delta)}
@@ -389,7 +392,7 @@ def limit_value(w: Permutation, sp: SpectralParam, tol: float = 1e-8) -> complex
     table = _factor_table(sp)
     for m in range(1, n + 2):
         s = table["sin", (0, 0, 0, m)]
-        if abs(s) < tol:
+        if abs(s) < _SIN_ZERO_TOL:
             raise ZeroDivisionError(
                 f"denominator sin({m} pi k) = {s:.2e} vanishes at k = {sp.k}"
             )
@@ -399,7 +402,7 @@ def limit_value(w: Permutation, sp: SpectralParam, tol: float = 1e-8) -> complex
     return val * gnum / gden
 
 
-def gauss_value_by_beta_quadrature(m: float, k: float, npoints: int = 400) -> float:
+def gauss_value_by_beta_quadrature(m: float, k: float) -> float:
     """Rank-1 Opdam value as a ratio of two Beta integrals, no Gamma involved.
 
     F_w(1) = B(m+1, 1-2k) / B(m+1-k, 1-k) with m = (w.lambda, coroot);
@@ -416,7 +419,7 @@ def gauss_value_by_beta_quadrature(m: float, k: float, npoints: int = 400) -> fl
             raise ValueError("Beta arguments must be positive for the quadrature oracle")
         # truncation tail decays like exp(-min(a,b) pi sinh(cutoff))
         cutoff = math.asinh(40.0 / (math.pi * min(a, b, 1.0)))
-        x, xm, w = tanh_sinh_rule_with_complement(npoints, cutoff)
+        x, xm, w = tanh_sinh_rule_with_complement(_BETA_POINTS, cutoff)
         return float(np.sum(w * x ** (a - 1.0) * xm ** (b - 1.0)))
 
     return beta(m + 1.0, 1.0 - 2.0 * k) / beta(m + 1.0 - k, 1.0 - k)
@@ -483,13 +486,13 @@ def power_vandermonde_residual(n: int, k: float, points: Sequence[Sequence[float
     return worst
 
 
-def lemma_6_4_check(n: int, k: float, npoints: int = 100, seed: int = 0, tol: float = 1e-9) -> bool:
+def lemma_6_4_check(n: int, k: float, seed: int = 0) -> bool:
     import random
 
     rng = random.Random(seed)
     pts = []
-    while len(pts) < npoints:
+    while len(pts) < _LEMMA_6_4_POINTS:
         p = [rng.uniform(0.5, 3.0) for _ in range(n + 1)]
         if min(abs(a - b) for i, a in enumerate(p) for b in p[i + 1:]) > 0.05:
             pts.append(p)
-    return power_vandermonde_residual(n, k, pts) < tol
+    return power_vandermonde_residual(n, k, pts) < _LEMMA_6_4_TOL

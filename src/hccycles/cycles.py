@@ -47,7 +47,8 @@ e^{2 pi i tau}, the log-modulus and argument of the vanishing base
 `integrate` takes its rule's record from a small cache keyed by (scheme,
 points per axis, bump), so the bump is evaluated once per rule and not once
 per call; the cached arrays are read-only.  Pointwise evaluation and
-`phase_continuation` build records from their own tau.
+`t_values` build records from their own tau (`_tau_nodes`), and
+`omega_w_eval` sums the factor logs with the same `_log_sum` as `integrate`.
 """
 
 from __future__ import annotations
@@ -69,6 +70,8 @@ Point = tuple[int, int]
 
 _SEPARATION_MARGIN = 0.85
 _BLOCK_NODES = 1 << 17  # most grid nodes `integrate` evaluates at once
+_MAX_REFINEMENTS = 20  # step doublings before `phase_continuation` gives up
+_FD_STEP = 1e-3  # central-difference step in log z of `fd_eigenvalue`
 
 
 def _unit_interval(x) -> np.ndarray:
@@ -85,8 +88,8 @@ class BumpFn:
     epsilon: float = 0.1
 
     def __post_init__(self):
-        if not 0.0 < self.epsilon < 0.5:
-            raise ValueError("bump height must lie in (0, 1/2)")
+        if not 0.0 < self.epsilon < 0.25:
+            raise ValueError("epsilon must lie in (0, 1/4)")
 
     def __call__(self, x):
         xs = _unit_interval(x)
@@ -108,25 +111,13 @@ class QuadratureSpec:
     scheme: str = "tanh-sinh"
     points_per_axis: int = 65
     epsilon: float = 0.1
-    continuation_steps: int = 16
 
     def __post_init__(self):
         if self.scheme not in _RULES:
             raise ValueError(f"unknown scheme {self.scheme!r}")
         if self.points_per_axis < 8:
             raise ValueError("need at least 8 points per axis")
-        if not 0.0 < self.epsilon < 0.25:
-            raise ValueError("epsilon must lie in (0, 1/4)")
-        if self.continuation_steps < 1:
-            raise ValueError("continuation_steps must be positive")
-
-    def as_dict(self) -> dict:
-        return {
-            "scheme": self.scheme,
-            "points_per_axis": self.points_per_axis,
-            "epsilon": self.epsilon,
-            "continuation_steps": self.continuation_steps,
-        }
+        BumpFn(self.epsilon)  # the bump's range check
 
 
 @dataclass
@@ -184,18 +175,11 @@ class CyclePath:
         self.rank = n
         self.points: list[Point] = [(i, j) for j in range(1, n + 1) for i in range(1, j + 1)]
         self.axis: dict[Point, int] = {p: a for a, p in enumerate(self.points)}
-        # chain of integration points from each point up to row n+1, and the
-        # index of the z anchor it collapses to at tau = 0
-        self.chain: dict[Point, tuple[Point, ...]] = {}
-        self.collapse: dict[Point, int] = {}
-        for i in range(1, n + 2):
-            self.chain[(i, n + 1)] = ()
-            self.collapse[(i, n + 1)] = i
+        # the index of the z anchor each point collapses to at tau = 0
+        self.collapse: dict[Point, int] = {(i, n + 1): i for i in range(1, n + 2)}
         for j in range(n, 0, -1):
             for i in range(1, j + 1):
-                tar = diagram.target((i, j))
-                self.chain[(i, j)] = ((i, j),) + self.chain[tar]
-                self.collapse[(i, j)] = self.collapse[tar]
+                self.collapse[(i, j)] = self.collapse[diagram.target((i, j))]
 
     @property
     def naxes(self) -> int:
@@ -203,7 +187,7 @@ class CyclePath:
 
     def t_values(self, tau) -> dict[Point, np.ndarray]:
         """All t-points from per-axis tau arrays, e.g. a (naxes, M) batch."""
-        return _t_values(self, _axis_nodes(self, np.asarray(tau, dtype=float)))
+        return _t_values(self, _tau_nodes(self, tau))
 
 
 def cycle_for_w(w: Permutation, z: Sequence[complex], epsilon: float = 0.1) -> CyclePath:
@@ -220,14 +204,13 @@ def cycle_point(c: CyclePath, tau: Sequence[float]) -> dict[Point, complex]:
 
 class _Nodes(NamedTuple):
     """Everything about one axis's tau array that depends on neither z,
-    lambda nor k: the bump f and its derivative f', the pieces of
-    t = e^{2 pi i tau}(1 - f) t_tar and of its log, the vanishing base
-    1 - e^{2 pi i tau}(1 - f) as log-modulus and principal argument, and
-    the Jacobian factor 2 pi i (1 - f) - f'."""
+    lambda nor k: the bump f, the pieces of t = e^{2 pi i tau}(1 - f) t_tar
+    and of its log, the vanishing base 1 - e^{2 pi i tau}(1 - f) as
+    log-modulus and principal argument, and the Jacobian factor
+    2 pi i (1 - f) - f'."""
 
     x: np.ndarray
     f: np.ndarray
-    fp: np.ndarray
     log1m_f: np.ndarray  # log1p(-f)
     angle: np.ndarray  # 2 pi tau
     rot: np.ndarray  # e^{2 pi i tau}
@@ -238,7 +221,6 @@ class _Nodes(NamedTuple):
     @classmethod
     def of(cls, x, bump: BumpFn) -> "_Nodes":
         f = bump(x)
-        fp = bump.deriv(x)
         # the vanishing base is f + (1-f)(2 sin^2(pi tau) - i sin(2 pi tau)),
         # free of cancellation; its real part is nonnegative, so the principal
         # argument lies in [-pi/2, pi/2] and is continuous on 0 < tau < 1
@@ -246,8 +228,8 @@ class _Nodes(NamedTuple):
         g = f + (1.0 - f) * (2.0 * s * s - 1j * np.sin(2.0 * np.pi * x))
         with np.errstate(divide="ignore"):  # log(0) where the base vanishes is caught downstream
             vlog = 0.5 * np.log(g.real**2 + g.imag**2)
-        return cls(x, f, fp, np.log1p(-f), 2.0 * np.pi * x, np.exp(2j * np.pi * x),
-                   vlog, np.arctan2(g.imag, g.real), 2j * np.pi * (1.0 - f) - fp)
+        return cls(x, f, np.log1p(-f), 2.0 * np.pi * x, np.exp(2j * np.pi * x),
+                   vlog, np.arctan2(g.imag, g.real), 2j * np.pi * (1.0 - f) - bump.deriv(x))
 
     def at(self, i: int) -> "_Nodes":
         """The record of node i alone, for an axis a block holds fixed."""
@@ -271,9 +253,9 @@ def _quad_nodes(scheme: str, npoints: int, bump: BumpFn) -> tuple[_Nodes, np.nda
     return nodes, wts
 
 
-def _axis_nodes(c: CyclePath, tau) -> list[_Nodes]:
-    """Per-axis records: `tau[a]` is axis a's tau array or already its record."""
-    return [a if isinstance(a, _Nodes) else _Nodes.of(a, c.bump) for a in tau]
+def _tau_nodes(c: CyclePath, tau) -> list[_Nodes]:
+    """Per-axis records of per-axis tau: `tau[a]` is axis a's tau array."""
+    return [_Nodes.of(a, c.bump) for a in np.asarray(tau, dtype=float)]
 
 
 def _t_values(c: CyclePath, nodes: Sequence[_Nodes]) -> dict[Point, np.ndarray]:
@@ -357,11 +339,10 @@ def _log_data(c: CyclePath, nodes: Sequence[_Nodes]):
     return t, logabs, arg
 
 
-def _factor_logs(c: CyclePath, sp: SpectralParam, tau):
+def _factor_logs(c: CyclePath, sp: SpectralParam, nodes: Sequence[_Nodes]):
     """Per-factor (log-modulus, argument) arrays under the anchored branch;
-    `tau[a]` is axis a's tau array or its node record."""
+    `nodes[a]` is axis a's node record."""
     const, factors = omega_factor_list(c, sp)
-    nodes = _axis_nodes(c, tau)
     t, logabs, arg = _log_data(c, nodes)
     logs = []
     with np.errstate(divide="ignore"):  # log(0) on the boundary is caught downstream
@@ -383,25 +364,31 @@ def _factor_logs(c: CyclePath, sp: SpectralParam, tau):
     return const, factors, logs, t
 
 
+def _log_sum(const: complex, factors: Sequence[Factor], logs):
+    """Log of the form's coefficient: const + sum of expo (log|base| + i arg)."""
+    total = const
+    for f, (la, aa) in zip(factors, logs):
+        total = total + f.expo * (la + 1j * aa)
+    return total
+
+
 def omega_w_eval(c: CyclePath, sp: SpectralParam, tau: Sequence[float]) -> PhasedValue:
     """Value of the coefficient function of the form at one interior point.
 
     The differential (the dt/dtau Jacobian) is not included; `integrate`
     applies it.  Raises if any factor base vanishes at tau.
     """
-    const, factors, logs, _ = _factor_logs(c, sp, np.asarray(tau, dtype=float))
-    lm, ar = const.real, const.imag
-    for f, (la, aa) in zip(factors, logs):
+    const, factors, logs, _ = _factor_logs(c, sp, _tau_nodes(c, tau))
+    for f, (la, _) in zip(factors, logs):
         if not np.isfinite(la):
             raise ValueError(f"factor {f} evaluated on the singular locus at tau={list(tau)}")
-        lm += f.expo * float(la)
-        ar += f.expo * float(aa)
-    return PhasedValue(lm, ar)
+    total = _log_sum(const, factors, logs)
+    return PhasedValue(float(total.real), float(total.imag))
 
 
 def factor_arguments(c: CyclePath, sp: SpectralParam, tau: Sequence[float]) -> list[float]:
     """Per-factor anchored arguments at one tau (closed-form branch)."""
-    _, _, logs, _ = _factor_logs(c, sp, np.asarray(tau, dtype=float))
+    _, _, logs, _ = _factor_logs(c, sp, _tau_nodes(c, tau))
     return [float(aa) for _, aa in logs]
 
 
@@ -428,12 +415,11 @@ def phase_continuation(
     tau_to: Sequence[float],
     args_from: Sequence[float],
     steps: int = 16,
-    max_refinements: int = 20,
 ) -> list[float]:
     """Transport per-factor arguments along the straight tau-segment.
 
     Subdivides until every factor's per-step principal argument change is
-    below pi/2; raises if refinement exceeds `max_refinements` doublings
+    below pi/2; raises if refinement exceeds `_MAX_REFINEMENTS` doublings
     (segment passing too near the singular locus).  All points of the
     segment are evaluated as one batch, then the steps are scanned in order,
     factor by factor: the first zero base raises, the first change of pi/2
@@ -442,7 +428,7 @@ def phase_continuation(
     a = np.asarray(tau_from, dtype=float)
     b = np.asarray(tau_to, dtype=float)
     _, factors = omega_factor_list(c, sp)
-    for _ in range(max_refinements):
+    for _ in range(_MAX_REFINEMENTS):
         tau = a[:, None] + (b - a)[:, None] * (np.arange(steps + 1) / steps)
         bases = np.array(_factor_bases(c, factors, tau))  # (factor, point)
         zero = bases == 0
@@ -529,10 +515,7 @@ def integrate(c: CyclePath, sp: SpectralParam, quad: QuadratureSpec | None = Non
         axes = [nodes.at(i) for i in idx] + free_nodes
         const, factors, logs, t = _factor_logs(c, sp, axes)
         with np.errstate(over="ignore", invalid="ignore"):
-            total_log = const
-            for f, (la, aa) in zip(factors, logs):
-                total_log = total_log + f.expo * (la + 1j * aa)
-            vals = np.exp(total_log)
+            vals = np.exp(_log_sum(const, factors, logs))
             for p in c.points:
                 nd = axes[c.axis[p]]
                 # not `rot * jac` folded into one array: that rounds differently
@@ -563,15 +546,14 @@ def leading_coeff_estimate(
     sp: SpectralParam,
     r: float,
     quad: QuadratureSpec | None = None,
-    scale: float = 1.0,
 ) -> complex:
-    """Estimate of the leading coefficient from geometric z = scale*(r^n,...,1).
+    """Estimate of the leading coefficient from geometric z = (r^n, ..., 1).
 
     Richardson extrapolation over ratios r and r/2 removes the first
     correction term of the asymptotic series.
     """
     quad = quad or QuadratureSpec()
-    return _richardson(_ratio_at(w, sp, r, quad, scale), _ratio_at(w, sp, r / 2.0, quad, scale))
+    return _richardson(_ratio_at(w, sp, r, quad, 1.0), _ratio_at(w, sp, r / 2.0, quad, 1.0))
 
 
 def _ratio_at(w: Permutation, sp: SpectralParam, r: float, quad: QuadratureSpec, scale: float) -> complex:
@@ -633,13 +615,14 @@ def fd_eigenvalue(
     z: Sequence[float],
     sp: SpectralParam,
     quad: QuadratureSpec | None = None,
-    h: float = 1e-3,
 ) -> complex:
-    """Apply L to the integral by central differences in u_i = log z_i.
+    """Apply L to the integral by central differences in u_i = log z_i,
+    with step `_FD_STEP`.
 
     Returns (L phi)/phi at z; for a solution this is (lambda,lambda)-(rho,rho).
     """
     quad = quad or QuadratureSpec()
+    h = _FD_STEP
     z = [float(v) for v in z]
     n = sp.rank
     k = float(sp.k)

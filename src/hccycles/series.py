@@ -140,17 +140,19 @@ class CoeffTable:
         """mu - rho, the Weyl translate of lambda carried by this solution."""
         return rs.sub(self.mu, rs.rho(self.rank, self.k))
 
+    def as_dict(self) -> dict:
+        """The JSON-ready form: exact values as strings, offsets as lists."""
+        return {
+            "mu": [str(c) for c in self.mu],
+            "k": str(self.k),
+            "entries": [
+                {"offset": list(off), "value": str(val)}
+                for off, val in self.entries.items()
+            ],
+        }
+
     def to_json(self) -> str:
-        return json.dumps(
-            {
-                "mu": [str(c) for c in self.mu],
-                "k": str(self.k),
-                "entries": [
-                    {"offset": list(off), "value": str(val)}
-                    for off, val in self.entries.items()
-                ],
-            }
-        )
+        return json.dumps(self.as_dict())
 
     @classmethod
     def from_json(cls, text: str) -> "CoeffTable":
@@ -173,9 +175,7 @@ def _validate_mu(mu: Sequence, sp: SpectralParam) -> tuple[Q, ...]:
     return mu
 
 
-def freudenthal_table(
-    mu: Sequence, sp: SpectralParam, depth: int, require_generic: bool = True
-) -> CoeffTable:
+def freudenthal_table(mu: Sequence, sp: SpectralParam, depth: int) -> CoeffTable:
     """Solve the recurrence for G_nu, nu = mu + (height <= depth) offsets.
 
     Raises ResonanceError if lambda pairs integrally with a root (the
@@ -185,18 +185,17 @@ def freudenthal_table(
     mu = _validate_mu(mu, sp)
     n = sp.rank
     pairs = rs.positive_root_pairs(n)
-    if require_generic:
-        for a, b in pairs:
-            pairing = sp.lam[a] - sp.lam[b]
-            if pairing.denominator == 1:
-                alpha = rs.root(n, a + 1, b + 1)
-                nu = rs.add(mu, rs.scale(abs(int(pairing)), alpha))
-                raise ResonanceError(
-                    "resonant spectral parameter: (lambda, coroot of "
-                    f"{tuple(map(str, alpha))}) = {pairing} is an integer; "
-                    f"exponents collide at nu = {tuple(map(str, nu))}",
-                    nu=nu,
-                )
+    for a, b in pairs:
+        pairing = sp.lam[a] - sp.lam[b]
+        if pairing.denominator == 1:
+            alpha = rs.root(n, a + 1, b + 1)
+            nu = rs.add(mu, rs.scale(abs(int(pairing)), alpha))
+            raise ResonanceError(
+                "resonant spectral parameter: (lambda, coroot of "
+                f"{tuple(map(str, alpha))}) = {pairing} is an integer; "
+                f"exponents collide at nu = {tuple(map(str, nu))}",
+                nu=nu,
+            )
 
     wlam = rs.sub(mu, sp.rho)
     gaps = [(a, b, mu[a] - mu[b]) for a, b in pairs]
@@ -223,12 +222,10 @@ def freudenthal_table(
     return CoeffTable(mu=mu, k=sp.k, depth=depth, entries=table)
 
 
-def freudenthal_table_for_w(
-    w, sp: SpectralParam, depth: int, require_generic: bool = True
-) -> CoeffTable:
+def freudenthal_table_for_w(w, sp: SpectralParam, depth: int) -> CoeffTable:
     """Table for mu = w.lambda + rho."""
     mu = rs.add(rs.weyl_apply(w, sp.lam), sp.rho)
-    return freudenthal_table(mu, sp, depth, require_generic)
+    return freudenthal_table(mu, sp, depth)
 
 
 def residual_L(table: CoeffTable) -> Q:

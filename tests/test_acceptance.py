@@ -136,9 +136,9 @@ def test_criterion_8_leading_asymptotics():
 def test_criterion_11_vandermonde_identities():
     assert cf.mixed_euler_on_vandermonde(3)[0] == vandermonde(4) * Q(11)
     for n in (1, 2):
-        assert cf.lemma_6_4_check(n, 0.5, 100, seed=21, tol=1e-9)
-        assert cf.lemma_6_4_check(n, 0.75, 100, seed=22, tol=1e-9)
-        assert cf.lemma_6_4_check(n, 1.25, 100, seed=23, tol=1e-9)
+        assert cf.lemma_6_4_check(n, 0.5, seed=21)
+        assert cf.lemma_6_4_check(n, 0.75, seed=22)
+        assert cf.lemma_6_4_check(n, 1.25, seed=23)
     _report(11, "c_3 V_4 = 11 V_4 exact; 100-point residuals < 1e-9 at seeds 21-23 incl. k=1/2 and k=5/4")
 
 

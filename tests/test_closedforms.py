@@ -73,7 +73,7 @@ def test_a_w_reflection_agreement():
             sp = random_generic(rng, n, Q(1, 5), 29)
             for w in dg.all_permutations(n + 1):
                 direct = cf.a_w(w, sp)
-                refl = cf.a_w(w, sp, use_reflection=True)
+                refl = cf.a_w_product(w, sp).reflected().eval()
                 assert abs(direct - refl) < 1e-12 * abs(direct)
 
 
@@ -193,9 +193,9 @@ def test_sum_identity():
 
 def test_lemma_6_4_numeric():
     for n in (1, 2):
-        assert cf.lemma_6_4_check(n, 0.5, 100, seed=11)
-        assert cf.lemma_6_4_check(n, 0.75, 100, seed=12)
-        assert cf.lemma_6_4_check(n, 1.0, 100, seed=13)
+        assert cf.lemma_6_4_check(n, 0.5, seed=11)
+        assert cf.lemma_6_4_check(n, 0.75, seed=12)
+        assert cf.lemma_6_4_check(n, 1.0, seed=13)
     # k = 1 matches the untwisted constant: 6kn - 3n + 2 = 3n + 2
     for n in (1, 2, 3):
         assert (2 * 1 - 1) * (n - 1) * n * (n + 1) * (6 * 1 * n - 3 * n + 2) == (

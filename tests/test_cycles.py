@@ -57,6 +57,17 @@ def test_quadrature_spec_validation():
         cy.QuadratureSpec(scheme="simpson")
 
 
+def test_bump_height_one_range():
+    # a cycle accepts exactly the bump heights a quadrature spec accepts
+    for eps in (0.0, 0.25, 0.3, 0.49):
+        with pytest.raises(ValueError, match=r"epsilon must lie in \(0, 1/4\)"):
+            cy.cycle_for_w(W_ID, [1e-2, 1.0], eps)
+        with pytest.raises(ValueError, match=r"epsilon must lie in \(0, 1/4\)"):
+            cy.QuadratureSpec(epsilon=eps)
+    c = cy.cycle_for_w(W_ID, [1e-2, 1.0], 0.2)
+    assert cy.integrate(c, sp1(), cy.QuadratureSpec(points_per_axis=33, epsilon=0.2)) != 0
+
+
 def test_rules_integrate_smooth():
     for rule in (cy.tanh_sinh_rule, cy.gauss_legendre_rule):
         x, w = rule(80)
@@ -190,6 +201,19 @@ def test_phase_continuation_refines_and_raises(monkeypatch):
     assert len(calls) == 1
 
 
+def test_phase_continuation_gives_up(monkeypatch):
+    # the half-turn segment of the test above needs two step doublings
+    sp = sp1()
+    c = cy.cycle_for_w(W_ID, [1e-2, 1.0], 0.1)
+    a0 = cy.factor_arguments(c, sp, [0.2])
+    monkeypatch.setattr(cy, "_MAX_REFINEMENTS", 2)
+    with pytest.raises(ValueError, match="phase tracking failed"):
+        cy.phase_continuation(c, sp, [0.2], [0.8], a0, steps=1)
+    monkeypatch.setattr(cy, "_MAX_REFINEMENTS", 3)
+    got = cy.phase_continuation(c, sp, [0.2], [0.8], a0, steps=1)
+    assert max(abs(a - b) for a, b in zip(got, cy.factor_arguments(c, sp, [0.8]))) < 1e-9
+
+
 def test_phase_loop_winding_and_reversal():
     sp = sp1()
     c = cy.cycle_for_w(W_ID, [1e-2, 1.0], 0.1)
@@ -213,7 +237,7 @@ def test_schwarz_reflection_with_monodromy():
             winding = 0.0
             for f in factors:
                 p = c.diagram.target(f.pts[0]) if f.kind == "vanish" else f.pts[0]
-                winding += f.expo * len(c.chain[p])
+                winding += f.expo * (c.rank + 1 - p[1])  # points on the chain up from p
             for _ in range(4):
                 tau = rng.uniform(0.05, 0.95, c.naxes)
                 v = cy.omega_w_eval(c, sp, tau).value
@@ -226,6 +250,52 @@ def test_singular_locus_error():
     c = cy.cycle_for_w(W_ID, [1e-2, 1.0], 0.1)
     with pytest.raises(ValueError):
         cy.omega_w_eval(c, sp, [0.0])
+
+
+# float.hex of `omega_w_eval` (log-modulus, argument) and of every entry of
+# `factor_arguments` at one tau per case, recorded when `omega_w_eval` still
+# summed the factor logs in a loop of its own; lambda as in the `integrate`
+# goldens below, z = (10^(-2n), ..., 10^(-2), 1), and the same caveat on
+# numpy's float64 kernels.
+POINT_GOLDEN = [
+    ((1, 2), (0.37,), ('-0x1.18de58c251a9ap+2', '-0x1.f487913cf9794p+1'),
+     ['0x1.2992580eac536p+1', '0x1.2a953dcd617a8p+1', '-0x1.8ebaa6b405420p-2']),
+    ((2, 1), (0.91,), ('0x1.22c1b0bf6799cp+1', '-0x1.6bbff7a3922a1p+3'),
+     ['0x1.6deec63b8eb99p+2', '0x1.464c90aeb7705p+0', '0x1.5f5dcd83b664cp-8']),
+    ((2, 3, 1), (0.13, 0.62, 0.48), ('0x1.98d9a15f5e8afp+2', '-0x1.1f1413ea4a48bp+4'),
+     ['0x1.ea9752e7c2288p+1', '0x1.ea81e498fbc8ep+1', '0x1.df3546b471e3dp+0',
+      '0x1.f2a232b0cdbc2p+1', '0x1.6fb9896a69802p-2', '0x1.9720175e4612ep-8',
+      '0x1.064805ba79e13p-14', '0x1.8209f5b22baa6p+1', '0x1.823713378f527p+1',
+      '-0x1.e7b47d523c9bdp-5', '-0x1.25355974e09f4p-10', '0x1.81082053ace7bp+1']),
+    ((3, 2, 1), (0.77, 0.05, 0.29), ('0x1.9497c323e0a9fp+3', '-0x1.d7f4e508f2576p+3'),
+     ['0x1.49bdd732daa19p+2', '0x1.2314e17ec003ep+0', '0x1.d2f268f6e22bap+0',
+      '0x1.41b2f769cf0e0p-2', '-0x1.67ee6f0582d1bp+0', '-0x1.97e988b1d9b00p-9',
+      '-0x1.029cc751a069ap-15', '0x1.d276b38c9f6dep+0', '0x1.d519ed81d7a97p+0',
+      '-0x1.44fd459914eb4p-1', '-0x1.28de8457a6a24p-7', '0x1.d52f0e42158b2p+0']),
+    ((2, 4, 1, 3), (0.21, 0.58, 0.93, 0.4, 0.66, 0.12), ('0x1.b5f3643d7f6cdp+2', '-0x1.4bc676e54d98dp+5'),
+     ['0x1.238a3037e3a4bp+3', '0x1.b9e79ab3fbddep+2', '0x1.a63a1a8d34c61p+2',
+      '0x1.f2a232b0cdbc2p+2', '0x1.f20aec6b1389fp+2', '0x1.18ad91961ea29p+2',
+      '0x1.8202598be8af8p-1', '0x1.a63ae4badfc27p+2', '0x1.a63ae196166e3p+2',
+      '0x1.a63be01f972bfp+2', '0x1.0c0eaada81c2ep+1', '0x1.a63998671d86ap+2',
+      '0x1.41b2f769cf0e0p+1', '-0x1.31f0b5ceb5157p-2', '-0x1.5bce42628a6b1p-8',
+      '-0x1.c0703b798f444p-15', '-0x1.1f05804612bfep-21', '0x1.0966d8ea7e053p+2',
+      '0x1.08d1dff915bcbp+2', '0x1.ec3e8a9fc8c7dp-2', '0x1.fc528310921a0p-8',
+      '0x1.46ed0d7f439d4p-14', '0x1.8209f5b22baa6p-1', '0x1.820a0cfb2bb1cp-1',
+      '0x1.82130e61cb5b5p-1', '0x1.859e4acfd4b74p-1', '-0x1.2d341dd844e44p+0',
+      '0x1.0a07d7042bb54p+2', '0x1.8209d74e29791p-1', '0x1.820d0297fa226p-1']),
+]
+
+
+@pytest.mark.parametrize("w, tau, omega_hex, args_hex", POINT_GOLDEN)
+def test_pointwise_golden_bits(w, tau, omega_hex, args_hex):
+    n = len(w) - 1
+    z = [10.0 ** (-2 * i) for i in range(n, -1, -1)]
+    lam = [Q(3, 10), Q(1, 7), Q(-2, 9)][:n]
+    sp = SpectralParam(rs.vec(lam + [-sum(lam)]), Q(3, 2))
+    c = cy.cycle_for_w(dg.Permutation(w), z, 0.1)
+    v = cy.omega_w_eval(c, sp, tau)
+    assert (v.log_magnitude.hex(), v.argument.hex()) == omega_hex
+    assert [a.hex() for a in cy.factor_arguments(c, sp, tau)] == args_hex
 
 
 def test_endpoint_vanishing_for_k_above_one():
@@ -326,7 +396,7 @@ def test_fd_eigenvalue_rank1():
     target = float(gamma_L(sp))
     quad = cy.QuadratureSpec(points_per_axis=121)
     for w in (W_ID, W_S):
-        got = cy.fd_eigenvalue(w, [1e-2, 1.0], sp, quad, h=1e-3)
+        got = cy.fd_eigenvalue(w, [1e-2, 1.0], sp, quad)
         assert abs(got - target) < 1e-3 * abs(target)
 
 
@@ -334,14 +404,15 @@ def test_fd_eigenvalue_rank2():
     sp = sp2()
     target = float(gamma_L(sp))
     got = cy.fd_eigenvalue(
-        dg.Permutation((2, 3, 1)), [4e-4, 2e-2, 1.0], sp, cy.QuadratureSpec(points_per_axis=41), h=1e-3
+        dg.Permutation((2, 3, 1)), [4e-4, 2e-2, 1.0], sp, cy.QuadratureSpec(points_per_axis=41)
     )
     assert abs(got - target) < 1e-3 * abs(target)
 
 
 def _flat_index_integrate(c, sp, quad=None, block=1 << 17):
     """Test-only reference: the flat-index node loop `integrate` had before
-    it broadcast per-axis tau arrays, kept verbatim."""
+    it broadcast per-axis tau arrays, kept verbatim but for the node records
+    `_factor_logs` now takes in place of tau."""
     quad = quad or cy.QuadratureSpec(epsilon=c.bump.epsilon)
     if abs(quad.epsilon - c.bump.epsilon) > 1e-12:
         raise ValueError("quadrature epsilon disagrees with the cycle's bump height")
@@ -358,7 +429,7 @@ def _flat_index_integrate(c, sp, quad=None, block=1 << 17):
         for ix in idx:
             weight = weight * wts[ix]
 
-        const, factors, logs, t = cy._factor_logs(c, sp, tau)
+        const, factors, logs, t = cy._factor_logs(c, sp, [cy._Nodes.of(a, c.bump) for a in tau])
         with np.errstate(over="ignore", invalid="ignore"):
             total_log = np.full(len(flat), const, dtype=complex)
             for f, (la, aa) in zip(factors, logs):
@@ -516,3 +587,9 @@ def test_result_json_schema(capsys):
     val = cy.integrate_for_w(W_ID, doc["z"], sp1(), cy.QuadratureSpec(points_per_axis=33))
     assert rec["integral"]["re"] == val.real and rec["integral"]["im"] == val.imag
     assert doc["spec"]["points_per_axis"] == 33
+
+
+def test_result_spec_keys(capsys):
+    assert main(["integrate", "--w", "id", "--points", "33"]) == 0
+    spec = json.loads(capsys.readouterr().out)["spec"]
+    assert spec == {"scheme": "tanh-sinh", "points_per_axis": 33, "epsilon": 0.1}

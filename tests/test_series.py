@@ -236,14 +236,13 @@ def test_resonance_bracket_mid_cone():
     assert sp.is_generic()
     for a in rs.positive_roots(2):
         assert rs.inner(sp.lam, rs.coroot(a)).denominator != 1
-    for require_generic in (False, True):
-        with pytest.raises(se.ResonanceError) as err:
-            se.freudenthal_table_for_w(dg.Permutation.identity(3), sp, 3, require_generic=require_generic)
-        assert err.value.nu is not None
-        assert str(err.value) == (
-            "resonant spectral parameter: recurrence bracket vanishes at nu = ('3/2', '-2/3', '-5/6')"
-        )
-        assert err.value.nu == (Q(3, 2), Q(-2, 3), Q(-5, 6)) and all(type(c) is Q for c in err.value.nu)
+    with pytest.raises(se.ResonanceError) as err:
+        se.freudenthal_table_for_w(dg.Permutation.identity(3), sp, 3)
+    assert err.value.nu is not None
+    assert str(err.value) == (
+        "resonant spectral parameter: recurrence bracket vanishes at nu = ('3/2', '-2/3', '-5/6')"
+    )
+    assert err.value.nu == (Q(3, 2), Q(-2, 3), Q(-5, 6)) and all(type(c) is Q for c in err.value.nu)
 
 
 def test_mu_validation():
