@@ -114,15 +114,16 @@ def cmd_diagrams(args) -> int:
         doc = {"n": n, "elements": []}
         for w in dg.all_permutations(n):
             d = dg.Diagram.from_permutation(w)
+            count_geq, count_leq, qpoly_geq, qpoly_leq = dg._order_values(d.marks)
             doc["elements"].append(
                 {
                     "w": list(w.images),
                     "marks": list(d.marks),
                     "length": d.length(),
-                    "count_geq": dg.count_geq(w),
-                    "count_leq": dg.count_leq(w),
-                    "qpoly_geq": [str(c) for c in dg.qpoly_geq(w)],
-                    "qpoly_leq": [str(c) for c in dg.qpoly_leq(w)],
+                    "count_geq": count_geq,
+                    "count_leq": count_leq,
+                    "qpoly_geq": [str(c) for c in qpoly_geq],
+                    "qpoly_leq": [str(c) for c in qpoly_leq],
                 }
             )
         if query is not None:

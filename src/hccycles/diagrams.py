@@ -13,6 +13,15 @@ points in the connected component of (i, r).
 Permutations are stored as 1-based image tuples and compose as functions:
 (w1 * w2)(i) = w1(w2(i)).
 
+Input is checked at the public constructors: ``Permutation(images)`` and
+``Diagram(marks)`` reject anything that is not a permutation or a valid mark
+vector.  Values this module derives from checked values (products, inverses,
+the named elements of S_r, the enumerations ``all_permutations`` and
+``all_diagrams``, and ``Diagram.from_permutation``) are built unchecked by
+the private ``_unchecked`` constructors, since they are valid by construction.
+``to_permutation`` still goes through the checked constructor: its result is
+what the bijection claim (Prop 2.2) tests.
+
 A polynomial in the single variable q is an ascending tuple of int
 coefficients, (c_0, c_1, ..., c_d) for c_0 + c_1 q + ... + c_d q^d with
 c_d != 0, and () for zero; the multiparametric polynomials are ``Poly``.
@@ -24,6 +33,7 @@ import functools
 import json
 from dataclasses import dataclass
 from itertools import accumulate, permutations as _itperms
+from math import prod
 from operator import sub
 from typing import Iterable, Iterator, Sequence
 
@@ -43,12 +53,19 @@ class Permutation:
         object.__setattr__(self, "images", images)
 
     @classmethod
+    def _unchecked(cls, images: tuple[int, ...]) -> "Permutation":
+        """A permutation from a tuple of ints known to permute 1..len(images)."""
+        out = object.__new__(cls)
+        object.__setattr__(out, "images", images)
+        return out
+
+    @classmethod
     def identity(cls, r: int) -> "Permutation":
-        return cls(tuple(range(1, r + 1)))
+        return cls._unchecked(tuple(range(1, r + 1)))
 
     @classmethod
     def longest(cls, r: int) -> "Permutation":
-        return cls(tuple(range(r, 0, -1)))
+        return cls._unchecked(tuple(range(r, 0, -1)))
 
     @classmethod
     def generator(cls, i: int, r: int) -> "Permutation":
@@ -57,7 +74,7 @@ class Permutation:
             raise ValueError(f"generator index {i} out of range for S_{r}")
         images = list(range(1, r + 1))
         images[i - 1], images[i] = images[i], images[i - 1]
-        return cls(tuple(images))
+        return cls._unchecked(tuple(images))
 
     @property
     def rank(self) -> int:
@@ -69,13 +86,14 @@ class Permutation:
     def __mul__(self, other: "Permutation") -> "Permutation":
         if self.rank != other.rank:
             raise ValueError("rank mismatch")
-        return Permutation(tuple(self(other(i)) for i in range(1, self.rank + 1)))
+        images = self.images
+        return Permutation._unchecked(tuple(images[i - 1] for i in other.images))
 
     def inverse(self) -> "Permutation":
         inv = [0] * self.rank
         for i, im in enumerate(self.images, start=1):
             inv[im - 1] = i
-        return Permutation(tuple(inv))
+        return Permutation._unchecked(tuple(inv))
 
     def inversions(self) -> int:
         """Number of pairs i < j with w(i) > w(j); the Coxeter length oracle."""
@@ -85,7 +103,7 @@ class Permutation:
 
 def all_permutations(r: int) -> Iterator[Permutation]:
     for images in _itperms(range(1, r + 1)):
-        yield Permutation(images)
+        yield Permutation._unchecked(images)
 
 
 @dataclass(frozen=True)
@@ -98,6 +116,13 @@ class Diagram:
             if not 1 <= ij <= j:
                 raise ValueError(f"mark {ij} in row {j} violates 1 <= i_j <= j")
         object.__setattr__(self, "marks", marks)
+
+    @classmethod
+    def _unchecked(cls, marks: tuple[int, ...]) -> "Diagram":
+        """A diagram from a tuple of ints known to satisfy 1 <= i_j <= j."""
+        out = object.__new__(cls)
+        object.__setattr__(out, "marks", marks)
+        return out
 
     @property
     def rows(self) -> int:
@@ -118,26 +143,26 @@ class Diagram:
             raise ValueError(f"point {point} has no target in a {self.rows}-row diagram")
         return (i, j + 1) if i < self.marks[j] else (i + 1, j + 1)
 
-    def source(self, point: Point) -> Point:
-        """Inverse of target; defined exactly on the unmarked points."""
-        i, j = point
-        if j < 2 or not 1 <= i <= j:
-            raise ValueError(f"point {point} outside rows 2..{self.rows}")
-        if self.is_marked(point):
-            raise ValueError(f"marked point {point} has no source")
-        return (i, j - 1) if i < self.marks[j - 1] else (i - 1, j - 1)
-
-    def chain_down(self, point: Point) -> list[Point]:
-        """point, source(point), ... down to the marked point of its component."""
-        out = [point]
-        while not self.is_marked(out[-1]):
-            out.append(self.source(out[-1]))
-        return out
-
     def to_permutation(self) -> Permutation:
-        """w(i) = size of the connected component of (i, r)."""
-        r = self.rows
-        return Permutation(tuple(len(self.chain_down((i, r))) for i in range(1, r + 1)))
+        """w(i) = the number of points in the connected component of (i, r).
+
+        Each unmarked point (i, j), j >= 2, is the target of exactly one
+        point, its source (i, j-1) if i < i_j and (i-1, j-1) otherwise; a
+        marked point is the target of none.  So the component of (i, r) is
+        the chain (i, r), its source, the source of that, ... down to the
+        first marked point, and w(i) is the length of that chain.
+        """
+        marks = self.marks
+        r = len(marks)
+        images = []
+        for i in range(1, r + 1):
+            p, j = i, r
+            while p != marks[j - 1]:
+                if p > marks[j - 1]:
+                    p -= 1
+                j -= 1
+            images.append(r - j + 1)
+        return Permutation(tuple(images))
 
     @classmethod
     def from_permutation(cls, w: Permutation) -> "Diagram":
@@ -190,14 +215,14 @@ def _diagram_of(images: tuple[int, ...]) -> Diagram:
         pos = rest.index(1) + 1
         marks.append(pos)
         rest = [v - 1 for v in rest[:pos - 1] + rest[pos:]]
-    return Diagram(tuple(reversed(marks)))
+    return Diagram._unchecked(tuple(reversed(marks)))
 
 
 def all_diagrams(r: int) -> Iterator[Diagram]:
     """All r! diagrams with r rows, in lexicographic mark order."""
     def rec(j: int, acc: list[int]) -> Iterator[Diagram]:
         if j > r:
-            yield Diagram(tuple(acc))
+            yield Diagram._unchecked(tuple(acc))
             return
         for i in range(1, j + 1):
             acc.append(i)
@@ -301,33 +326,37 @@ def partial_leq(w1: Permutation, w2: Permutation) -> bool:
     return all(a <= b for a, b in zip(m1, m2))
 
 
+def _order_values(marks: tuple[int, ...]) -> tuple[int, int, tuple[int, ...], tuple[int, ...]]:
+    """(count_geq, count_leq, qpoly_geq, qpoly_leq) of the element with
+    these diagram marks, so a caller that has the marks builds no diagram."""
+    spans = [j - ij + 1 for j, ij in enumerate(marks, start=1)]
+    length = sum(m - 1 for m in marks)
+    return (
+        prod(spans),
+        prod(marks),
+        functools.reduce(_times_qint, spans, (0,) * length + (1,)),
+        functools.reduce(_times_qint, marks, (1,)),
+    )
+
+
 def count_geq(w: Permutation) -> int:
     """prod_j (j - i_j + 1)."""
-    marks = Diagram.from_permutation(w).marks
-    out = 1
-    for j, ij in enumerate(marks, start=1):
-        out *= j - ij + 1
-    return out
+    return _order_values(Diagram.from_permutation(w).marks)[0]
 
 
 def count_leq(w: Permutation) -> int:
     """prod_j i_j."""
-    out = 1
-    for ij in Diagram.from_permutation(w).marks:
-        out *= ij
-    return out
+    return _order_values(Diagram.from_permutation(w).marks)[1]
 
 
 def qpoly_geq(w: Permutation) -> tuple[int, ...]:
     """q^{l(w)} prod_j (1 - q^{j-i_j+1})/(1 - q)."""
-    d = Diagram.from_permutation(w)
-    spans = (j - ij + 1 for j, ij in enumerate(d.marks, start=1))
-    return functools.reduce(_times_qint, spans, (0,) * d.length() + (1,))
+    return _order_values(Diagram.from_permutation(w).marks)[2]
 
 
 def qpoly_leq(w: Permutation) -> tuple[int, ...]:
     """prod_j (1 - q^{i_j})/(1 - q)."""
-    return functools.reduce(_times_qint, Diagram.from_permutation(w).marks, (1,))
+    return _order_values(Diagram.from_permutation(w).marks)[3]
 
 
 def length_sum(perms: Iterable[Permutation]) -> tuple[int, ...]:

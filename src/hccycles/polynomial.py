@@ -7,9 +7,12 @@ number of variables is part of the value; mixing arities is an error.
 ``Poly(nvars, terms)`` is the one place where terms combine: ``terms`` is a
 mapping or any iterable of ``(exponents, coefficient)`` pairs, the
 coefficients of a repeated exponent vector are added and zero sums are
-dropped.  Sums, products and substitutions here, and the brute-force sums
-of ``diagrams``, build their result in one such call over a generator of
-terms.
+dropped.  It checks each exponent vector and coefficient it is given, then
+hands the terms to the private ``_combine``, which holds the merging loop.
+Sums, products, scalar multiples, substitutions, derivatives and the
+quotient terms of ``divide_by_linear`` are derived from terms already
+checked, so they call ``_combine`` directly, unchecked, over a generator of
+terms; the brute-force sums of ``diagrams`` go through ``Poly``.
 
 Used for the multiparametric q-polynomials of the diagram identities, for
 operator symbols p_mu(lambda_1..lambda_{n+1}), and for the Vandermonde
@@ -50,22 +53,17 @@ class Poly:
         exponent vectors whose coefficients sum to zero are dropped."""
         if nvars < 0:
             raise ValueError("nvars must be nonnegative")
-        self.nvars = nvars
         if isinstance(terms, Mapping):
             terms = terms.items()
-        clean: dict[tuple, Fraction] = {}
-        for exps, c in terms or ():
-            exps = tuple(int(e) for e in exps)
+
+        def checked(term):
+            exps = tuple(int(e) for e in term[0])
             if len(exps) != nvars or any(e < 0 for e in exps):
                 raise ValueError(f"bad exponent vector {exps} for {nvars} variables")
-            c = _coerce(c)
-            if exps in clean:
-                c = clean[exps] + c
-            if c:
-                clean[exps] = c
-            else:
-                clean.pop(exps, None)
-        self.terms = clean
+            return exps, _coerce(term[1])
+
+        self.nvars = nvars
+        self.terms = _combine(nvars, map(checked, terms or ())).terms
 
     # -- constructors ------------------------------------------------------
 
@@ -100,12 +98,12 @@ class Poly:
         if not isinstance(other, Poly):
             other = Poly.const(self.nvars, other)
         self._check(other)
-        return Poly(self.nvars, chain(self.terms.items(), other.terms.items()))
+        return _combine(self.nvars, chain(self.terms.items(), other.terms.items()))
 
     __radd__ = __add__
 
     def __neg__(self):
-        return Poly(self.nvars, {e: -c for e, c in self.terms.items()})
+        return _combine(self.nvars, ((e, -c) for e, c in self.terms.items()))
 
     def __sub__(self, other):
         if not isinstance(other, Poly):
@@ -118,9 +116,9 @@ class Poly:
     def __mul__(self, other):
         if not isinstance(other, Poly):
             c = _coerce(other)
-            return Poly(self.nvars, {e: c * v for e, v in self.terms.items()})
+            return _combine(self.nvars, ((e, c * v) for e, v in self.terms.items()))
         self._check(other)
-        return Poly(
+        return _combine(
             self.nvars,
             (
                 (tuple(map(add, e1, e2)), c1 * c2)
@@ -186,7 +184,7 @@ class Poly:
         ds = [_coerce(d) for d in deltas]
         # Expand each monomial prod (x_i + d_i)^{e_i} by binomials: the term
         # x^js, 0 <= js_i <= e_i, gets prod_i C(e_i, js_i) d_i^(e_i - js_i).
-        return Poly(
+        return _combine(
             self.nvars,
             (
                 (js, c * prod(comb(p, j) * d ** (p - j) for p, j, d in zip(e, js, ds)))
@@ -201,7 +199,7 @@ class Poly:
             raise ValueError("images must be a permutation of the variables")
         # The exponent of x_i moves to x_{images[i]}, so new slot j reads old slot inv[j].
         inv = sorted(range(self.nvars), key=images.__getitem__)
-        return Poly(self.nvars, ((tuple(e[i] for i in inv), c) for e, c in self.terms.items()))
+        return _combine(self.nvars, ((tuple(e[i] for i in inv), c) for e, c in self.terms.items()))
 
     def is_symmetric(self) -> bool:
         """Invariance under every transposition of adjacent variables."""
@@ -215,7 +213,7 @@ class Poly:
     def deriv(self, i: int) -> "Poly":
         if not 0 <= i < self.nvars:
             raise ValueError(f"variable index {i} out of range")
-        return Poly(
+        return _combine(
             self.nvars,
             ((e[:i] + (e[i] - 1,) + e[i + 1 :], c * e[i]) for e, c in self.terms.items() if e[i]),
         )
@@ -245,7 +243,7 @@ class Poly:
                     ne = list(e)
                     ne[pivot] -= 1
                     qterms[tuple(ne)] = c / lead
-            q = Poly(self.nvars, qterms)
+            q = _combine(self.nvars, qterms.items())
             quotient = quotient + q
             rem = rem - q * linear
         return quotient, rem
@@ -261,6 +259,28 @@ class Poly:
             mono = "*".join(f"x{i}^{p}" if p > 1 else f"x{i}" for i, p in enumerate(e) if p)
             bits.append(f"{c}" if not mono else f"{c}*{mono}")
         return " + ".join(bits)
+
+
+def _combine(nvars: int, pairs: Iterable[tuple[tuple[int, ...], Fraction]]) -> Poly:
+    """The polynomial with these terms, unchecked: every exponent tuple has
+    ``nvars`` nonnegative ints and every coefficient is a Fraction.
+
+    Coefficients of a repeated exponent tuple are added.  A term whose sum
+    reaches zero is removed and, if it comes back, is re-inserted at the end,
+    so the dict order of the result follows the pairs' order.
+    """
+    terms: dict[tuple, Fraction] = {}
+    for exps, c in pairs:
+        if exps in terms:
+            c = terms[exps] + c
+        if c:
+            terms[exps] = c
+        else:
+            terms.pop(exps, None)
+    out = object.__new__(Poly)
+    out.nvars = nvars
+    out.terms = terms
+    return out
 
 
 def _unit(nvars: int, i: int, p: int) -> tuple[int, ...]:

@@ -47,13 +47,24 @@ def test_criterion_10_limit_identity(check_claim):
 
 
 def test_order_check_rejects_wrong_qpoly(monkeypatch):
-    monkeypatch.setattr(dg, "qpoly_leq", dg.qpoly_geq)
+    order_values = dg._order_values
+
+    def qpoly_leq_from_geq(marks):
+        count_geq, count_leq, qpoly_geq, _ = order_values(marks)
+        return count_geq, count_leq, qpoly_geq, qpoly_geq
+
+    monkeypatch.setattr(dg, "_order_values", qpoly_leq_from_geq)
     assert _chk_order(42) == (False, "q-polynomial (leq) differs")
 
 
 def test_order_check_rejects_wrong_count(monkeypatch):
-    count_geq = dg.count_geq
-    monkeypatch.setattr(dg, "count_geq", lambda w: count_geq(w) + 1)
+    order_values = dg._order_values
+
+    def count_geq_plus_one(marks):
+        count_geq, *rest = order_values(marks)
+        return count_geq + 1, *rest
+
+    monkeypatch.setattr(dg, "_order_values", count_geq_plus_one)
     assert _chk_order(42) == (False, "closed-form counts differ from enumeration")
 
 

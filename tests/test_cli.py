@@ -221,7 +221,7 @@ def test_usage_error_exit_code():
 def test_bad_input_is_usage_error(argv, capsys, tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     calls = []
-    monkeypatch.setattr(dg, "qpoly_geq", calls.append)
+    monkeypatch.setattr(dg, "_order_values", calls.append)
     assert main(argv) == 2
     assert capsys.readouterr().err.startswith("usage error:")
     assert not any(tmp_path.iterdir())

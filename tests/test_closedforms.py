@@ -187,8 +187,14 @@ def test_sum_identity():
     assert cf.lemma_sum_constant(3) == 11
     direct = sum((p - 1) * (q - 1) for q in range(2, 5) for p in range(1, q))
     assert direct == 11
-    for n in range(1, 201):
-        assert cf.sum_identity_check(n)
+    assert cf.sum_identity_check(200) is None
+
+
+def test_sum_identity_names_first_failure(monkeypatch):
+    constant = cf.lemma_sum_constant
+    monkeypatch.setattr(cf, "lemma_sum_constant", lambda n: constant(n) + (n >= 37))
+    assert cf.sum_identity_check(200) == 37
+    assert cf.sum_identity_check(36) is None
 
 
 def test_lemma_6_4_numeric():

@@ -12,10 +12,9 @@ from hccycles.polynomial import Poly, geometric_sum
 
 def test_diagram_validation():
     dg.Diagram((1, 2, 3))
-    with pytest.raises(ValueError):
-        dg.Diagram((2, 1))
-    with pytest.raises(ValueError):
-        dg.Diagram((1, 0))
+    for marks in ((2, 1), (1, 0), (1, 3), (0,)):
+        with pytest.raises(ValueError):
+            dg.Diagram(marks)
 
 
 def test_target_rule_examples():
@@ -42,8 +41,63 @@ def test_permutation_basic():
     assert w(1) == 2 and w.inverse()(1) == 3
     assert (w * w.inverse()) == dg.Permutation.identity(3)
     assert dg.Permutation.longest(4).images == (4, 3, 2, 1)
+    for bad in ((1, 1), (1, 1, 3), (0, 1)):
+        with pytest.raises(ValueError):
+            dg.Permutation(bad)
+    for i in (0, 3):
+        with pytest.raises(ValueError):
+            dg.Permutation.generator(i, 3)
     with pytest.raises(ValueError):
-        dg.Permutation((1, 1))
+        w * dg.Permutation.identity(2)
+
+
+def _is_checked_permutation(p):
+    return type(p.images) is tuple and all(type(x) is int for x in p.images) and Permutation(p.images) == p
+
+
+def test_derived_values_equal_checked_values():
+    # Products, inverses, generators, the enumerations and from_permutation
+    # skip the constructor check; each must still be the value it checks to.
+    for r in range(1, 7):
+        perms = list(dg.all_permutations(r))
+        gens = [Permutation.generator(i, r) for i in range(1, r)]
+        derived = perms + gens + [Permutation.identity(r), Permutation.longest(r)]
+        for w, v in zip(perms, perms[1:] + perms[:1]):
+            derived += [w.inverse(), w * v, w * w.inverse()]
+            derived += [w * g for g in gens]
+        assert all(_is_checked_permutation(p) for p in derived)
+        diagrams = list(dg.all_diagrams(r)) + [Diagram.from_permutation(w) for w in perms]
+        for d in diagrams:
+            assert type(d.marks) is tuple and all(type(m) is int for m in d.marks)
+            assert Diagram(d.marks) == d and hash(Diagram(d.marks)) == hash(d)
+
+
+def _component_sizes(d):
+    """w(i) as the size of the undirected component of (i, r), by union-find
+    over the target arrows."""
+    r = d.rows
+    parent = {p: p for p in d.points()}
+
+    def find(p):
+        while parent[p] != p:
+            parent[p] = parent[parent[p]]
+            p = parent[p]
+        return p
+
+    for j in range(1, r):
+        for i in range(1, j + 1):
+            parent[find((i, j))] = find(d.target((i, j)))
+    sizes = {}
+    for p in parent:
+        root = find(p)
+        sizes[root] = sizes.get(root, 0) + 1
+    return tuple(sizes[find((i, r))] for i in range(1, r + 1))
+
+
+def test_to_permutation_matches_component_sizes_r7():
+    for r in range(1, 8):
+        for d in dg.all_diagrams(r):
+            assert d.to_permutation().images == _component_sizes(d)
 
 
 def test_permutation_of_examples():

@@ -130,6 +130,10 @@ def test_bad_inputs():
     with pytest.raises(ValueError):
         Poly(2, {(1,): 1})
     with pytest.raises(ValueError):
+        Poly(2, [((1,), 1)])
+    with pytest.raises(ValueError):
+        Poly(1, [((-1,), 1)])
+    with pytest.raises(ValueError):
         Poly.var(2, 5)
     with pytest.raises(ValueError):
         Poly.var(2, 0) + Poly.var(3, 0)
@@ -159,10 +163,83 @@ def test_constructor_checks_every_pair(bad):
 
 def test_constructor_rejects_float_coefficients():
     with pytest.raises(TypeError):
+        Poly(1, [((1,), 0.5)])
+    with pytest.raises(TypeError):
         Poly(1, [((0,), 1), ((1,), 0.5)])
+    with pytest.raises(TypeError):
+        Poly.var(1, 0) * 0.5
+    with pytest.raises(TypeError):
+        Poly.var(1, 0) + 0.5
     with pytest.raises(TypeError):
         Poly(1, [((1,), 1.0), ((1,), -1.0)])
     with pytest.raises(TypeError):
         Poly(1, {(1,): 0.0})
     with pytest.raises(ValueError):
         Poly(-1)
+
+
+# list(p.terms.items()) for each result of _poly_sequence, recorded before the
+# ring operations were routed through the unchecked term merge; it pins the
+# values and the dict order together.
+_POLY_SEQUENCE_GOLDEN = (
+    [[((0,), '1'), ((2,), '1'), ((4,), '1')], [((0,), '-1'), ((1,), '2'), ((2,), '-3')],
+     [((0,), '-1'), ((2,), '1')], [((0,), '1'), ((1,), '-1'), ((2,), '1')],
+     [((0,), '3/2'), ((1,), '-3/2'), ((2,), '3/2')],
+     [((2,), '3'), ((1,), '-1'), ((3,), '-3'), ((4,), '2')], [((2,), '2'), ((3,), '-4'), ((4,), '2')],
+     [((0,), '-13/9'), ((1,), '5/3'), ((2,), '-1')],
+     [((1,), '6'), ((0,), '-1'), ((2,), '-9'), ((3,), '8')], [((0,), '-1'), ((1,), '1'), ((2,), '-1')],
+     [((3,), '2'), ((2,), '-5'), ((1,), '8'), ((0,), '-9')], [((0,), '9')],
+     [((0, 0), '1'), ((2, 0), '1'), ((4, 0), '1')], [((0, 2), '-1'), ((2, 1), '-1')],
+     [((0, 2), '-1'), ((2, 1), '1')], [((0, 2), '1')], [((0, 2), '3/2')], [((2, 3), '1')],
+     [((2, 3), '1'), ((1, 2), '1'), ((3, 1), '-1'), ((2, 0), '-1')],
+     [((0, 0), '-1/9'), ((0, 1), '-2/3'), ((0, 2), '-1')], [((1, 3), '2')], [((2, 0), '-1')],
+     [((1, 3), '1'), ((0, 3), '-1')], [((0, 3), '1')],
+     [((0, 0, 0), '1'), ((2, 0, 0), '1'), ((4, 0, 0), '1')],
+     [((2, 1, 2), '2'), ((1, 2, 2), '1'), ((1, 2, 1), '1')],
+     [((1, 2, 2), '1'), ((0, 1, 0), '-2'), ((1, 2, 1), '-1')],
+     [((2, 1, 2), '-1'), ((1, 2, 2), '-1'), ((0, 1, 0), '1')],
+     [((2, 1, 2), '-3/2'), ((1, 2, 2), '-3/2'), ((0, 1, 0), '3/2')],
+     [((4, 2, 4), '1'), ((3, 3, 3), '1'), ((1, 3, 2), '1'), ((3, 3, 4), '1'), ((2, 4, 3), '1'),
+      ((0, 2, 0), '-1'), ((1, 3, 1), '-1')],
+     [((4, 2, 4), '1'), ((3, 3, 3), '1'), ((1, 3, 2), '1'), ((3, 3, 4), '1'), ((2, 4, 3), '1'),
+      ((0, 2, 0), '-1'), ((2, 2, 2), '-1'), ((1, 3, 1), '-1'), ((1, 1, 0), '2'), ((2, 2, 1), '1'),
+      ((2, 0, 0), '-1')],
+     [((0, 0, 0), '-5/18'), ((0, 0, 1), '-2/9'), ((0, 0, 2), '2/9'), ((0, 1, 0), '-7/9'),
+      ((0, 1, 1), '-8/9'), ((0, 1, 2), '8/9'), ((1, 0, 0), '5/36'), ((1, 0, 1), '-5/9'),
+      ((1, 0, 2), '5/9'), ((1, 1, 0), '1/2'), ((1, 1, 1), '-2'), ((1, 1, 2), '2'), ((2, 0, 0), '1/12'),
+      ((2, 0, 1), '-1/3'), ((2, 0, 2), '1/3'), ((2, 1, 0), '1/4'), ((2, 1, 1), '-1'), ((2, 1, 2), '1'),
+      ((0, 2, 0), '1/6'), ((0, 2, 1), '-2/3'), ((0, 2, 2), '2/3'), ((1, 2, 0), '1/4'),
+      ((1, 2, 1), '-1'), ((1, 2, 2), '1')],
+     [((3, 2, 4), '4'), ((2, 3, 3), '3'), ((0, 3, 2), '1'), ((2, 3, 4), '3'), ((1, 4, 3), '2'),
+      ((0, 3, 1), '-1')],
+     [((2, 1, 2), '1'), ((2, 2, 1), '1'), ((0, 1, 0), '-1')],
+     [((3, 2, 4), '1'), ((2, 3, 3), '1'), ((2, 3, 4), '1'), ((2, 2, 4), '-1'), ((1, 4, 3), '1'),
+      ((1, 3, 3), '-1'), ((1, 3, 4), '-1'), ((1, 2, 4), '1'), ((0, 3, 2), '1'), ((0, 3, 1), '-1'),
+      ((0, 4, 3), '-1'), ((0, 3, 3), '1'), ((0, 3, 4), '1'), ((0, 2, 4), '-1')],
+     [((0, 2, 0), '-1'), ((0, 3, 2), '-1'), ((0, 3, 1), '1'), ((0, 4, 3), '1'), ((0, 3, 3), '-1'),
+      ((0, 3, 4), '-1'), ((0, 2, 4), '1')]]
+)
+
+
+def _poly_sequence():
+    rng = random.Random(3)
+    out = []
+    for nv in (1, 2, 3):
+        def draw():
+            return Poly(nv, [(tuple(rng.randint(0, 2) for _ in range(nv)), rng.choice((-1, 1)))
+                             for _ in range(3)])
+
+        a, b = draw(), draw()
+        deltas = [Q(rng.randint(-2, 2), rng.randint(1, 3)) for _ in range(nv)]
+        x = Poly.var(nv, 0)
+        # (1 + x + x^2)(1 - x + x^2): the x^2 term sums to zero, is dropped,
+        # and comes back with the third pair.
+        out += [(1 + x + x * x) * (1 - x + x * x), a + b, a - b, -a, a * Q(-3, 2), a * b,
+                (a + x) * (b - x), a.shift(deltas), (a * b).deriv(0),
+                a.permute_vars(list(range(nv))[::-1]), *(a * b).divide_by_linear(x + 1)]
+    return out
+
+
+def test_term_order_golden():
+    got = [[(e, str(c)) for e, c in p.terms.items()] for p in _poly_sequence()]
+    assert got == _POLY_SEQUENCE_GOLDEN
