@@ -8,6 +8,7 @@ registry, so each claim is stated once, here.
 
 from __future__ import annotations
 
+import functools
 import math
 import random
 from fractions import Fraction as Q
@@ -133,9 +134,15 @@ def _chk_freudenthal(seed):
     return True, "residual exactly 0 (n<=2, all w); A1 oracle equal to depth 8; resonance raises"
 
 
+@functools.cache
+def _diagrams(r: int) -> tuple[dg.Diagram, ...]:
+    """all_diagrams(r), enumerated once for every exhaustive r <= 6 check."""
+    return tuple(dg.all_diagrams(r))
+
+
 def _chk_diagram_validity(seed):
     for r in range(1, 7):
-        for d in dg.all_diagrams(r):
+        for d in _diagrams(r):
             for j in range(1, r):
                 for i in range(1, j + 1):
                     if d.is_marked(d.target((i, j))):
@@ -146,12 +153,12 @@ def _chk_diagram_validity(seed):
 def _chk_bijection(seed):
     for r in range(1, 7):
         seen = set()
-        for d in dg.all_diagrams(r):
+        for d in _diagrams(r):
             w = d.to_permutation()
             seen.add(w.images)
             if dg.Diagram.from_permutation(w) != d:
                 return False, f"roundtrip fails at marks {d.marks}"
-        if len(seen) != len(list(dg.all_diagrams(r))):
+        if len(seen) != len(_diagrams(r)):
             return False, f"not injective at r={r}"
         if len(seen) != math.factorial(r):
             return False, f"not onto S_r at r={r}"
@@ -160,7 +167,7 @@ def _chk_bijection(seed):
 
 def _chk_top_mark(seed):
     for r in range(1, 7):
-        for d in dg.all_diagrams(r):
+        for d in _diagrams(r):
             if d.to_permutation()(d.marks[-1]) != 1:
                 return False, "w(i_r) != 1"
     return True, "w(i_r) = 1, exhaustive r<=6"
@@ -168,7 +175,7 @@ def _chk_top_mark(seed):
 
 def _chk_component_rule(seed):
     for r in range(1, 7):
-        for d in dg.all_diagrams(r):
+        for d in _diagrams(r):
             adj: dict[tuple, list] = {}
             for j in range(1, r):
                 for i in range(1, j + 1):
@@ -191,7 +198,7 @@ def _chk_component_rule(seed):
 
 def _chk_length(seed):
     for r in range(1, 7):
-        for d in dg.all_diagrams(r):
+        for d in _diagrams(r):
             if d.length() != d.to_permutation().inversions():
                 return False, f"length != inversions at {d.marks}"
     return True, "sum(i_j - 1) = inversion count, exhaustive r<=6"
@@ -199,7 +206,7 @@ def _chk_length(seed):
 
 def _chk_left_arrows(seed):
     for r in range(1, 7):
-        for d in dg.all_diagrams(r):
+        for d in _diagrams(r):
             if d.left_arrow_count() != d.length():
                 return False, "left arrows != length"
     return True, "column-keeping arrows = length, exhaustive r<=6"
@@ -223,7 +230,7 @@ def _chk_multiparam(seed):
 
 def _chk_words(seed):
     for r in range(1, 7):
-        for d in dg.all_diagrams(r):
+        for d in _diagrams(r):
             word = d.reduced_word()
             if dg.evaluate_word(word, r) != d.to_permutation() or len(word) != d.length():
                 return False, f"word fails at {d.marks}"
@@ -233,7 +240,8 @@ def _chk_words(seed):
 def _chk_order(seed):
     for n in range(1, 6):
         perms = list(dg.all_permutations(n))
-        above = {w: [v for v in perms if dg.partial_leq(w, v)] for w in perms}
+        marks = {w: dg.Diagram.from_permutation(w).marks for w in perms}
+        above = {w: [v for v in perms if dg._marks_leq(marks[w], marks[v])] for w in perms}
         below = {w: [] for w in perms}
         for w in perms:
             for v in above[w]:
@@ -241,7 +249,7 @@ def _chk_order(seed):
         length = {w: dg.Diagram.from_permutation(w).length() for w in perms}
         for w in perms:
             geq, leq = above[w], below[w]
-            n_geq, n_leq, q_geq, q_leq = dg._order_values(dg.Diagram.from_permutation(w).marks)
+            n_geq, n_leq, q_geq, q_leq = dg._order_values(marks[w])
             if len(geq) != n_geq or len(leq) != n_leq:
                 return False, "closed-form counts differ from enumeration"
             if q_geq != dg.length_sum(geq):

@@ -196,7 +196,7 @@ def cmd_integrate(args) -> int:
             count = max(args.csv_steps if args.csv_out else 1, 1 if a is None else 2)
             rrs = [r / 2.0**j for j in range(count)]
             ratios = [value / cy.leading_power(w, sp, z)]
-            ratios += [cy._ratio_at(w, sp, rr, quad, args.scale) for rr in rrs[1:]]
+            ratios += cy._ratios(w, sp, quad, args.scale, rrs[1:])
             rec = {
                 "w": list(w.images),
                 "integral": {"re": value.real, "im": value.imag},

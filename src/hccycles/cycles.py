@@ -38,17 +38,26 @@ tanh-sinh by default (the integrand has algebraic endpoint behavior
 tau^{k-1} for non-integer k), Gauss-Legendre optionally.  The integrand is
 broadcast over per-axis tau arrays, so each factor carries only the axes of
 its chain; blocks of the grid fix its leading axes and are summed in C
-order, so results are bit-stable for a fixed spec.
+order, so results are deterministic for a fixed spec.
+
+Each block's integrand is one log-space sum: the factor logs are summed as
+a real log-modulus and a real argument, each partial sum at the broadcast
+shape of its terms until it spans the block, and exponentiated once.  The
+Jacobian prod dt/dtau is a constant times one factor per axis (t_tar is
+z_collapse times e^{2 pi i tau}(1 - f) of every point above on the
+chain), so it rides in per-axis complex weights, and a block is summed by
+contracting its axes with them, last axis first.
 
 What depends on an axis's nodes alone, and not on z, lambda or k, is one
-per-axis node record: x, the bump f and f', log1p(-f), 2 pi tau,
-e^{2 pi i tau}, the log-modulus and argument of the vanishing base
-1 - e^{2 pi i tau}(1 - f), and the Jacobian factor 2 pi i (1 - f) - f'.
+per-axis node record: x, the bump f, log1p(-f), 2 pi tau, e^{2 pi i tau},
+the log-modulus and argument of the vanishing base 1 - e^{2 pi i tau}(1 - f),
+and the Jacobian factor e^{2 pi i tau}(2 pi i (1 - f) - f').
 `integrate` takes its rule's record from a small cache keyed by (scheme,
 points per axis, bump), so the bump is evaluated once per rule and not once
-per call; the cached arrays are read-only.  Pointwise evaluation and
-`t_values` build records from their own tau (`_tau_nodes`), and
-`omega_w_eval` sums the factor logs with the same `_log_sum` as `integrate`.
+per call; the cached arrays are read-only.  What depends on the diagram
+alone (points, axes, collapse anchors) is cached per diagram.  Pointwise
+evaluation and `t_values` build records from their own tau (`_tau_nodes`),
+and `omega_w_eval` sums the factor logs as one complex sum (`_log_sum`).
 """
 
 from __future__ import annotations
@@ -58,7 +67,8 @@ import functools
 import itertools
 import math
 from dataclasses import dataclass
-from typing import NamedTuple, Sequence
+from types import MappingProxyType
+from typing import Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -173,13 +183,7 @@ class CyclePath:
             )
 
         self.rank = n
-        self.points: list[Point] = [(i, j) for j in range(1, n + 1) for i in range(1, j + 1)]
-        self.axis: dict[Point, int] = {p: a for a, p in enumerate(self.points)}
-        # the index of the z anchor each point collapses to at tau = 0
-        self.collapse: dict[Point, int] = {(i, n + 1): i for i in range(1, n + 2)}
-        for j in range(n, 0, -1):
-            for i in range(1, j + 1):
-                self.collapse[(i, j)] = self.collapse[diagram.target((i, j))]
+        self.points, self.axis, self.collapse, self.below = _geometry(diagram)
 
     @property
     def naxes(self) -> int:
@@ -188,6 +192,36 @@ class CyclePath:
     def t_values(self, tau) -> dict[Point, np.ndarray]:
         """All t-points from per-axis tau arrays, e.g. a (naxes, M) batch."""
         return _t_values(self, _tau_nodes(self, tau))
+
+
+class _Geometry(NamedTuple):
+    """What a cycle takes from its diagram alone: the points in axis order,
+    each point's axis, the index of the z anchor each point (top row
+    included) collapses to at tau = 0, and, per axis, how many points have
+    that axis's point above them on their chain."""
+
+    points: tuple[Point, ...]
+    axis: Mapping[Point, int]
+    collapse: Mapping[Point, int]
+    below: tuple[int, ...]
+
+
+@functools.lru_cache(maxsize=128)
+def _geometry(diagram: Diagram) -> _Geometry:
+    n = diagram.rows - 1
+    points = tuple((i, j) for j in range(1, n + 1) for i in range(1, j + 1))
+    collapse = {(i, n + 1): i for i in range(1, n + 2)}
+    for j in range(n, 0, -1):
+        for i in range(1, j + 1):
+            collapse[(i, j)] = collapse[diagram.target((i, j))]
+    below = dict.fromkeys(points, 0)
+    for p in points:
+        q = diagram.target(p)
+        while q[1] <= n:
+            below[q] += 1
+            q = diagram.target(q)
+    return _Geometry(points, MappingProxyType({p: a for a, p in enumerate(points)}),
+                     MappingProxyType(collapse), tuple(below.values()))
 
 
 def cycle_for_w(w: Permutation, z: Sequence[complex], epsilon: float = 0.1) -> CyclePath:
@@ -207,7 +241,7 @@ class _Nodes(NamedTuple):
     lambda nor k: the bump f, the pieces of t = e^{2 pi i tau}(1 - f) t_tar
     and of its log, the vanishing base 1 - e^{2 pi i tau}(1 - f) as
     log-modulus and principal argument, and the Jacobian factor
-    2 pi i (1 - f) - f'."""
+    e^{2 pi i tau}(2 pi i (1 - f) - f')."""
 
     x: np.ndarray
     f: np.ndarray
@@ -228,8 +262,9 @@ class _Nodes(NamedTuple):
         g = f + (1.0 - f) * (2.0 * s * s - 1j * np.sin(2.0 * np.pi * x))
         with np.errstate(divide="ignore"):  # log(0) where the base vanishes is caught downstream
             vlog = 0.5 * np.log(g.real**2 + g.imag**2)
-        return cls(x, f, np.log1p(-f), 2.0 * np.pi * x, np.exp(2j * np.pi * x),
-                   vlog, np.arctan2(g.imag, g.real), 2j * np.pi * (1.0 - f) - bump.deriv(x))
+        rot = np.exp(2j * np.pi * x)
+        return cls(x, f, np.log1p(-f), 2.0 * np.pi * x, rot,
+                   vlog, np.arctan2(g.imag, g.real), rot * (2j * np.pi * (1.0 - f) - bump.deriv(x)))
 
     def at(self, i: int) -> "_Nodes":
         """The record of node i alone, for an axis a block holds fixed."""
@@ -276,14 +311,18 @@ def omega_factor_list(c: CyclePath, sp: SpectralParam) -> tuple[complex, list[Fa
     Factors with exponent exactly 0 are dropped (their base may vanish on
     the cycle boundary; 0-th powers are 1).
     """
+    return _z_log(c, sp), _t_factors(c, sp)
+
+
+def _z_log(c: CyclePath, sp: SpectralParam) -> complex:
+    """Log of the z-only factors of the form, principal branch."""
     n = c.rank
     if sp.rank != n:
         raise ValueError("spectral parameter rank does not match the cycle")
-    lam = [float(x) for x in sp.lam]
+    lam0 = float(sp.lam[0])
     k = float(sp.k)
-
     const = 0.0 + 0.0j
-    head = lam[0] + k * n / 2.0
+    head = lam0 + k * n / 2.0
     for zi in c.z:
         const += head * cmath.log(zi)
     ezv = 1.0 - 2.0 * k
@@ -291,7 +330,14 @@ def omega_factor_list(c: CyclePath, sp: SpectralParam) -> tuple[complex, list[Fa
         for i2 in range(1, n + 2):
             for i1 in range(i2 + 1, n + 2):
                 const += ezv * cmath.log(c.z[i1 - 1] - c.z[i2 - 1])
+    return const
 
+
+def _t_factors(c: CyclePath, sp: SpectralParam) -> list[Factor]:
+    """The t-factors of the form; they depend on the diagram and sp, not on z."""
+    n = c.rank
+    lam = [float(x) for x in sp.lam]
+    k = float(sp.k)
     factors: list[Factor] = []
     e_cross = k - 1.0
     e_within = 2.0 - 2.0 * k
@@ -319,7 +365,7 @@ def omega_factor_list(c: CyclePath, sp: SpectralParam) -> tuple[complex, list[Fa
     for f in factors:
         if f.kind == "diff" and c.collapse[f.pts[0]] <= c.collapse[f.pts[1]]:
             raise AssertionError(f"difference factor {f} not oriented big-minus-small")
-    return const, factors
+    return factors
 
 
 def _log_data(c: CyclePath, nodes: Sequence[_Nodes]):
@@ -339,10 +385,11 @@ def _log_data(c: CyclePath, nodes: Sequence[_Nodes]):
     return t, logabs, arg
 
 
-def _factor_logs(c: CyclePath, sp: SpectralParam, nodes: Sequence[_Nodes]):
+def _factor_logs(c: CyclePath, sp: SpectralParam, nodes: Sequence[_Nodes], form=None):
     """Per-factor (log-modulus, argument) arrays under the anchored branch;
-    `nodes[a]` is axis a's node record."""
-    const, factors = omega_factor_list(c, sp)
+    `nodes[a]` is axis a's node record.  `form` is `omega_factor_list(c, sp)`
+    when the caller has it already."""
+    const, factors = form or omega_factor_list(c, sp)
     t, logabs, arg = _log_data(c, nodes)
     logs = []
     with np.errstate(divide="ignore"):  # log(0) on the boundary is caught downstream
@@ -357,8 +404,7 @@ def _factor_logs(c: CyclePath, sp: SpectralParam, nodes: Sequence[_Nodes]):
                 logs.append((logabs[tar] + nd.vlog, arg[tar] + nd.varg))
             else:
                 big, small = f.pts
-                ratio = t[small] / t[big]
-                wv = 1.0 - ratio
+                wv = 1.0 - t[small] / t[big]
                 logs.append((logabs[big] + 0.5 * np.log(wv.real**2 + wv.imag**2),
                              arg[big] + np.arctan2(wv.imag, wv.real)))
     return const, factors, logs, t
@@ -488,44 +534,100 @@ def _rule(quad: QuadratureSpec) -> tuple[np.ndarray, np.ndarray]:
     return _RULES[quad.scheme](quad.points_per_axis)
 
 
-def integrate(c: CyclePath, sp: SpectralParam, quad: QuadratureSpec | None = None) -> complex:
+def _jacobian_weights(c: CyclePath, nodes: _Nodes, wts: np.ndarray) -> tuple[complex, list[np.ndarray]]:
+    """The quadrature weights times the Jacobian prod_p dt_p/dtau_p, as a
+    constant times one complex array per axis.
+
+    dt_p/dtau_p = e^{2 pi i tau_p} (2 pi i (1 - f_p) - f'_p) t_{tar(p)}, and
+    t_{tar(p)} is z_{collapse(p)} times e^{2 pi i tau_q} (1 - f_q) for every
+    point q above p on its chain.  So axis q carries its weight, its own
+    Jacobian factor and, once for each point below it, e^{2 pi i tau_q} (1 - f_q).
+    """
+    const = math.prod(c.z[c.collapse[p] - 1] for p in c.points)
+    step = nodes.rot * (1.0 - nodes.f)
+    return const, [wts * nodes.jac * step**d if d else wts * nodes.jac for d in c.below]
+
+
+def _log_integrand(out: np.ndarray, const: complex, factors: Sequence[Factor], logs) -> None:
+    """Set out to const + sum of expo * (log-modulus + i argument) over the
+    factors, summed as two real sums in factor order.
+
+    Each partial sum keeps the broadcast shape of its terms until it spans
+    the block, so terms on few axes are added at their own size.  Each node
+    sees the additions `_log_sum` makes, in its order.
+    """
+    mod, arg = const.real, const.imag
+    for f, (la, aa) in zip(factors, logs):
+        if np.shape(mod) == out.shape:
+            mod += f.expo * la
+            arg += f.expo * aa
+        else:
+            mod = mod + f.expo * la
+            arg = arg + f.expo * aa
+    out.real = mod
+    out.imag = arg
+
+
+def integrate(
+    c: CyclePath, sp: SpectralParam, quad: QuadratureSpec | None = None, *, factors: list[Factor] | None = None
+) -> complex:
     """Quadrature of the pulled-back form over [0,1]^N, N = n(n+1)/2.
 
     Includes the triangular Jacobian prod dt_{ij}/dtau_{ij} with
-    dt/dtau = e^{2 pi i tau} (2 pi i (1-f) - f') t_tar.  Integrand and
-    weights are broadcast from the rule's cached per-axis node record; each
-    block fixes the fewest leading axes that keep it within `_BLOCK_NODES`
-    nodes (one axis stays free), and blocks are summed in C order, so memory
-    stays bounded and the result is deterministic for a spec.
+    dt/dtau = e^{2 pi i tau} (2 pi i (1-f) - f') t_tar, which factors into
+    a constant and one complex array per axis (`_jacobian_weights`) that
+    multiply the rule's weights.  The factor logs are broadcast from the
+    rule's cached per-axis node record; each block fixes the fewest leading
+    axes that keep it within `_BLOCK_NODES` nodes (one axis stays free).  A
+    block's integrand is one log-space sum (`_log_integrand`), exponentiated
+    once and contracted with the per-axis weights, last axis first; blocks
+    are summed in C order, so memory stays bounded and the result is
+    deterministic for a spec.
+
+    `factors`, if given, is `omega_factor_list(c, sp)[1]` as built for any
+    cycle of the same diagram: it depends on neither z nor the rule, so a
+    caller integrating one form at several z builds it once.
+
+    Raises ArithmeticError naming the first node, in C order, where the
+    integrand is not finite or a factor base vanishes.
     """
     quad = quad or QuadratureSpec(epsilon=c.bump.epsilon)
     if abs(quad.epsilon - c.bump.epsilon) > 1e-12:
         raise ValueError("quadrature epsilon disagrees with the cycle's bump height")
     nodes, wts = _quad_nodes(quad.scheme, quad.points_per_axis, c.bump)
     x = nodes.x
+    form = (_z_log(c, sp), _t_factors(c, sp) if factors is None else factors)
+    jconst, jw = _jacobian_weights(c, nodes, wts)
     lead = 0
     while lead < c.naxes - 1 and len(x) ** (c.naxes - lead) > _BLOCK_NODES:
         lead += 1
     free = c.naxes - lead
-    shapes = [(-1,) + (1,) * (free - 1 - a) for a in range(free)]
-    free_nodes = [nodes.reshape(s) for s in shapes]
-    w_free = math.prod(wts.reshape(s) for s in shapes)
+    free_nodes = [nodes.reshape((-1,) + (1,) * (free - 1 - a)) for a in range(free - 1)] + [nodes]
+    vals = np.empty((len(x),) * free, dtype=complex)  # every block's integrand in turn
     acc = 0.0 + 0.0j
     for idx in itertools.product(range(len(x)), repeat=lead):
         axes = [nodes.at(i) for i in idx] + free_nodes
-        const, factors, logs, t = _factor_logs(c, sp, axes)
+        const, _, logs, _ = _factor_logs(c, sp, axes, form)
         with np.errstate(over="ignore", invalid="ignore"):
-            vals = np.exp(_log_sum(const, factors, logs))
-            for p in c.points:
-                nd = axes[c.axis[p]]
-                # not `rot * jac` folded into one array: that rounds differently
-                vals = vals * nd.rot * nd.jac * t[c.diagram.target(p)]
-        bad = ~np.isfinite(vals)
-        if np.any(bad):
-            node = (*idx, *np.argwhere(bad)[0])
-            raise ArithmeticError(f"non-finite integrand at tau = {[float(x[i]) for i in node]}")
-        acc += complex(np.sum(vals * (math.prod(wts[i] for i in idx) * w_free)))
-    return acc
+            _log_integrand(vals, const, form[1], logs)
+            del logs  # frees the block-sized factor arrays before exp
+            # a base that vanishes with positive exponent makes the log-modulus
+            # -inf and the integrand 0, but the node is on the singular locus
+            vanish = None if vals.real.min() > -math.inf else ~(vals.real > -math.inf)
+            np.exp(vals, out=vals)
+            part = vals
+            for w in reversed(jw[lead:]):
+                part = np.einsum("ij,j->i", part.reshape(-1, len(w)), w)
+            part = complex(part[0])
+        if vanish is not None or not cmath.isfinite(part):
+            bad = ~np.isfinite(vals)
+            if vanish is not None:
+                bad |= vanish
+            if np.any(bad):
+                node = (*idx, *np.argwhere(bad)[0])
+                raise ArithmeticError(f"non-finite integrand at tau = {[float(x[i]) for i in node]}")
+        acc += math.prod(w[i] for w, i in zip(jw, idx)) * part
+    return jconst * acc
 
 
 def integrate_for_w(
@@ -537,8 +639,16 @@ def integrate_for_w(
 
 def leading_power(w: Permutation, sp: SpectralParam, z: Sequence[complex]) -> complex:
     """z^{w.lambda + rho} with principal powers."""
-    mu = rs.add(rs.weyl_apply(w, sp.lam), sp.rho)
-    return cmath.exp(sum(float(m) * cmath.log(complex(zi)) for m, zi in zip(mu, z)))
+    return _power(_leading_exponent(w, sp), z)
+
+
+def _leading_exponent(w: Permutation, sp: SpectralParam) -> list[float]:
+    """w.lambda + rho, as floats."""
+    return [float(m) for m in rs.add(rs.weyl_apply(w, sp.lam), sp.rho)]
+
+
+def _power(mu: Sequence[float], z: Sequence[complex]) -> complex:
+    return cmath.exp(sum(m * cmath.log(complex(zi)) for m, zi in zip(mu, z)))
 
 
 def leading_coeff_estimate(
@@ -553,13 +663,22 @@ def leading_coeff_estimate(
     correction term of the asymptotic series.
     """
     quad = quad or QuadratureSpec()
-    return _richardson(_ratio_at(w, sp, r, quad, 1.0), _ratio_at(w, sp, r / 2.0, quad, 1.0))
+    return _richardson(*_ratios(w, sp, quad, 1.0, (r, r / 2.0)))
 
 
-def _ratio_at(w: Permutation, sp: SpectralParam, r: float, quad: QuadratureSpec, scale: float) -> complex:
-    """Integral over z = scale*(r^n, ..., 1) divided by its leading power."""
-    z = [scale * r ** (sp.rank - i) for i in range(sp.rank + 1)]
-    return integrate_for_w(w, z, sp, quad) / leading_power(w, sp, z)
+def _ratios(w: Permutation, sp: SpectralParam, quad: QuadratureSpec, scale: float, radii) -> list[complex]:
+    """Integrals over z = scale*(r^n, ..., 1) divided by their leading powers,
+    one per r in `radii`; the factor list and w.lambda + rho are built once."""
+    mu = _leading_exponent(w, sp)
+    factors = None
+    out = []
+    for r in radii:
+        z = [scale * r ** (sp.rank - i) for i in range(sp.rank + 1)]
+        c = cycle_for_w(w, z, quad.epsilon)
+        if factors is None:
+            factors = _t_factors(c, sp)
+        out.append(integrate(c, sp, quad, factors=factors) / _power(mu, z))
+    return out
 
 
 def _richardson(a1: complex, a2: complex) -> complex:
@@ -627,8 +746,10 @@ def fd_eigenvalue(
     n = sp.rank
     k = float(sp.k)
 
+    factors = _t_factors(cycle_for_w(w, z, quad.epsilon), sp)
+
     def phi(zv: Sequence[float]) -> complex:
-        return integrate_for_w(w, zv, sp, quad)
+        return integrate(cycle_for_w(w, zv, quad.epsilon), sp, quad, factors=factors)
 
     base = phi(z)
     plus = []

@@ -32,7 +32,7 @@ from __future__ import annotations
 import functools
 import json
 from dataclasses import dataclass
-from itertools import accumulate, permutations as _itperms
+from itertools import accumulate, permutations as _itperms, product
 from math import prod
 from operator import sub
 from typing import Iterable, Iterator, Sequence
@@ -220,16 +220,8 @@ def _diagram_of(images: tuple[int, ...]) -> Diagram:
 
 def all_diagrams(r: int) -> Iterator[Diagram]:
     """All r! diagrams with r rows, in lexicographic mark order."""
-    def rec(j: int, acc: list[int]) -> Iterator[Diagram]:
-        if j > r:
-            yield Diagram._unchecked(tuple(acc))
-            return
-        for i in range(1, j + 1):
-            acc.append(i)
-            yield from rec(j + 1, acc)
-            acc.pop()
-
-    yield from rec(1, [])
+    for marks in product(*(range(1, j + 1) for j in range(1, r + 1))):
+        yield Diagram._unchecked(marks)
 
 
 def evaluate_word(word: Sequence[int], r: int) -> Permutation:
@@ -321,8 +313,11 @@ def partial_leq(w1: Permutation, w2: Permutation) -> bool:
     """Componentwise comparison of diagram marks."""
     if w1.rank != w2.rank:
         raise ValueError("rank mismatch")
-    m1 = Diagram.from_permutation(w1).marks
-    m2 = Diagram.from_permutation(w2).marks
+    return _marks_leq(Diagram.from_permutation(w1).marks, Diagram.from_permutation(w2).marks)
+
+
+def _marks_leq(m1: tuple[int, ...], m2: tuple[int, ...]) -> bool:
+    """partial_leq on two mark vectors of one length."""
     return all(a <= b for a, b in zip(m1, m2))
 
 

@@ -482,24 +482,26 @@ def test_leading_axis_blocks(lead, monkeypatch):
     assert len(blocks) == 8**lead  # one `_factor_logs` call per block
 
 
-# float.hex of (re, im) of `integrate` as computed before the node record
-# existed; the record keeps every operation and its order, so the bits hold.
-# The last bits follow numpy's float64 kernels for exp, sin, log and arctan2,
-# which may differ between builds and CPUs (these are x86-64 with AVX-512).
+# float.hex of (re, im) of `integrate`.  Each node's log-modulus and argument
+# are summed in factor order, as in `_flat_index_integrate`, so the two agree
+# to 4e-15 relative; each block is contracted with per-axis weights that
+# carry the Jacobian.  The last bits follow numpy's float64 kernels for exp,
+# sin, log and arctan2 and its einsum loops, which may differ between builds
+# and CPUs (these are x86-64 with AVX-512).
 GOLDEN = [
-    ((1, 2), "tanh-sinh", 121, 0.1, "0x1.01d51edcd114ap-8", "-0x1.4f197473520efp-10"),
-    ((2, 1), "tanh-sinh", 121, 0.1, "-0x1.102af4a0e6f60p-5", "-0x1.a2d2bb5bea29bp-4"),
-    ((1, 2), "tanh-sinh", 241, 0.1, "0x1.01d51edcd1170p-8", "-0x1.4f19747352120p-10"),
-    ((2, 1), "tanh-sinh", 241, 0.1, "-0x1.102af4a0e6f86p-5", "-0x1.a2d2bb5bea2d8p-4"),
-    ((1, 2, 3), "tanh-sinh", 25, 0.1, "0x1.c382ae87565dap-18", "0x1.44700fd2bc628p-22"),
-    ((1, 3, 2), "tanh-sinh", 25, 0.1, "0x1.022d2bf6cbc00p-19", "-0x1.674bed050c17ap-15"),
-    ((2, 1, 3), "tanh-sinh", 25, 0.1, "0x1.13cdabd390690p-21", "-0x1.7fd3d6bd09314p-17"),
-    ((2, 3, 1), "tanh-sinh", 25, 0.1, "-0x1.a5c302f34334cp-14", "-0x1.2f0fbd4fe2a00p-18"),
-    ((3, 1, 2), "tanh-sinh", 25, 0.1, "-0x1.87d86578e40bbp-12", "-0x1.19908f03eb780p-16"),
-    ((3, 2, 1), "tanh-sinh", 25, 0.1, "-0x1.d9fab500a9d00p-16", "0x1.49cfc1e20122ep-11"),
-    ((2, 4, 1, 3), "tanh-sinh", 8, 0.1, "-0x1.86ccd9988ebaap-45", "0x1.a26c44520edcdp-43"),
-    ((1, 2), "gauss-legendre", 41, 0.1, "0x1.01d55a70f9666p-8", "-0x1.4f19c1e239df8p-10"),
-    ((2, 1), "tanh-sinh", 161, 0.05, "-0x1.102af4a0e6f66p-5", "-0x1.a2d2bb5bea2a1p-4"),
+    ((1, 2), "tanh-sinh", 121, 0.1, "0x1.01d51edcd1149p-8", "-0x1.4f197473520eep-10"),
+    ((2, 1), "tanh-sinh", 121, 0.1, "-0x1.102af4a0e6f5dp-5", "-0x1.a2d2bb5bea29ap-4"),
+    ((1, 2), "tanh-sinh", 241, 0.1, "0x1.01d51edcd1170p-8", "-0x1.4f1974735211dp-10"),
+    ((2, 1), "tanh-sinh", 241, 0.1, "-0x1.102af4a0e6f81p-5", "-0x1.a2d2bb5bea2d4p-4"),
+    ((1, 2, 3), "tanh-sinh", 25, 0.1, "0x1.c382ae87565dap-18", "0x1.44700fd2bc621p-22"),
+    ((1, 3, 2), "tanh-sinh", 25, 0.1, "0x1.022d2bf6cbbedp-19", "-0x1.674bed050c179p-15"),
+    ((2, 1, 3), "tanh-sinh", 25, 0.1, "0x1.13cdabd390684p-21", "-0x1.7fd3d6bd09311p-17"),
+    ((2, 3, 1), "tanh-sinh", 25, 0.1, "-0x1.a5c302f343346p-14", "-0x1.2f0fbd4fe29cfp-18"),
+    ((3, 1, 2), "tanh-sinh", 25, 0.1, "-0x1.87d86578e40bbp-12", "-0x1.19908f03eb72ap-16"),
+    ((3, 2, 1), "tanh-sinh", 25, 0.1, "-0x1.d9fab500a9cb9p-16", "0x1.49cfc1e20122dp-11"),
+    ((2, 4, 1, 3), "tanh-sinh", 8, 0.1, "-0x1.86ccd9988eb92p-45", "0x1.a26c44520edddp-43"),
+    ((1, 2), "gauss-legendre", 41, 0.1, "0x1.01d55a70f9668p-8", "-0x1.4f19c1e239df8p-10"),
+    ((2, 1), "tanh-sinh", 161, 0.05, "-0x1.102af4a0e6f66p-5", "-0x1.a2d2bb5bea2a2p-4"),
 ]
 
 
@@ -568,6 +570,29 @@ def test_nonfinite_guard(monkeypatch):
         node = ast.literal_eval(str(err.value).split("tau = ")[1])
         assert len(node) == c2.naxes and all(v in x for v in node)
         assert node != [float(x[0])] * c2.naxes
+
+
+def test_zero_base_inside_cube(monkeypatch):
+    # a vanishing base that is exactly 0 at an interior node has log-modulus
+    # -inf; with exponent k - 1 > 0 its power is 0 there, but the node is on
+    # the singular locus, so `integrate` names it instead of summing a 0
+    sp = sp2()
+    c = cy.cycle_for_w(dg.Permutation((2, 3, 1)), [1e-4, 1e-2, 1.0], 0.1)
+    quad = cy.QuadratureSpec(points_per_axis=9)
+    assert cmath.isfinite(cy.integrate(c, sp, quad))
+    nodes, wts = cy._quad_nodes(quad.scheme, quad.points_per_axis, c.bump)
+    vlog = nodes.vlog.copy()
+    vlog[4] = -math.inf
+    monkeypatch.setattr(cy, "_quad_nodes", lambda *args: (nodes._replace(vlog=vlog), wts))
+    x = nodes.x
+    # every axis shares the patched record: the first bad node in C order
+    # has the last axis at node 4 and the others at node 0
+    expected = f"non-finite integrand at tau = {[float(x[0]), float(x[0]), float(x[4])]}"
+    for lead in (0, 1, 2):
+        monkeypatch.setattr(cy, "_BLOCK_NODES", 9 ** (3 - lead))
+        with pytest.raises(ArithmeticError) as err:
+            cy.integrate(c, sp, quad)
+        assert str(err.value) == expected
 
 
 def test_integrate_epsilon_mismatch_guard():
