@@ -41,8 +41,14 @@ its chain; blocks of the grid fix its leading axes and are summed in C
 order, so results are deterministic for a fixed spec.
 
 Each block's integrand is one log-space sum: the factor logs are summed as
-a real log-modulus and a real argument, each partial sum at the broadcast
-shape of its terms until it spans the block, and exponentiated once.  The
+a real log-modulus and a real argument in factor order, each partial sum at
+the broadcast shape of its terms until it spans the block, and
+exponentiated once.  The factors are listed in descending order of the
+lowest axis they read (`_t_factors`), so the factors that read no fixed
+leading axis form a prefix of the list.  Their sum is the same in every
+block and is built once per `integrate` call; each block starts from it
+and adds the logs of the remaining factors only.  Every node still sees the
+additions of one sum in factor order, as in `omega_w_eval`.  The
 Jacobian prod dt/dtau is a constant times one factor per axis (t_tar is
 z_collapse times e^{2 pi i tau}(1 - f) of every point above on the
 chain), so it rides in per-axis complex weights, and a block is summed by
@@ -54,10 +60,12 @@ the log-modulus and argument of the vanishing base 1 - e^{2 pi i tau}(1 - f),
 and the Jacobian factor e^{2 pi i tau}(2 pi i (1 - f) - f').
 `integrate` takes its rule's record from a small cache keyed by (scheme,
 points per axis, bump), so the bump is evaluated once per rule and not once
-per call; the cached arrays are read-only.  What depends on the diagram
-alone (points, axes, collapse anchors) is cached per diagram.  Pointwise
-evaluation and `t_values` build records from their own tau (`_tau_nodes`),
-and `omega_w_eval` sums the factor logs as one complex sum (`_log_sum`).
+per call; the cached arrays are read-only.  The per-axis Jacobian weights
+depend on the rule and the diagram but not on z, and are cached the same
+way.  What depends on the diagram alone (points, axes, collapse anchors) is
+cached per diagram.  Pointwise evaluation and `t_values` build records from
+their own tau (`_tau_nodes`), and `omega_w_eval` sums the factor logs as
+one complex sum (`_log_sum`).
 """
 
 from __future__ import annotations
@@ -334,16 +342,26 @@ def _z_log(c: CyclePath, sp: SpectralParam) -> complex:
 
 
 def _t_factors(c: CyclePath, sp: SpectralParam) -> list[Factor]:
-    """The t-factors of the form; they depend on the diagram and sp, not on z."""
+    """The t-factors of the form; they depend on the diagram and sp, not on z.
+
+    Each factor is listed under its lower point p: the monomial of p, the
+    cross-row factors of p with row j + 1, and the within-row differences
+    t_{(i1, j)} - t_p with i1 > i.  Points come rows top-down (j = n ... 1)
+    and right to left within a row (i = j ... 1), so descending in axis.  A
+    factor reads the axis of its lower point and the axes above it on the
+    chains, so the list is non-increasing in the lowest axis a factor reads
+    (`_lowest_axis`): for any number of fixed leading axes, the factors that
+    read none of them come first.
+    """
     n = c.rank
     lam = [float(x) for x in sp.lam]
     k = float(sp.k)
     factors: list[Factor] = []
     e_cross = k - 1.0
     e_within = 2.0 - 2.0 * k
-    for j in range(1, n + 1):
+    for j in range(n, 0, -1):
         e_row = lam[n - j + 1] - lam[n - j] - k
-        for i in range(1, j + 1):
+        for i in range(j, 0, -1):
             p = (i, j)
             if e_row != 0.0:
                 factors.append(Factor("mono", e_row, (p,)))
@@ -357,15 +375,20 @@ def _t_factors(c: CyclePath, sp: SpectralParam) -> list[Factor]:
                     factors.append(Factor("diff", e_cross, (p, (i1, j + 1))))
                 else:
                     factors.append(Factor("diff", e_cross, ((i1, j + 1), p)))
-        if e_within != 0.0:
-            for i2 in range(1, j + 1):
-                for i1 in range(i2 + 1, j + 1):
-                    factors.append(Factor("diff", e_within, ((i1, j), (i2, j))))
+            if e_within != 0.0:
+                for i1 in range(i + 1, j + 1):
+                    factors.append(Factor("diff", e_within, ((i1, j), p)))
 
     for f in factors:
         if f.kind == "diff" and c.collapse[f.pts[0]] <= c.collapse[f.pts[1]]:
             raise AssertionError(f"difference factor {f} not oriented big-minus-small")
     return factors
+
+
+def _lowest_axis(c: CyclePath, f: Factor) -> int:
+    """The lowest axis factor f reads: its lower point's (top-row points
+    read none, so they count as `c.naxes`)."""
+    return min(c.axis.get(q, c.naxes) for q in f.pts)
 
 
 def _log_data(c: CyclePath, nodes: Sequence[_Nodes]):
@@ -388,7 +411,8 @@ def _log_data(c: CyclePath, nodes: Sequence[_Nodes]):
 def _factor_logs(c: CyclePath, sp: SpectralParam, nodes: Sequence[_Nodes], form=None):
     """Per-factor (log-modulus, argument) arrays under the anchored branch;
     `nodes[a]` is axis a's node record.  `form` is `omega_factor_list(c, sp)`
-    when the caller has it already."""
+    when the caller has it already, or a (const, factors) pair whose factors
+    are part of that list: only those are evaluated."""
     const, factors = form or omega_factor_list(c, sp)
     t, logabs, arg = _log_data(c, nodes)
     logs = []
@@ -534,38 +558,42 @@ def _rule(quad: QuadratureSpec) -> tuple[np.ndarray, np.ndarray]:
     return _RULES[quad.scheme](quad.points_per_axis)
 
 
-def _jacobian_weights(c: CyclePath, nodes: _Nodes, wts: np.ndarray) -> tuple[complex, list[np.ndarray]]:
-    """The quadrature weights times the Jacobian prod_p dt_p/dtau_p, as a
-    constant times one complex array per axis.
+@functools.lru_cache(maxsize=64)
+def _axis_weights(scheme: str, npoints: int, bump: BumpFn, below: tuple[int, ...]) -> tuple[np.ndarray, ...]:
+    """The quadrature weights times the Jacobian prod_p dt_p/dtau_p, but for
+    the constant prod_p z_{collapse(p)}, as one read-only complex array per
+    axis, built once per rule and `below` (a diagram's `_Geometry.below`).
 
     dt_p/dtau_p = e^{2 pi i tau_p} (2 pi i (1 - f_p) - f'_p) t_{tar(p)}, and
     t_{tar(p)} is z_{collapse(p)} times e^{2 pi i tau_q} (1 - f_q) for every
     point q above p on its chain.  So axis q carries its weight, its own
     Jacobian factor and, once for each point below it, e^{2 pi i tau_q} (1 - f_q).
     """
-    const = math.prod(c.z[c.collapse[p] - 1] for p in c.points)
+    nodes, wts = _quad_nodes(scheme, npoints, bump)
     step = nodes.rot * (1.0 - nodes.f)
-    return const, [wts * nodes.jac * step**d if d else wts * nodes.jac for d in c.below]
+    out = tuple(wts * nodes.jac * step**d if d else wts * nodes.jac for d in below)
+    for w in out:
+        w.flags.writeable = False
+    return out
 
 
-def _log_integrand(out: np.ndarray, const: complex, factors: Sequence[Factor], logs) -> None:
-    """Set out to const + sum of expo * (log-modulus + i argument) over the
-    factors, summed as two real sums in factor order.
+def _log_integrand(mod, arg, factors: Sequence[Factor], logs, shape: tuple[int, ...]):
+    """mod + i arg plus the sum of expo * (log-modulus + i argument) over the
+    factors, as two real sums (log-modulus, argument) in factor order.
 
     Each partial sum keeps the broadcast shape of its terms until it spans
-    the block, so terms on few axes are added at their own size.  Each node
-    sees the additions `_log_sum` makes, in its order.
+    `shape`, so terms on few axes are added at their own size; from then on
+    it is added to in place, so `mod` and `arg` arrays that span `shape` are
+    updated.  Each node sees the additions `_log_sum` makes, in its order.
     """
-    mod, arg = const.real, const.imag
     for f, (la, aa) in zip(factors, logs):
-        if np.shape(mod) == out.shape:
+        if np.shape(mod) == shape:
             mod += f.expo * la
             arg += f.expo * aa
         else:
             mod = mod + f.expo * la
             arg = arg + f.expo * aa
-    out.real = mod
-    out.imag = arg
+    return mod, arg
 
 
 def integrate(
@@ -575,14 +603,19 @@ def integrate(
 
     Includes the triangular Jacobian prod dt_{ij}/dtau_{ij} with
     dt/dtau = e^{2 pi i tau} (2 pi i (1-f) - f') t_tar, which factors into
-    a constant and one complex array per axis (`_jacobian_weights`) that
+    a constant and one complex array per axis (`_axis_weights`) that
     multiply the rule's weights.  The factor logs are broadcast from the
     rule's cached per-axis node record; each block fixes the fewest leading
-    axes that keep it within `_BLOCK_NODES` nodes (one axis stays free).  A
-    block's integrand is one log-space sum (`_log_integrand`), exponentiated
-    once and contracted with the per-axis weights, last axis first; blocks
-    are summed in C order, so memory stays bounded and the result is
-    deterministic for a spec.
+    axes that keep it within `_BLOCK_NODES` nodes (one axis stays free).
+
+    A block's integrand is one log-space sum in factor order
+    (`_log_integrand`), exponentiated once and contracted with the per-axis
+    weights, last axis first; blocks are summed in C order, so memory stays
+    bounded and the result is deterministic for a spec.  The factors that
+    read no fixed axis come first (`_t_factors`) and are the same in every
+    block: their logs are evaluated and summed once per call, and each block
+    starts from that sum and adds only the logs of the rest.  With no axis
+    fixed, every factor is in the first part and the one block is the grid.
 
     `factors`, if given, is `omega_factor_list(c, sp)[1]` as built for any
     cycle of the same diagram: it depends on neither z nor the rule, so a
@@ -594,23 +627,37 @@ def integrate(
     quad = quad or QuadratureSpec(epsilon=c.bump.epsilon)
     if abs(quad.epsilon - c.bump.epsilon) > 1e-12:
         raise ValueError("quadrature epsilon disagrees with the cycle's bump height")
-    nodes, wts = _quad_nodes(quad.scheme, quad.points_per_axis, c.bump)
+    nodes, _ = _quad_nodes(quad.scheme, quad.points_per_axis, c.bump)
     x = nodes.x
-    form = (_z_log(c, sp), _t_factors(c, sp) if factors is None else factors)
-    jconst, jw = _jacobian_weights(c, nodes, wts)
+    const = _z_log(c, sp)
+    factors = _t_factors(c, sp) if factors is None else factors
+    jconst = math.prod(c.z[c.collapse[p] - 1] for p in c.points)
+    jw = _axis_weights(quad.scheme, quad.points_per_axis, c.bump, c.below)
     lead = 0
     while lead < c.naxes - 1 and len(x) ** (c.naxes - lead) > _BLOCK_NODES:
         lead += 1
+    # the factors that read a fixed axis close the list (`_t_factors`); they
+    # are the tail, evaluated per block, and the head is summed once
+    split = len(factors)
+    while split and _lowest_axis(c, factors[split - 1]) < lead:
+        split -= 1
+    head, tail = factors[:split], factors[split:]
     free = c.naxes - lead
     free_nodes = [nodes.reshape((-1,) + (1,) * (free - 1 - a)) for a in range(free - 1)] + [nodes]
     vals = np.empty((len(x),) * free, dtype=complex)  # every block's integrand in turn
     acc = 0.0 + 0.0j
-    for idx in itertools.product(range(len(x)), repeat=lead):
-        axes = [nodes.at(i) for i in idx] + free_nodes
-        const, _, logs, _ = _factor_logs(c, sp, axes, form)
-        with np.errstate(over="ignore", invalid="ignore"):
-            _log_integrand(vals, const, form[1], logs)
-            del logs  # frees the block-sized factor arrays before exp
+    with np.errstate(over="ignore", invalid="ignore"):
+        # the head reads no fixed axis, so any node stands in for those
+        _, _, logs, _ = _factor_logs(c, sp, [nodes.at(0) for _ in range(lead)] + free_nodes, (const, head))
+        head_mod, head_arg = _log_integrand(const.real, const.imag, head, logs, vals.shape)
+        del logs
+        for idx in itertools.product(range(len(x)), repeat=lead):
+            vals.real = head_mod
+            vals.imag = head_arg
+            if tail:
+                _, _, logs, _ = _factor_logs(c, sp, [nodes.at(i) for i in idx] + free_nodes, (const, tail))
+                _log_integrand(vals.real, vals.imag, tail, logs, vals.shape)
+                del logs  # frees the block-sized factor arrays before exp
             # a base that vanishes with positive exponent makes the log-modulus
             # -inf and the integrand 0, but the node is on the singular locus
             vanish = None if vals.real.min() > -math.inf else ~(vals.real > -math.inf)
@@ -619,14 +666,14 @@ def integrate(
             for w in reversed(jw[lead:]):
                 part = np.einsum("ij,j->i", part.reshape(-1, len(w)), w)
             part = complex(part[0])
-        if vanish is not None or not cmath.isfinite(part):
-            bad = ~np.isfinite(vals)
-            if vanish is not None:
-                bad |= vanish
-            if np.any(bad):
-                node = (*idx, *np.argwhere(bad)[0])
-                raise ArithmeticError(f"non-finite integrand at tau = {[float(x[i]) for i in node]}")
-        acc += math.prod(w[i] for w, i in zip(jw, idx)) * part
+            if vanish is not None or not cmath.isfinite(part):
+                bad = ~np.isfinite(vals)
+                if vanish is not None:
+                    bad |= vanish
+                if np.any(bad):
+                    node = (*idx, *np.argwhere(bad)[0])
+                    raise ArithmeticError(f"non-finite integrand at tau = {[float(x[i]) for i in node]}")
+            acc += math.prod(w[i] for w, i in zip(jw, idx)) * part
     return jconst * acc
 
 

@@ -4,6 +4,7 @@ import functools
 import json
 import math
 import random
+from collections import Counter
 from fractions import Fraction as Q
 
 import numpy as np
@@ -134,6 +135,56 @@ def test_factor_census():
         assert kinds["diff"] == (1 + 4) + 1  # cross-row minus vanishing, plus the row-2 pair
 
 
+def _factors_row_by_row(c, sp):
+    """The factor list in the order `_t_factors` used before it ordered by
+    lowest axis: rows bottom-up, points left to right, each row's within-row
+    differences after its points."""
+    n = c.rank
+    lam = [float(x) for x in sp.lam]
+    k = float(sp.k)
+    out = []
+    for j in range(1, n + 1):
+        for i in range(1, j + 1):
+            p = (i, j)
+            out.append(cy.Factor("mono", lam[n - j + 1] - lam[n - j] - k, (p,)))
+            x = c.diagram.target(p)[0]
+            for i1 in range(1, j + 2):
+                if i1 == x:
+                    out.append(cy.Factor("vanish", k - 1.0, (p,)))
+                else:
+                    out.append(cy.Factor("diff", k - 1.0, (p, (i1, j + 1)) if i1 < x else ((i1, j + 1), p)))
+        for i2 in range(1, j + 1):
+            for i1 in range(i2 + 1, j + 1):
+                out.append(cy.Factor("diff", 2.0 - 2.0 * k, ((i1, j), (i2, j))))
+    return out
+
+
+def test_factor_order_lowest_axis_first():
+    # for any number of fixed leading axes, the factors that read none of them
+    # come first; the factors themselves, and the rank-1 list, are unchanged
+    lam = [Q(3, 10), Q(1, 7), Q(-2, 9)]
+    for n in (1, 2, 3):
+        sp = SpectralParam(rs.vec(lam[:n] + [-sum(lam[:n])]), Q(3, 2))
+        z = [10.0 ** (-2 * i) for i in range(n, -1, -1)]
+        for w in dg.all_permutations(n + 1):
+            c = cy.cycle_for_w(w, z, 0.1)
+            factors = cy._t_factors(c, sp)
+            low = []
+            for f in factors:
+                chain = {c.diagram.target(f.pts[0])} if f.kind == "vanish" else set()
+                for q in f.pts:
+                    while q[1] <= n:
+                        chain.add(q)
+                        q = c.diagram.target(q)
+                low.append(min(c.axis[q] for q in chain if q[1] <= n))
+                assert cy._lowest_axis(c, f) == low[-1]
+            assert low == sorted(low, reverse=True)
+            reference = _factors_row_by_row(c, sp)
+            assert Counter(factors) == Counter(reference)
+            if n == 1:
+                assert factors == reference
+
+
 def test_k1_reduces_to_mellin():
     sp_1 = sp1(Q(3, 10), Q(1))
     for w in (W_ID, W_S):
@@ -253,36 +304,85 @@ def test_singular_locus_error():
 
 
 # float.hex of `omega_w_eval` (log-modulus, argument) and of every entry of
-# `factor_arguments` at one tau per case, recorded when `omega_w_eval` still
-# summed the factor logs in a loop of its own; lambda as in the `integrate`
-# goldens below, z = (10^(-2n), ..., 10^(-2), 1), and the same caveat on
-# numpy's float64 kernels.
+# `factor_arguments` at one tau per case, each argument keyed by its factor's
+# kind and points, so the pins do not depend on the factor order.  The
+# arguments were recorded when `omega_w_eval` still summed the factor logs in
+# a loop of its own; the sums at rank >= 2 were re-recorded when `_t_factors`
+# took its lowest-axis order (the summands are the same, added in another
+# order).  lambda as in the `integrate` goldens below,
+# z = (10^(-2n), ..., 10^(-2), 1), and the same caveat on numpy's float64
+# kernels.
 POINT_GOLDEN = [
-    ((1, 2), (0.37,), ('-0x1.18de58c251a9ap+2', '-0x1.f487913cf9794p+1'),
-     ['0x1.2992580eac536p+1', '0x1.2a953dcd617a8p+1', '-0x1.8ebaa6b405420p-2']),
-    ((2, 1), (0.91,), ('0x1.22c1b0bf6799cp+1', '-0x1.6bbff7a3922a1p+3'),
-     ['0x1.6deec63b8eb99p+2', '0x1.464c90aeb7705p+0', '0x1.5f5dcd83b664cp-8']),
-    ((2, 3, 1), (0.13, 0.62, 0.48), ('0x1.98d9a15f5e8afp+2', '-0x1.1f1413ea4a48bp+4'),
-     ['0x1.ea9752e7c2288p+1', '0x1.ea81e498fbc8ep+1', '0x1.df3546b471e3dp+0',
-      '0x1.f2a232b0cdbc2p+1', '0x1.6fb9896a69802p-2', '0x1.9720175e4612ep-8',
-      '0x1.064805ba79e13p-14', '0x1.8209f5b22baa6p+1', '0x1.823713378f527p+1',
-      '-0x1.e7b47d523c9bdp-5', '-0x1.25355974e09f4p-10', '0x1.81082053ace7bp+1']),
-    ((3, 2, 1), (0.77, 0.05, 0.29), ('0x1.9497c323e0a9fp+3', '-0x1.d7f4e508f2576p+3'),
-     ['0x1.49bdd732daa19p+2', '0x1.2314e17ec003ep+0', '0x1.d2f268f6e22bap+0',
-      '0x1.41b2f769cf0e0p-2', '-0x1.67ee6f0582d1bp+0', '-0x1.97e988b1d9b00p-9',
-      '-0x1.029cc751a069ap-15', '0x1.d276b38c9f6dep+0', '0x1.d519ed81d7a97p+0',
-      '-0x1.44fd459914eb4p-1', '-0x1.28de8457a6a24p-7', '0x1.d52f0e42158b2p+0']),
-    ((2, 4, 1, 3), (0.21, 0.58, 0.93, 0.4, 0.66, 0.12), ('0x1.b5f3643d7f6cdp+2', '-0x1.4bc676e54d98dp+5'),
-     ['0x1.238a3037e3a4bp+3', '0x1.b9e79ab3fbddep+2', '0x1.a63a1a8d34c61p+2',
-      '0x1.f2a232b0cdbc2p+2', '0x1.f20aec6b1389fp+2', '0x1.18ad91961ea29p+2',
-      '0x1.8202598be8af8p-1', '0x1.a63ae4badfc27p+2', '0x1.a63ae196166e3p+2',
-      '0x1.a63be01f972bfp+2', '0x1.0c0eaada81c2ep+1', '0x1.a63998671d86ap+2',
-      '0x1.41b2f769cf0e0p+1', '-0x1.31f0b5ceb5157p-2', '-0x1.5bce42628a6b1p-8',
-      '-0x1.c0703b798f444p-15', '-0x1.1f05804612bfep-21', '0x1.0966d8ea7e053p+2',
-      '0x1.08d1dff915bcbp+2', '0x1.ec3e8a9fc8c7dp-2', '0x1.fc528310921a0p-8',
-      '0x1.46ed0d7f439d4p-14', '0x1.8209f5b22baa6p-1', '0x1.820a0cfb2bb1cp-1',
-      '0x1.82130e61cb5b5p-1', '0x1.859e4acfd4b74p-1', '-0x1.2d341dd844e44p+0',
-      '0x1.0a07d7042bb54p+2', '0x1.8209d74e29791p-1', '0x1.820d0297fa226p-1']),
+    ((1, 2), (0.37,), ('-0x1.18de58c251a9ap+2', '-0x1.f487913cf9794p+1'), [
+        ('mono', ((1, 1),), '0x1.2992580eac536p+1'),
+        ('diff', ((1, 1), (1, 2)), '0x1.2a953dcd617a8p+1'),
+        ('vanish', ((1, 1),), '-0x1.8ebaa6b405420p-2'),
+    ]),
+    ((2, 1), (0.91,), ('0x1.22c1b0bf6799cp+1', '-0x1.6bbff7a3922a1p+3'), [
+        ('mono', ((1, 1),), '0x1.6deec63b8eb99p+2'),
+        ('vanish', ((1, 1),), '0x1.464c90aeb7705p+0'),
+        ('diff', ((2, 2), (1, 1)), '0x1.5f5dcd83b664cp-8'),
+    ]),
+    ((2, 3, 1), (0.13, 0.62, 0.48), ('0x1.98d9a15f5e8b0p+2', '-0x1.1f1413ea4a48cp+4'), [
+        ('mono', ((1, 1),), '0x1.ea9752e7c2288p+1'),
+        ('diff', ((1, 1), (1, 2)), '0x1.ea81e498fbc8ep+1'),
+        ('vanish', ((1, 1),), '0x1.df3546b471e3dp+0'),
+        ('mono', ((1, 2),), '0x1.f2a232b0cdbc2p+1'),
+        ('vanish', ((1, 2),), '0x1.6fb9896a69802p-2'),
+        ('diff', ((2, 3), (1, 2)), '0x1.9720175e4612ep-8'),
+        ('diff', ((3, 3), (1, 2)), '0x1.064805ba79e13p-14'),
+        ('mono', ((2, 2),), '0x1.8209f5b22baa6p+1'),
+        ('diff', ((2, 2), (1, 3)), '0x1.823713378f527p+1'),
+        ('vanish', ((2, 2),), '-0x1.e7b47d523c9bdp-5'),
+        ('diff', ((3, 3), (2, 2)), '-0x1.25355974e09f4p-10'),
+        ('diff', ((2, 2), (1, 2)), '0x1.81082053ace7bp+1'),
+    ]),
+    ((3, 2, 1), (0.77, 0.05, 0.29), ('0x1.9497c323e0aa1p+3', '-0x1.d7f4e508f2576p+3'), [
+        ('mono', ((1, 1),), '0x1.49bdd732daa19p+2'),
+        ('vanish', ((1, 1),), '0x1.2314e17ec003ep+0'),
+        ('diff', ((2, 2), (1, 1)), '0x1.d2f268f6e22bap+0'),
+        ('mono', ((1, 2),), '0x1.41b2f769cf0e0p-2'),
+        ('vanish', ((1, 2),), '-0x1.67ee6f0582d1bp+0'),
+        ('diff', ((2, 3), (1, 2)), '-0x1.97e988b1d9b00p-9'),
+        ('diff', ((3, 3), (1, 2)), '-0x1.029cc751a069ap-15'),
+        ('mono', ((2, 2),), '0x1.d276b38c9f6dep+0'),
+        ('diff', ((2, 2), (1, 3)), '0x1.d519ed81d7a97p+0'),
+        ('vanish', ((2, 2),), '-0x1.44fd459914eb4p-1'),
+        ('diff', ((3, 3), (2, 2)), '-0x1.28de8457a6a24p-7'),
+        ('diff', ((2, 2), (1, 2)), '0x1.d52f0e42158b2p+0'),
+    ]),
+    ((2, 4, 1, 3), (0.21, 0.58, 0.93, 0.4, 0.66, 0.12), ('0x1.b5f3643d7f6d0p+2', '-0x1.4bc676e54d98cp+5'), [
+        ('mono', ((1, 1),), '0x1.238a3037e3a4bp+3'),
+        ('vanish', ((1, 1),), '0x1.b9e79ab3fbddep+2'),
+        ('diff', ((2, 2), (1, 1)), '0x1.a63a1a8d34c61p+2'),
+        ('mono', ((1, 2),), '0x1.f2a232b0cdbc2p+2'),
+        ('diff', ((1, 2), (1, 3)), '0x1.f20aec6b1389fp+2'),
+        ('vanish', ((1, 2),), '0x1.18ad91961ea29p+2'),
+        ('diff', ((3, 3), (1, 2)), '0x1.8202598be8af8p-1'),
+        ('mono', ((2, 2),), '0x1.a63ae4badfc27p+2'),
+        ('diff', ((2, 2), (1, 3)), '0x1.a63ae196166e3p+2'),
+        ('diff', ((2, 2), (2, 3)), '0x1.a63be01f972bfp+2'),
+        ('vanish', ((2, 2),), '0x1.0c0eaada81c2ep+1'),
+        ('diff', ((2, 2), (1, 2)), '0x1.a63998671d86ap+2'),
+        ('mono', ((1, 3),), '0x1.41b2f769cf0e0p+1'),
+        ('vanish', ((1, 3),), '-0x1.31f0b5ceb5157p-2'),
+        ('diff', ((2, 4), (1, 3)), '-0x1.5bce42628a6b1p-8'),
+        ('diff', ((3, 4), (1, 3)), '-0x1.c0703b798f444p-15'),
+        ('diff', ((4, 4), (1, 3)), '-0x1.1f05804612bfep-21'),
+        ('mono', ((2, 3),), '0x1.0966d8ea7e053p+2'),
+        ('diff', ((2, 3), (1, 4)), '0x1.08d1dff915bcbp+2'),
+        ('vanish', ((2, 3),), '0x1.ec3e8a9fc8c7dp-2'),
+        ('diff', ((3, 4), (2, 3)), '0x1.fc528310921a0p-8'),
+        ('diff', ((4, 4), (2, 3)), '0x1.46ed0d7f439d4p-14'),
+        ('mono', ((3, 3),), '0x1.8209f5b22baa6p-1'),
+        ('diff', ((3, 3), (1, 4)), '0x1.820a0cfb2bb1cp-1'),
+        ('diff', ((3, 3), (2, 4)), '0x1.82130e61cb5b5p-1'),
+        ('diff', ((3, 3), (3, 4)), '0x1.859e4acfd4b74p-1'),
+        ('vanish', ((3, 3),), '-0x1.2d341dd844e44p+0'),
+        ('diff', ((2, 3), (1, 3)), '0x1.0a07d7042bb54p+2'),
+        ('diff', ((3, 3), (1, 3)), '0x1.8209d74e29791p-1'),
+        ('diff', ((3, 3), (2, 3)), '0x1.820d0297fa226p-1'),
+    ]),
 ]
 
 
@@ -295,7 +395,10 @@ def test_pointwise_golden_bits(w, tau, omega_hex, args_hex):
     c = cy.cycle_for_w(dg.Permutation(w), z, 0.1)
     v = cy.omega_w_eval(c, sp, tau)
     assert (v.log_magnitude.hex(), v.argument.hex()) == omega_hex
-    assert [a.hex() for a in cy.factor_arguments(c, sp, tau)] == args_hex
+    _, factors = cy.omega_factor_list(c, sp)
+    got = {(f.kind, f.pts): a.hex() for f, a in zip(factors, cy.factor_arguments(c, sp, tau))}
+    assert len(got) == len(factors)
+    assert got == {(kind, pts): h for kind, pts, h in args_hex}
 
 
 def test_endpoint_vanishing_for_k_above_one():
@@ -472,20 +575,25 @@ def test_broadcast_matches_flat_index_reference():
 
 @pytest.mark.parametrize("lead", [0, 1, 2])
 def test_leading_axis_blocks(lead, monkeypatch):
-    # rank 3 has 6 axes: fixing `lead` leading axes leaves 8^(6-lead) nodes per block
+    # rank 3 has 6 axes: fixing `lead` leading axes leaves 8^(6-lead) nodes per
+    # block; a factor that reads no fixed axis is evaluated once per call, any
+    # other once per block
     c, sp_3, quad, ref = _rank3_case((2, 4, 1, 3))
     monkeypatch.setattr(cy, "_BLOCK_NODES", 8 ** (6 - lead))
-    blocks = []
+    evaluated = Counter()
     factor_logs = cy._factor_logs
-    monkeypatch.setattr(cy, "_factor_logs", lambda *args: blocks.append(1) or factor_logs(*args))
+    monkeypatch.setattr(cy, "_factor_logs", lambda *args: evaluated.update(args[3][1]) or factor_logs(*args))
     assert abs(cy.integrate(c, sp_3, quad) - ref) <= 1e-13 * abs(ref)
-    assert len(blocks) == 8**lead  # one `_factor_logs` call per block
+    factors = cy._t_factors(c, sp_3)
+    assert evaluated == {f: 1 if cy._lowest_axis(c, f) >= lead else 8**lead for f in factors}
+    assert sum(cy._lowest_axis(c, f) < lead for f in factors) == (0, 3, 8)[lead]
 
 
 # float.hex of (re, im) of `integrate`.  Each node's log-modulus and argument
 # are summed in factor order, as in `_flat_index_integrate`, so the two agree
-# to 4e-15 relative; each block is contracted with per-axis weights that
-# carry the Jacobian.  The last bits follow numpy's float64 kernels for exp,
+# to 7e-15 relative; each block is contracted with per-axis weights that
+# carry the Jacobian.  The rank >= 2 values were re-recorded when
+# `_t_factors` took its lowest-axis order.  The last bits follow numpy's float64 kernels for exp,
 # sin, log and arctan2 and its einsum loops, which may differ between builds
 # and CPUs (these are x86-64 with AVX-512).
 GOLDEN = [
@@ -493,13 +601,13 @@ GOLDEN = [
     ((2, 1), "tanh-sinh", 121, 0.1, "-0x1.102af4a0e6f5dp-5", "-0x1.a2d2bb5bea29ap-4"),
     ((1, 2), "tanh-sinh", 241, 0.1, "0x1.01d51edcd1170p-8", "-0x1.4f1974735211dp-10"),
     ((2, 1), "tanh-sinh", 241, 0.1, "-0x1.102af4a0e6f81p-5", "-0x1.a2d2bb5bea2d4p-4"),
-    ((1, 2, 3), "tanh-sinh", 25, 0.1, "0x1.c382ae87565dap-18", "0x1.44700fd2bc621p-22"),
-    ((1, 3, 2), "tanh-sinh", 25, 0.1, "0x1.022d2bf6cbbedp-19", "-0x1.674bed050c179p-15"),
-    ((2, 1, 3), "tanh-sinh", 25, 0.1, "0x1.13cdabd390684p-21", "-0x1.7fd3d6bd09311p-17"),
-    ((2, 3, 1), "tanh-sinh", 25, 0.1, "-0x1.a5c302f343346p-14", "-0x1.2f0fbd4fe29cfp-18"),
-    ((3, 1, 2), "tanh-sinh", 25, 0.1, "-0x1.87d86578e40bbp-12", "-0x1.19908f03eb72ap-16"),
-    ((3, 2, 1), "tanh-sinh", 25, 0.1, "-0x1.d9fab500a9cb9p-16", "0x1.49cfc1e20122dp-11"),
-    ((2, 4, 1, 3), "tanh-sinh", 8, 0.1, "-0x1.86ccd9988eb92p-45", "0x1.a26c44520edddp-43"),
+    ((1, 2, 3), "tanh-sinh", 25, 0.1, "0x1.c382ae87565e7p-18", "0x1.44700fd2bc607p-22"),
+    ((1, 3, 2), "tanh-sinh", 25, 0.1, "0x1.022d2bf6cbcbfp-19", "-0x1.674bed050c193p-15"),
+    ((2, 1, 3), "tanh-sinh", 25, 0.1, "0x1.13cdabd390643p-21", "-0x1.7fd3d6bd0931cp-17"),
+    ((2, 3, 1), "tanh-sinh", 25, 0.1, "-0x1.a5c302f34338ap-14", "-0x1.2f0fbd4fe2b20p-18"),
+    ((3, 1, 2), "tanh-sinh", 25, 0.1, "-0x1.87d86578e40fdp-12", "-0x1.19908f03eb7d2p-16"),
+    ((3, 2, 1), "tanh-sinh", 25, 0.1, "-0x1.d9fab500aa066p-16", "0x1.49cfc1e20124ep-11"),
+    ((2, 4, 1, 3), "tanh-sinh", 8, 0.1, "-0x1.86ccd9988f923p-45", "0x1.a26c44520e911p-43"),
     ((1, 2), "gauss-legendre", 41, 0.1, "0x1.01d55a70f9668p-8", "-0x1.4f19c1e239df8p-10"),
     ((2, 1), "tanh-sinh", 161, 0.05, "-0x1.102af4a0e6f66p-5", "-0x1.a2d2bb5bea2a2p-4"),
 ]
@@ -530,6 +638,24 @@ def test_node_record_cached(monkeypatch):
     calls.clear()
     assert cy.integrate(c, sp1(), quad) == first
     assert calls == []
+
+
+def test_axis_weights_cached():
+    # the per-axis Jacobian weights depend on the rule and the diagram, not
+    # on z: integrating one cycle's form at another z builds none
+    w = dg.Permutation((2, 3, 1))
+    quad = cy.QuadratureSpec(points_per_axis=25)
+    cycles = [cy.cycle_for_w(w, z, 0.1) for z in ([1e-4, 1e-2, 1.0], [4e-4, 2e-2, 1.0])]
+    cy._axis_weights.cache_clear()
+    first = [cy.integrate(c, sp2(), quad) for c in cycles]
+    assert cy._axis_weights.cache_info().misses == 1
+    assert [cy.integrate(c, sp2(), quad) for c in cycles] == first
+    assert cy._axis_weights.cache_info().misses == 1
+    weights = cy._axis_weights(quad.scheme, quad.points_per_axis, cycles[0].bump, cycles[0].below)
+    assert len(weights) == cycles[0].naxes
+    for arr in weights:
+        with pytest.raises(ValueError):
+            arr[0] = 0.0
 
 
 def test_node_records_read_only_and_distinct():
