@@ -184,19 +184,17 @@ def cmd_integrate(args) -> int:
     csv_rows = []
     try:
         for w, c in zip(ws, cycles):
-            value = cy.integrate(c, sp, quad)
-            value2 = cy.integrate(c, sp, quad2)
             try:
                 a = cf.a_w(w, sp)
             except cf.PoleError as exc:
                 a, pole = None, exc
-            # Ratios to the leading power at rr = r, r/2, r/4, ...: the JSON
-            # record, the Richardson estimate and the CSV rows share them, so
-            # each z is integrated once.
+            # Integrals and ratios to the leading power at rr = r, r/2, r/4, ...,
+            # in one batch: the JSON record, the Richardson estimate and the
+            # CSV rows share them, so each z is integrated once.
             count = max(args.csv_steps if args.csv_out else 1, 1 if a is None else 2)
             rrs = [r / 2.0**j for j in range(count)]
-            ratios = [value / cy.leading_power(w, sp, z)]
-            ratios += cy._ratios(w, sp, quad, args.scale, rrs[1:])
+            (value, *_), ratios = cy._ratios(w, sp, quad, args.scale, rrs)
+            value2 = cy.integrate(c, sp, quad2)
             rec = {
                 "w": list(w.images),
                 "integral": {"re": value.real, "im": value.imag},

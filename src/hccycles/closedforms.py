@@ -13,10 +13,16 @@ spectral parameter.  Under w the pairing of the positive root (a, b) is
 lambda_i - lambda_j with (i, j) = (w(a) - 1, w(b) - 1), so every Gamma or
 sine argument is x = lambda_i - lambda_j + c + c_k k: a pairing shifted by
 0, 1, k or 1 - k, a rho argument 1 - k d or 1 - k d - k (d = b - a), or
-m k (i = j for the last two kinds).  The table is keyed by (i, j, c, c_k)
-and holds, for each key, the exact Fraction argument, its exact pole test
-and the evaluated Gamma or sine value, so all w of one (lambda, k) share
-them and the rho factors are evaluated once per table.  It fills lazily:
+m k (i = j for the last two kinds).  lambda and k are held as integers
+over one even denominator D (`series.exact_view`), so each argument is
+an integer numerator over D, formed by integer additions.  Its exact pole
+test is an integer test, and its float is one correctly rounded integer
+division, the same bits as the float of the Fraction.  A Fraction is built
+only for the symbolic product and for the text of a PoleError.  The table
+is keyed by (i, j, c, c_k) and holds, for each key, the numerator, its
+exact pole test and the evaluated Gamma or sine value, so all w of one
+(lambda, k) share them and the rho factors are evaluated once per table.
+It fills lazily:
 each factor is built and evaluated on first use, and a one-off a(w) pays
 for its own factors only.  Tables are memoized per `SpectralParam` by an
 lru_cache of 4 entries.  Each closed form lists its factors once, as table
@@ -47,7 +53,7 @@ from typing import NamedTuple, Sequence
 from . import rootsystem as rs
 from .diagrams import Diagram, Permutation
 from .polynomial import Poly, vandermonde
-from .series import SpectralParam
+from .series import SpectralParam, exact_view
 
 # Lanczos coefficients, g = 7.
 _LANCZOS_G = 7.0
@@ -188,69 +194,75 @@ def _root_tags(n: int) -> dict[tuple[int, int], str]:
     }
 
 
-def _lam_delta(sp: SpectralParam) -> Q:
-    """(lambda, delta) with delta_i = n/2 - i (0-based i); as lambda sums to
-    zero, this is -sum_i i lambda_i."""
-    return -sum(i * x for i, x in enumerate(sp.lam) if i)
+def _phase_num(sp: SpectralParam, length: int | None) -> int:
+    """2 D p, where e^{i pi p} is the phase of a(w) and of the limit,
+    e^{-2 pi i (lambda, delta)} e^{-pi i (k-1) l(w)} i^N with l(w) = length,
+    and D is `exact_view(sp)`'s denominator; 0 (no phase) for length None.
 
-
-def _phase_arg(sp: SpectralParam, length: int | None):
-    """p in the phase e^{i pi p} of a(w) and of the limit,
-    e^{-2 pi i (lambda, delta)} e^{-pi i (k-1) l(w)} i^N with l(w) = length;
-    0 (no phase) for length None."""
+    delta_i = n/2 - i (0-based i), and lambda sums to zero, so
+    -2 (lambda, delta) = 2 sum_i i lambda_i.
+    """
     if length is None:
         return 0
     n = sp.rank
-    return -2 * _lam_delta(sp) - (sp.k - 1) * length + Q(n * (n + 1) // 2, 2)
+    den, lam, k = exact_view(sp)
+    return 4 * sum(i * x for i, x in enumerate(lam)) - 2 * (k - den) * length + den * (n * (n + 1) // 2)
 
 
 class _FactorTable(dict):
     """The factors of the closed forms at one (lambda, k), keyed by
     (kind, spec) and built on first use.
 
-    For kind "arg", "gamma" and "sin" the spec (i, j, c, ck) names the exact
-    argument x = lambda_i - lambda_j + c + ck k; "arg" holds x, "gamma" holds
-    (x, x is a nonpositive integer, x is within 1e-8 of one so that 1/Gamma(x)
-    is taken as 0, Gamma(x) unless it is) and "sin" holds sin(pi x).  "phase" holds e^{i pi p} with p = _phase_arg(sp, spec),
-    and "limit" the w-independent factors of `limit_value`.
+    For kind "gamma" and "sin" the spec (i, j, c, ck) names the argument
+    x = lambda_i - lambda_j + c + ck k.  Every such x is an integer numerator
+    over the one denominator D of `exact_view(sp)` (`num`): x is a nonpositive
+    integer exactly when num <= 0 and D divides num, and num / D is the
+    float of x, bit for bit.  "gamma" holds (num, x is a nonpositive integer,
+    x is within 1e-8 of one so that 1/Gamma(x) is taken as 0, Gamma(x) unless
+    it is) and "sin" holds sin(pi x).  "phase" holds e^{i pi p} with
+    2 D p = _phase_num(sp, spec), and "limit" the w-independent factors of
+    `limit_value`.  The exact Fraction x (`arg`) is built only for the
+    symbolic product and for the text of a PoleError.
     """
 
-    __slots__ = ("sp",)
+    __slots__ = ("sp", "den", "lam", "k")
 
     def __init__(self, sp: SpectralParam):
         super().__init__()
         self.sp = sp
+        self.den, self.lam, self.k = exact_view(sp)
+
+    def num(self, spec: tuple[int, int, int, int]) -> int:
+        """D x for the argument x that spec (i, j, c, ck) names."""
+        i, j, c, ck = spec
+        return self.lam[i] - self.lam[j] + c * self.den + ck * self.k
+
+    def arg(self, spec: tuple[int, int, int, int]) -> Q:
+        """The exact argument x that spec (i, j, c, ck) names."""
+        return Q(self.num(spec), self.den)
 
     def __missing__(self, key):
         kind, spec = key
-        sp = self.sp
-        if kind == "arg":  # each pairing and each shift is formed once
-            i, j, c, ck = spec
-            if i == j:
-                value = Q(c * sp.k.denominator + ck * sp.k.numerator, sp.k.denominator)
-            elif c or ck:
-                value = self["arg", (i, j, 0, 0)] + self["arg", (0, 0, c, ck)]
-            else:
-                value = sp.lam[i] - sp.lam[j]
-        elif kind == "gamma":
-            x = self["arg", spec]
-            pole = x <= 0 and x.denominator == 1
-            zero = pole or _near_nonpositive_int(z := complex(x))
-            value = x, pole, zero, None if zero else gamma(z)
+        den = self.den
+        if kind == "gamma":
+            num = self.num(spec)
+            pole = num <= 0 and num % den == 0
+            zero = pole or _near_nonpositive_int(z := complex(num / den))
+            value = num, pole, zero, None if zero else gamma(z)
         elif kind == "sin":
-            value = sinpi(complex(self["arg", spec]))
+            value = sinpi(self.num(spec) / den)
         elif kind == "phase":
-            value = cmath.exp(1j * math.pi * complex(_phase_arg(sp, spec)))
+            value = cmath.exp(1j * math.pi * complex(_phase_num(self.sp, spec) / (2 * den)))
         else:  # "limit"
-            n, k = sp.rank, sp.k
-            den = 1.0 + 0j
+            n, k = self.sp.rank, self.k
+            sin_den = 1.0 + 0j
             for m in range(1, n + 2):
-                den *= self["sin", (0, 0, 0, m)]
-            gnum = gamma(complex(k)) ** ((n + 1) * (n + 2) // 2)
+                sin_den *= self["sin", (0, 0, 0, m)]
+            gnum = gamma(complex(k / den)) ** ((n + 1) * (n + 2) // 2)
             gden = 1.0 + 0j
             for m in range(1, n + 2):
-                gden *= gamma(complex(m * k))
-            value = self["sin", (0, 0, 0, 1)] ** (n + 1) / den, gnum, gden
+                gden *= gamma(complex(m * k / den))
+            value = self["sin", (0, 0, 0, 1)] ** (n + 1) / sin_den, gnum, gden
         self[key] = value
         return value
 
@@ -329,10 +341,10 @@ def _limit_factors(images: tuple[int, ...], n: int) -> _Product:
 def _symbolic(prod: _Product, table: _FactorTable) -> GammaProduct:
     out = GammaProduct(const=prod.const)
     for (_, spec), power, tag in prod.gammas:
-        out.times_gamma(table["arg", spec], power, tag)
+        out.times_gamma(table.arg(spec), power, tag)
     for (_, spec), tag in prod.sins:
-        out.times_sin(table["arg", spec], tag)
-    return out.times_exp_pi_i(_phase_arg(table.sp, prod.phase[1]))
+        out.times_sin(table.arg(spec), tag)
+    return out.times_exp_pi_i(Q(_phase_num(table.sp, prod.phase[1]), 2 * table.den))
 
 
 def _evaluate(prod: _Product, table: _FactorTable) -> complex:
@@ -340,11 +352,11 @@ def _evaluate(prod: _Product, table: _FactorTable) -> complex:
     factors in the same order, so the same bits, PoleErrors and zeros."""
     val = complex(prod.const)
     for key, power, tag in prod.gammas:
-        x, pole, zero, g = table[key]
+        num, pole, zero, g = table[key]
         if power > 0:
             if pole:
-                _check_pole(x, tag)
-            val *= (gamma(complex(x)) if g is None else g) ** power
+                _check_pole(Q(num, table.den), tag)
+            val *= (gamma(complex(num / table.den)) if g is None else g) ** power
         elif zero:
             return 0.0 + 0.0j
         else:

@@ -47,7 +47,8 @@ exponentiated once.  The factors are listed in descending order of the
 lowest axis they read (`_t_factors`), so the factors that read no fixed
 leading axis form a prefix of the list.  Their sum is the same in every
 block and is built once per `integrate` call; each block starts from it
-and adds the logs of the remaining factors only.  Every node still sees the
+and adds the logs of the remaining factors only, rebuilding the t values
+of the points on the fixed axes alone.  Every node still sees the
 additions of one sum in factor order, as in `omega_w_eval`.  The
 Jacobian prod dt/dtau is a constant times one factor per axis (t_tar is
 z_collapse times e^{2 pi i tau}(1 - f) of every point above on the
@@ -55,17 +56,34 @@ chain), so it rides in per-axis complex weights, and a block is summed by
 contracting its axes with them, last axis first.
 
 What depends on an axis's nodes alone, and not on z, lambda or k, is one
-per-axis node record: x, the bump f, log1p(-f), 2 pi tau, e^{2 pi i tau},
-the log-modulus and argument of the vanishing base 1 - e^{2 pi i tau}(1 - f),
-and the Jacobian factor e^{2 pi i tau}(2 pi i (1 - f) - f').
+per-axis node record: x, the bump f, log1p(-f), 2 pi tau,
+e^{2 pi i tau}(1 - f), the log-modulus and argument of the vanishing base
+1 - e^{2 pi i tau}(1 - f), and the Jacobian factor
+e^{2 pi i tau}(2 pi i (1 - f) - f').
 `integrate` takes its rule's record from a small cache keyed by (scheme,
 points per axis, bump), so the bump is evaluated once per rule and not once
 per call; the cached arrays are read-only.  The per-axis Jacobian weights
 depend on the rule and the diagram but not on z, and are cached the same
 way.  What depends on the diagram alone (points, axes, collapse anchors) is
-cached per diagram.  Pointwise evaluation and `t_values` build records from
-their own tau (`_tau_nodes`), and `omega_w_eval` sums the factor logs as
-one complex sum (`_log_sum`).
+cached per diagram, and the factor list per diagram and float (lambda, k).
+Pointwise evaluation and `t_values` build records from their own tau
+(`_tau_nodes`), and `omega_w_eval` sums the factor logs as one complex sum
+(`_log_sum`).
+
+Several z of one diagram and rule are integrated in one call of
+`_integrate`, which `integrate` calls with one cycle: the Richardson radii
+of `leading_coeff_estimate`, the 2n + 3 points of `fd_eigenvalue` and the
+radii of `hc integrate`.  The set-up (rule, weights, factor list, blocks)
+is done once.  Only what depends on z carries a leading batch axis: the
+t values, log-moduli and arguments from the top row down, and the z-only
+log.  The batch is cut into chunks of at most `_BLOCK_NODES` // (nodes per
+block) cycles (one, where a block fixes a point of row n), so a chunk's
+arrays are no larger than one block of one cycle, and each cycle is
+blocked as it is alone: at rank 2 with 41 points per axis a block is the
+whole grid, and a chunk holds one cycle.  Each node of each cycle sees the
+operations it sees alone, in the same order, so each result has the bits
+of its own `integrate` call.  A chunk of one cycle keeps the scalars and
+shapes of that call.
 """
 
 from __future__ import annotations
@@ -82,7 +100,7 @@ import numpy as np
 
 from . import rootsystem as rs
 from .diagrams import Diagram, Permutation
-from .series import SpectralParam
+from .series import SpectralParam, exact_view, float_view
 
 Point = tuple[int, int]
 
@@ -153,8 +171,7 @@ class PhasedValue:
         return PhasedValue(self.log_magnitude + other.log_magnitude, self.argument + other.argument)
 
 
-@dataclass(frozen=True)
-class Factor:
+class Factor(NamedTuple):
     """One multivalued factor of the form.
 
     kind 'mono':   t_{pts[0]} ^ expo
@@ -246,16 +263,16 @@ def cycle_point(c: CyclePath, tau: Sequence[float]) -> dict[Point, complex]:
 
 class _Nodes(NamedTuple):
     """Everything about one axis's tau array that depends on neither z,
-    lambda nor k: the bump f, the pieces of t = e^{2 pi i tau}(1 - f) t_tar
-    and of its log, the vanishing base 1 - e^{2 pi i tau}(1 - f) as
-    log-modulus and principal argument, and the Jacobian factor
-    e^{2 pi i tau}(2 pi i (1 - f) - f')."""
+    lambda nor k: the bump f, the factor e^{2 pi i tau}(1 - f) of
+    t = e^{2 pi i tau}(1 - f) t_tar and the pieces of its log, the vanishing
+    base 1 - e^{2 pi i tau}(1 - f) as log-modulus and principal argument, and
+    the Jacobian factor e^{2 pi i tau}(2 pi i (1 - f) - f')."""
 
     x: np.ndarray
     f: np.ndarray
     log1m_f: np.ndarray  # log1p(-f)
     angle: np.ndarray  # 2 pi tau
-    rot: np.ndarray  # e^{2 pi i tau}
+    step: np.ndarray  # e^{2 pi i tau}(1 - f)
     vlog: np.ndarray
     varg: np.ndarray
     jac: np.ndarray
@@ -271,7 +288,7 @@ class _Nodes(NamedTuple):
         with np.errstate(divide="ignore"):  # log(0) where the base vanishes is caught downstream
             vlog = 0.5 * np.log(g.real**2 + g.imag**2)
         rot = np.exp(2j * np.pi * x)
-        return cls(x, f, np.log1p(-f), 2.0 * np.pi * x, rot,
+        return cls(x, f, np.log1p(-f), 2.0 * np.pi * x, rot * (1.0 - f),
                    vlog, np.arctan2(g.imag, g.real), rot * (2j * np.pi * (1.0 - f) - bump.deriv(x)))
 
     def at(self, i: int) -> "_Nodes":
@@ -306,7 +323,7 @@ def _t_values(c: CyclePath, nodes: Sequence[_Nodes]) -> dict[Point, np.ndarray]:
     t: dict[Point, np.ndarray] = {(i, c.rank + 1): zi for i, zi in enumerate(c.z, start=1)}
     for p in reversed(c.points):  # rows top-down, so every target comes first
         nd = nodes[c.axis[p]]
-        t[p] = nd.rot * (1.0 - nd.f) * t[c.diagram.target(p)]
+        t[p] = nd.step * t[c.diagram.target(p)]
     return t
 
 
@@ -319,18 +336,18 @@ def omega_factor_list(c: CyclePath, sp: SpectralParam) -> tuple[complex, list[Fa
     Factors with exponent exactly 0 are dropped (their base may vanish on
     the cycle boundary; 0-th powers are 1).
     """
-    return _z_log(c, sp), _t_factors(c, sp)
+    lam, k = float_view(sp)
+    return _z_log(c, lam, k), list(_t_factors(c.diagram, lam, k))
 
 
-def _z_log(c: CyclePath, sp: SpectralParam) -> complex:
-    """Log of the z-only factors of the form, principal branch."""
+def _z_log(c: CyclePath, lam: tuple[float, ...], k: float) -> complex:
+    """Log of the z-only factors of the form, principal branch, at float
+    (lambda, k)."""
     n = c.rank
-    if sp.rank != n:
+    if len(lam) != n + 1:
         raise ValueError("spectral parameter rank does not match the cycle")
-    lam0 = float(sp.lam[0])
-    k = float(sp.k)
     const = 0.0 + 0.0j
-    head = lam0 + k * n / 2.0
+    head = lam[0] + k * n / 2.0
     for zi in c.z:
         const += head * cmath.log(zi)
     ezv = 1.0 - 2.0 * k
@@ -341,8 +358,10 @@ def _z_log(c: CyclePath, sp: SpectralParam) -> complex:
     return const
 
 
-def _t_factors(c: CyclePath, sp: SpectralParam) -> list[Factor]:
-    """The t-factors of the form; they depend on the diagram and sp, not on z.
+@functools.lru_cache(maxsize=64)
+def _t_factors(diagram: Diagram, lam: tuple[float, ...], k: float) -> tuple[Factor, ...]:
+    """The t-factors of the form at float (lambda, k); they depend on the
+    diagram, lambda and k, not on z, and are built once for each.
 
     Each factor is listed under its lower point p: the monomial of p, the
     cross-row factors of p with row j + 1, and the within-row differences
@@ -353,9 +372,8 @@ def _t_factors(c: CyclePath, sp: SpectralParam) -> list[Factor]:
     (`_lowest_axis`): for any number of fixed leading axes, the factors that
     read none of them come first.
     """
-    n = c.rank
-    lam = [float(x) for x in sp.lam]
-    k = float(sp.k)
+    n = diagram.rows - 1
+    collapse = _geometry(diagram).collapse
     factors: list[Factor] = []
     e_cross = k - 1.0
     e_within = 2.0 - 2.0 * k
@@ -365,7 +383,7 @@ def _t_factors(c: CyclePath, sp: SpectralParam) -> list[Factor]:
             p = (i, j)
             if e_row != 0.0:
                 factors.append(Factor("mono", e_row, (p,)))
-            x = c.diagram.target(p)[0]
+            x = diagram.target(p)[0]
             for i1 in range(1, j + 2):
                 if e_cross == 0.0:
                     break
@@ -380,9 +398,9 @@ def _t_factors(c: CyclePath, sp: SpectralParam) -> list[Factor]:
                     factors.append(Factor("diff", e_within, ((i1, j), p)))
 
     for f in factors:
-        if f.kind == "diff" and c.collapse[f.pts[0]] <= c.collapse[f.pts[1]]:
+        if f.kind == "diff" and collapse[f.pts[0]] <= collapse[f.pts[1]]:
             raise AssertionError(f"difference factor {f} not oriented big-minus-small")
-    return factors
+    return tuple(factors)
 
 
 def _lowest_axis(c: CyclePath, f: Factor) -> int:
@@ -391,30 +409,42 @@ def _lowest_axis(c: CyclePath, f: Factor) -> int:
     return min(c.axis.get(q, c.naxes) for q in f.pts)
 
 
-def _log_data(c: CyclePath, nodes: Sequence[_Nodes]):
-    """t values plus log-moduli and unwound arguments from per-axis records;
-    the records' arrays broadcast."""
-    t = _t_values(c, nodes)
-    logabs: dict[Point, np.ndarray] = {}
-    arg: dict[Point, np.ndarray] = {}
-    for i, zi in enumerate(c.z, start=1):
-        logabs[(i, c.rank + 1)] = math.log(abs(zi))
-        arg[(i, c.rank + 1)] = cmath.phase(zi)
-    for p in reversed(c.points):
-        nd = nodes[c.axis[p]]
-        tar = c.diagram.target(p)
-        logabs[p] = nd.log1m_f + logabs[tar]
-        arg[p] = nd.angle + arg[tar]
+def _top_row(cs: Sequence[CyclePath], shape: tuple[int, ...] = ()):
+    """t, log-modulus and argument of the top-row points, which sit at z, as
+    three dicts: Python scalars for one cycle, and for several cycles of one
+    diagram arrays of `shape` over them (the batch axis leads)."""
+    rows = len(cs[0].z)
+    if len(cs) == 1:
+        t = {(i, rows): v for i, v in enumerate(cs[0].z, start=1)}
+        return t, {p: math.log(abs(v)) for p, v in t.items()}, {p: cmath.phase(v) for p, v in t.items()}
+    t, logabs, arg = {}, {}, {}
+    for i, zs in enumerate(zip(*(c.z for c in cs)), start=1):
+        t[(i, rows)] = np.array(zs).reshape(shape)
+        logabs[(i, rows)] = np.array([math.log(abs(v)) for v in zs]).reshape(shape)
+        arg[(i, rows)] = np.array([cmath.phase(v) for v in zs]).reshape(shape)
     return t, logabs, arg
 
 
-def _factor_logs(c: CyclePath, sp: SpectralParam, nodes: Sequence[_Nodes], form=None):
-    """Per-factor (log-modulus, argument) arrays under the anchored branch;
-    `nodes[a]` is axis a's node record.  `form` is `omega_factor_list(c, sp)`
-    when the caller has it already, or a (const, factors) pair whose factors
-    are part of that list: only those are evaluated."""
-    const, factors = form or omega_factor_list(c, sp)
-    t, logabs, arg = _log_data(c, nodes)
+def _log_data(c: CyclePath, nodes: Sequence[_Nodes], data=None, points=None):
+    """t values plus log-moduli and unwound arguments from per-axis records;
+    the records' arrays broadcast.  `data` holds the three at the top row (c's
+    z when not given) and at every target of `points`, the points to build
+    (all of c's when not given, in `c.points` order); they are added to it
+    in place, and it is returned."""
+    t, logabs, arg = data = data or _top_row([c])
+    for p in reversed(c.points if points is None else points):  # rows top-down
+        nd = nodes[c.axis[p]]
+        tar = c.diagram.target(p)
+        t[p] = nd.step * t[tar]
+        logabs[p] = nd.log1m_f + logabs[tar]
+        arg[p] = nd.angle + arg[tar]
+    return data
+
+
+def _logs(c: CyclePath, factors: Sequence[Factor], nodes: Sequence[_Nodes], data):
+    """Per-factor (log-modulus, argument) arrays under the anchored branch
+    from `_log_data`'s `data`; `nodes[a]` is axis a's node record."""
+    t, logabs, arg = data
     logs = []
     with np.errstate(divide="ignore"):  # log(0) on the boundary is caught downstream
         for f in factors:
@@ -431,7 +461,15 @@ def _factor_logs(c: CyclePath, sp: SpectralParam, nodes: Sequence[_Nodes], form=
                 wv = 1.0 - t[small] / t[big]
                 logs.append((logabs[big] + 0.5 * np.log(wv.real**2 + wv.imag**2),
                              arg[big] + np.arctan2(wv.imag, wv.real)))
-    return const, factors, logs, t
+    return logs
+
+
+def _factor_logs(c: CyclePath, sp: SpectralParam, nodes: Sequence[_Nodes]):
+    """The z-only log, the factors, their (log-modulus, argument) arrays and
+    the t values at c's z; `nodes[a]` is axis a's node record."""
+    const, factors = omega_factor_list(c, sp)
+    data = _log_data(c, nodes)
+    return const, factors, _logs(c, factors, nodes, data), data[0]
 
 
 def _log_sum(const: complex, factors: Sequence[Factor], logs):
@@ -570,8 +608,7 @@ def _axis_weights(scheme: str, npoints: int, bump: BumpFn, below: tuple[int, ...
     Jacobian factor and, once for each point below it, e^{2 pi i tau_q} (1 - f_q).
     """
     nodes, wts = _quad_nodes(scheme, npoints, bump)
-    step = nodes.rot * (1.0 - nodes.f)
-    out = tuple(wts * nodes.jac * step**d if d else wts * nodes.jac for d in below)
+    out = tuple(wts * nodes.jac * nodes.step**d if d else wts * nodes.jac for d in below)
     for w in out:
         w.flags.writeable = False
     return out
@@ -587,7 +624,7 @@ def _log_integrand(mod, arg, factors: Sequence[Factor], logs, shape: tuple[int, 
     updated.  Each node sees the additions `_log_sum` makes, in its order.
     """
     for f, (la, aa) in zip(factors, logs):
-        if np.shape(mod) == shape:
+        if getattr(mod, "shape", None) == shape:
             mod += f.expo * la
             arg += f.expo * aa
         else:
@@ -596,9 +633,7 @@ def _log_integrand(mod, arg, factors: Sequence[Factor], logs, shape: tuple[int, 
     return mod, arg
 
 
-def integrate(
-    c: CyclePath, sp: SpectralParam, quad: QuadratureSpec | None = None, *, factors: list[Factor] | None = None
-) -> complex:
+def integrate(c: CyclePath, sp: SpectralParam, quad: QuadratureSpec | None = None) -> complex:
     """Quadrature of the pulled-back form over [0,1]^N, N = n(n+1)/2.
 
     Includes the triangular Jacobian prod dt_{ij}/dtau_{ij} with
@@ -614,67 +649,109 @@ def integrate(
     bounded and the result is deterministic for a spec.  The factors that
     read no fixed axis come first (`_t_factors`) and are the same in every
     block: their logs are evaluated and summed once per call, and each block
-    starts from that sum and adds only the logs of the rest.  With no axis
-    fixed, every factor is in the first part and the one block is the grid.
-
-    `factors`, if given, is `omega_factor_list(c, sp)[1]` as built for any
-    cycle of the same diagram: it depends on neither z nor the rule, so a
-    caller integrating one form at several z builds it once.
+    starts from that sum and adds only the logs of the rest, from the t
+    values of the fixed points alone.  With no axis fixed, every factor is
+    in the first part and the one block is the grid.
 
     Raises ArithmeticError naming the first node, in C order, where the
-    integrand is not finite or a factor base vanishes.
+    integrand is not finite or a factor base vanishes.  `_integrate` takes
+    several z of one diagram in one call, with these bits at each.
     """
+    return _integrate([c], sp, quad)[0]
+
+
+def _integrate(cycles: Sequence[CyclePath], sp: SpectralParam, quad: QuadratureSpec | None = None) -> list[complex]:
+    """`integrate` at each of `cycles`, which share one diagram and bump, in
+    one call: the factor list, the rule's records, the Jacobian weights and
+    the split into blocks are set up once, and the z-dependent arrays carry a
+    leading batch axis.
+
+    The batch is cut into chunks of at most `_BLOCK_NODES` // (block nodes)
+    cycles, so a chunk holds no more nodes than one block of one cycle; the
+    blocks of each cycle are those `integrate` makes alone.  Every node of
+    every cycle sees the operations of `integrate` at that cycle, in the same
+    order, so each result has its bits.  Once a block fixes a point of row
+    n, some factors of the fixed points read no free axis: alone, their logs
+    are taken of numpy scalars, whose log can differ in the last bit from
+    the array log a batch would take, so such a batch goes one cycle at a
+    time.  A chunk of one cycle keeps `integrate`'s scalars and shapes.  The
+    first failing cycle in batch order raises `integrate`'s error for it.
+    """
+    c = cycles[0]
+    if len(cycles) > 1 and any(o.diagram != c.diagram or o.bump != c.bump for o in cycles):
+        raise ValueError("a batch of cycles must share one diagram and bump")
     quad = quad or QuadratureSpec(epsilon=c.bump.epsilon)
     if abs(quad.epsilon - c.bump.epsilon) > 1e-12:
         raise ValueError("quadrature epsilon disagrees with the cycle's bump height")
     nodes, _ = _quad_nodes(quad.scheme, quad.points_per_axis, c.bump)
     x = nodes.x
-    const = _z_log(c, sp)
-    factors = _t_factors(c, sp) if factors is None else factors
-    jconst = math.prod(c.z[c.collapse[p] - 1] for p in c.points)
+    npts = len(x)
+    lam, k = float_view(sp)
+    consts = [_z_log(o, lam, k) for o in cycles]
+    factors = _t_factors(c.diagram, lam, k)
     jw = _axis_weights(quad.scheme, quad.points_per_axis, c.bump, c.below)
     lead = 0
-    while lead < c.naxes - 1 and len(x) ** (c.naxes - lead) > _BLOCK_NODES:
+    while lead < c.naxes - 1 and npts ** (c.naxes - lead) > _BLOCK_NODES:
         lead += 1
+    free = c.naxes - lead
+    # a block that fixes a point of row n (the last n axes) takes one cycle
+    chunk = max(1, _BLOCK_NODES // npts**free) if lead <= c.naxes - c.rank else 1
     # the factors that read a fixed axis close the list (`_t_factors`); they
     # are the tail, evaluated per block, and the head is summed once
     split = len(factors)
-    while split and _lowest_axis(c, factors[split - 1]) < lead:
+    while lead and split and _lowest_axis(c, factors[split - 1]) < lead:
         split -= 1
     head, tail = factors[:split], factors[split:]
-    free = c.naxes - lead
     free_nodes = [nodes.reshape((-1,) + (1,) * (free - 1 - a)) for a in range(free - 1)] + [nodes]
-    vals = np.empty((len(x),) * free, dtype=complex)  # every block's integrand in turn
-    acc = 0.0 + 0.0j
+    # the head reads no fixed axis, so any node stands in for those
+    head_nodes = [nodes.at(0) for _ in range(lead)] + free_nodes
+    out = []
     with np.errstate(over="ignore", invalid="ignore"):
-        # the head reads no fixed axis, so any node stands in for those
-        _, _, logs, _ = _factor_logs(c, sp, [nodes.at(0) for _ in range(lead)] + free_nodes, (const, head))
-        head_mod, head_arg = _log_integrand(const.real, const.imag, head, logs, vals.shape)
-        del logs
-        for idx in itertools.product(range(len(x)), repeat=lead):
-            vals.real = head_mod
-            vals.imag = head_arg
-            if tail:
-                _, _, logs, _ = _factor_logs(c, sp, [nodes.at(i) for i in idx] + free_nodes, (const, tail))
-                _log_integrand(vals.real, vals.imag, tail, logs, vals.shape)
-                del logs  # frees the block-sized factor arrays before exp
-            # a base that vanishes with positive exponent makes the log-modulus
-            # -inf and the integrand 0, but the node is on the singular locus
-            vanish = None if vals.real.min() > -math.inf else ~(vals.real > -math.inf)
-            np.exp(vals, out=vals)
-            part = vals
-            for w in reversed(jw[lead:]):
-                part = np.einsum("ij,j->i", part.reshape(-1, len(w)), w)
-            part = complex(part[0])
-            if vanish is not None or not cmath.isfinite(part):
-                bad = ~np.isfinite(vals)
-                if vanish is not None:
-                    bad |= vanish
-                if np.any(bad):
-                    node = (*idx, *np.argwhere(bad)[0])
-                    raise ArithmeticError(f"non-finite integrand at tau = {[float(x[i]) for i in node]}")
-            acc += math.prod(w[i] for w, i in zip(jw, idx)) * part
-    return jconst * acc
+        for start in range(0, len(cycles), chunk):
+            batch = cycles[start:start + chunk]
+            bshape = (len(batch),) if len(batch) > 1 else ()
+            zshape = bshape + (1,) * free
+            const = consts[start] if not bshape else np.array(consts[start:start + chunk]).reshape(zshape)
+            vals = np.empty(bshape + (npts,) * free, dtype=complex)  # every block's integrand in turn
+            data = _log_data(c, head_nodes, _top_row(batch, zshape), c.points[lead:])
+            logs = _logs(c, head, head_nodes, data)
+            head_mod, head_arg = _log_integrand(const.real, const.imag, head, logs, vals.shape)
+            del logs
+            acc = [0.0 + 0.0j] * len(batch)
+            errors = {}
+            for idx in itertools.product(range(npts), repeat=lead):
+                vals.real = head_mod
+                vals.imag = head_arg
+                if tail:
+                    block_nodes = [nodes.at(i) for i in idx] + free_nodes
+                    # the points on fixed axes, overwritten per block; the rest are the head's
+                    logs = _logs(c, tail, block_nodes, _log_data(c, block_nodes, data, c.points[:lead]))
+                    _log_integrand(vals.real, vals.imag, tail, logs, vals.shape)
+                    del logs  # frees the block-sized factor arrays before exp
+                # a base that vanishes with positive exponent makes the log-modulus
+                # -inf and the integrand 0, but the node is on the singular locus
+                vanish = None if vals.real.min() > -math.inf else ~(vals.real > -math.inf)
+                np.exp(vals, out=vals)
+                part = vals
+                for w in reversed(jw[lead:]):
+                    part = np.einsum("ij,j->i", part.reshape(-1, npts), w)
+                weight = math.prod(w[i] for w, i in zip(jw, idx))
+                for b, pb in enumerate(part.tolist()):
+                    if b not in errors and (vanish is not None or not cmath.isfinite(pb)):
+                        bad = ~np.isfinite(vals[b] if bshape else vals)
+                        if vanish is not None:
+                            bad |= vanish[b] if bshape else vanish
+                        if np.any(bad):
+                            node = (*idx, *np.argwhere(bad)[0])
+                            errors[b] = f"non-finite integrand at tau = {[float(x[i]) for i in node]}"
+                    acc[b] += weight * pb
+                if 0 in errors:  # no cycle before it in the batch can fail
+                    break
+            if errors:
+                raise ArithmeticError(errors[min(errors)])
+            out += [math.prod(o.z[c.collapse[p] - 1] for p in c.points) * a for o, a in zip(batch, acc)]
+            del vals, data, head_mod, head_arg  # a chunk's arrays are freed before the next's
+    return out
 
 
 def integrate_for_w(
@@ -690,8 +767,12 @@ def leading_power(w: Permutation, sp: SpectralParam, z: Sequence[complex]) -> co
 
 
 def _leading_exponent(w: Permutation, sp: SpectralParam) -> list[float]:
-    """w.lambda + rho, as floats."""
-    return [float(m) for m in rs.add(rs.weyl_apply(w, sp.lam), sp.rho)]
+    """w.lambda + rho, as floats: each coordinate's integer numerator over
+    `exact_view(sp)`'s denominator D, divided once, which is the float of the
+    exact coordinate.  D rho_i = (D k / 2)(n - 2i) for 0-based i."""
+    den, lam, k = exact_view(sp)
+    n = sp.rank
+    return [(m + k // 2 * (n - 2 * i)) / den for i, m in enumerate(rs.weyl_apply(w, lam))]
 
 
 def _power(mu: Sequence[float], z: Sequence[complex]) -> complex:
@@ -710,22 +791,16 @@ def leading_coeff_estimate(
     correction term of the asymptotic series.
     """
     quad = quad or QuadratureSpec()
-    return _richardson(*_ratios(w, sp, quad, 1.0, (r, r / 2.0)))
+    return _richardson(*_ratios(w, sp, quad, 1.0, (r, r / 2.0))[1])
 
 
-def _ratios(w: Permutation, sp: SpectralParam, quad: QuadratureSpec, scale: float, radii) -> list[complex]:
-    """Integrals over z = scale*(r^n, ..., 1) divided by their leading powers,
-    one per r in `radii`; the factor list and w.lambda + rho are built once."""
+def _ratios(w: Permutation, sp: SpectralParam, quad: QuadratureSpec, scale: float, radii) -> tuple[list[complex], list[complex]]:
+    """The integrals over z = scale*(r^n, ..., 1), one per r in `radii`, in
+    one `_integrate` call, and each divided by its leading power."""
     mu = _leading_exponent(w, sp)
-    factors = None
-    out = []
-    for r in radii:
-        z = [scale * r ** (sp.rank - i) for i in range(sp.rank + 1)]
-        c = cycle_for_w(w, z, quad.epsilon)
-        if factors is None:
-            factors = _t_factors(c, sp)
-        out.append(integrate(c, sp, quad, factors=factors) / _power(mu, z))
-    return out
+    zs = [[scale * r ** (sp.rank - i) for i in range(sp.rank + 1)] for r in radii]
+    values = _integrate([cycle_for_w(w, z, quad.epsilon) for z in zs], sp, quad)
+    return values, [v / _power(mu, z) for v, z in zip(values, zs)]
 
 
 def _richardson(a1: complex, a2: complex) -> complex:
@@ -748,7 +823,7 @@ def mellin_value_at_unit_coupling(w: Permutation, z: Sequence[complex], sp: Spec
     if sp.k != 1:
         raise ValueError("closed form holds at k = 1 only")
     n = sp.rank
-    lam = [float(x) for x in sp.lam]
+    lam = float_view(sp)[0]
     d = Diagram.from_permutation(w)
     z = [complex(v) for v in z]
     g: dict[Point, float] = {}
@@ -791,23 +866,15 @@ def fd_eigenvalue(
     h = _FD_STEP
     z = [float(v) for v in z]
     n = sp.rank
-    k = float(sp.k)
+    k = float_view(sp)[1]
 
-    factors = _t_factors(cycle_for_w(w, z, quad.epsilon), sp)
-
-    def phi(zv: Sequence[float]) -> complex:
-        return integrate(cycle_for_w(w, zv, quad.epsilon), sp, quad, factors=factors)
-
-    base = phi(z)
-    plus = []
-    minus = []
+    zs = [z]
     for i in range(n + 1):
-        zp = list(z)
-        zm = list(z)
-        zp[i] = z[i] * math.exp(h)
-        zm[i] = z[i] * math.exp(-h)
-        plus.append(phi(zp))
-        minus.append(phi(zm))
+        for step in (math.exp(h), math.exp(-h)):
+            zs.append(list(z))
+            zs[-1][i] = z[i] * step
+    base, *steps = _integrate([cycle_for_w(w, zv, quad.epsilon) for zv in zs], sp, quad)
+    plus, minus = steps[0::2], steps[1::2]
     acc = 0.0 + 0.0j
     for i in range(n + 1):
         acc += (plus[i] - 2.0 * base + minus[i]) / h**2

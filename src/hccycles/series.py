@@ -22,6 +22,7 @@ again by exact recurrence, and checks truncated commutators.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 from dataclasses import dataclass, field
@@ -73,6 +74,29 @@ class SpectralParam:
         """(lambda, alpha_check) not an integer, for every root."""
         lam = self.lam
         return all((lam[a] - lam[b]).denominator != 1 for a, b in rs.positive_root_pairs(self.rank))
+
+
+# Views of a parameter for the float layers, each built once while the
+# parameter is in use.  A bounded cache rather than an attribute: a pool of
+# thousands of parameters would otherwise keep all their views alive.
+
+
+@functools.lru_cache(maxsize=8)
+def exact_view(sp: SpectralParam) -> tuple[int, tuple[int, ...], int]:
+    """(D, D lambda, D k): lambda and k as integers over one denominator D,
+    the least common multiple of lambda's denominators and twice k's.  D is
+    even and D k is even, so D rho = (D k / 2) (n, n - 2, ..., -n) is
+    integral too.  For an integer numerator m, m / D is the correctly
+    rounded float of the Fraction m / D, as `float` gives it."""
+    den = math.lcm(2 * sp.k.denominator, *(x.denominator for x in sp.lam))
+    return (den, tuple(x.numerator * (den // x.denominator) for x in sp.lam),
+            sp.k.numerator * (den // sp.k.denominator))
+
+
+@functools.lru_cache(maxsize=8)
+def float_view(sp: SpectralParam) -> tuple[tuple[float, ...], float]:
+    """(float lambda, float k)."""
+    return tuple(map(float, sp.lam)), float(sp.k)
 
 
 def gamma_L(sp: SpectralParam) -> Q:

@@ -112,21 +112,25 @@ def test_integrate_csv(tmp_path):
 def test_integrate_integrates_each_z_once(monkeypatch, tmp_path, capsys, csv, calls):
     # Per w: the grid P and the grid 2P-1 at z(r), then z(r/2) for the
     # Richardson estimate; the CSV rows at r, r/2, ..., r/16 reuse those.
+    # Every integral goes through `_integrate`, one call per rule, so each
+    # (z, rule) it is given counts once.
     from hccycles import cycles as cy
 
     seen = []
-    real = cy.integrate
+    real = cy._integrate
 
-    def counting(*args, **kw):
-        seen.append(args)
-        return real(*args, **kw)
+    def counting(cycles, sp, quad):
+        seen.extend((c.z, quad.points_per_axis) for c in cycles)
+        return real(cycles, sp, quad)
 
-    monkeypatch.setattr(cy, "integrate", counting)
+    monkeypatch.setattr(cy, "_integrate", counting)
     argv = ["integrate", "--points", "33", "--w", "id"]
     if csv:
         argv += ["--csv-out", str(tmp_path / "trace.csv"), "--csv-steps", "5"]
     assert main(argv) == 0
     assert len(seen) == calls
+    assert len(set(seen)) == calls
+    assert sum(points == 65 for _, points in seen) == 1
     assert "leading_coefficient_estimate" in json.loads(capsys.readouterr().out)["results"][0]
 
 

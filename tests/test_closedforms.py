@@ -1,17 +1,21 @@
 import cmath
+import functools
 import math
 import random
 from fractions import Fraction as Q
 
 import pytest
 import scipy.special as ss
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from hccycles import closedforms as cf
+from hccycles import cycles as cy
 from hccycles import diagrams as dg
 from hccycles import rootsystem as rs
 from hccycles.claims import random_generic
 from hccycles.polynomial import vandermonde
-from hccycles.series import SpectralParam
+from hccycles.series import SpectralParam, exact_view, float_view
 
 W_ID = dg.Permutation((1, 2))
 W_S = dg.Permutation((2, 1))
@@ -230,18 +234,23 @@ def test_pairings_are_coordinate_differences():
         sp = random_generic(rng, n, Q(1, 5), 29)
         table = cf._factor_table(sp)
         roots = rs.positive_roots(n)
-        assert cf._lam_delta(sp) == rs.inner(sp.lam, rs.delta(n))
+        den = exact_view(sp)[0]
+        for length in range(n * (n + 1) // 2 + 1):
+            # the phase e^{-2 pi i (lambda, delta)} e^{-pi i (k-1) l(w)} i^N
+            p = -2 * rs.inner(sp.lam, rs.delta(n)) - (sp.k - 1) * length + Q(n * (n + 1), 4)
+            assert Q(cf._phase_num(sp, length), 2 * den) == p
+        assert cf._phase_num(sp, None) == 0
         for w in dg.all_permutations(n + 1):
             wlam = rs.weyl_apply(w, sp.lam)
             got = cf._roots(w.images, n)
             pairings = [rs.inner(wlam, rs.coroot(alpha)) for alpha in roots]
-            assert [table["arg", (i, j, 0, 0)] for i, j, _, _ in got] == pairings
+            assert [table.arg((i, j, 0, 0)) for i, j, _, _ in got] == pairings
             assert [sp.k * d for _, _, d, _ in got] == [rs.inner(sp.rho, rs.coroot(alpha)) for alpha in roots]
             for (i, j, d, _), p in zip(got, pairings, strict=True):
                 for c, ck in ((0, 1), (1, 0), (1, -1)):
-                    assert table["arg", (i, j, c, ck)] == p + c + ck * sp.k
-                    assert table["arg", (j, i, c, ck)] == -p + c + ck * sp.k
-                assert table["arg", (0, 0, 1, -d)] == 1 - sp.k * d
+                    assert table.arg((i, j, c, ck)) == p + c + ck * sp.k
+                    assert table.arg((j, i, c, ck)) == -p + c + ck * sp.k
+                assert table.arg((0, 0, 1, -d)) == 1 - sp.k * d
 
 
 # -- the factor table: bit-identical values, same failures ----------------------
@@ -355,3 +364,114 @@ def test_table_memo_is_bounded():
         cf.a_w(W_S, random_generic(rng, 1, Q(1, 5), 29))
     info = cf._factor_table.cache_info()
     assert info.maxsize is not None and info.currsize == info.maxsize
+
+
+# -- exact spectral data as integers over one denominator -----------------------
+
+
+def _fraction_route(kind, w, sp):
+    """a_w, F_w_at_1 or limit_value with every argument an exact Fraction in
+    the vector form, evaluated by `GammaProduct.eval`: the factors of the
+    table in its order, so the same bits, PoleErrors and zeros."""
+    n, k = sp.rank, sp.k
+    N = n * (n + 1) // 2
+    wlam = rs.weyl_apply(w, sp.lam)
+    prod = cf.GammaProduct(const=1.0 if kind == "F" else 2.0**N)
+    for (a, b), alpha in zip(rs.positive_root_pairs(n), rs.positive_roots(n), strict=True):
+        tag = f"alpha = {tuple(map(str, alpha))}"
+        p = rs.inner(wlam, rs.coroot(alpha))
+        if kind == "a_w":
+            prod.times_gamma(-p, 1, tag).times_gamma(-p + k, -1, tag).times_sin(-p, tag)
+        elif kind == "F":
+            prod.times_gamma(p + 1, 1, tag).times_gamma(p + 1 - k, -1, tag)
+            prod.times_gamma(1 - k * (b - a), -1, tag).times_gamma(1 - k * (b - a) - k, 1, tag)
+        else:
+            prod.times_sin(-p + k, tag)
+    if kind == "a_w":
+        prod.times_gamma(k, N, "coupling")
+    if kind != "F":
+        length = dg.Diagram.from_permutation(w).length()
+        prod.times_exp_pi_i(-2 * rs.inner(sp.lam, rs.delta(n)) - (k - 1) * length + Q(N, 2))
+    if kind != "limit":
+        return prod.eval()
+    for m in range(1, n + 2):
+        s = cf.sinpi(m * k)
+        if abs(s) < cf._SIN_ZERO_TOL:
+            raise ZeroDivisionError(f"denominator sin({m} pi k) = {s:.2e} vanishes at k = {k}")
+    val = prod.eval()
+    den, gden = 1.0 + 0j, 1.0 + 0j
+    for m in range(1, n + 2):
+        den *= cf.sinpi(m * k)
+    for m in range(1, n + 2):
+        gden *= cf.gamma(complex(m * k))
+    val *= cf.sinpi(k) ** (n + 1) / den
+    return val * cf.gamma(complex(k)) ** ((n + 1) * (n + 2) // 2) / gden
+
+
+def _bits(f, w, sp):
+    """The bits of f(w, sp), or the type and text of its ArithmeticError
+    (PoleError, ZeroDivisionError, or OverflowError of a huge Gamma)."""
+    try:
+        v = f(w, sp)
+    except ArithmeticError as exc:
+        return type(exc), str(exc)
+    return v.real.hex(), v.imag.hex()
+
+
+@st.composite
+def exact_params(draw):
+    # denominators 1 and 2 give integer pairings, poles and zeros; k may be
+    # 0, negative or an integer.  |k| <= 12 and |lambda_i| <= 36 keep every
+    # Gamma argument below 171, where Gamma overflows a float.
+    n = draw(st.integers(1, 3))
+    lam = [Q(draw(st.integers(-12, 12)), draw(st.sampled_from([1, 2, 3, 7, 10, 37]))) for _ in range(n)]
+    kden = draw(st.sampled_from([1, 2, 3, 4, 8, 40]))
+    k = Q(draw(st.integers(-6 * kden, 12 * kden)), kden)
+    return SpectralParam(rs.vec(lam + [-sum(lam)]), k)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(exact_params())
+@example(SpectralParam(rs.vec([1, -1]), Q(3, 2)))
+@example(SpectralParam(rs.vec([Q(1, 2), 0, Q(-1, 2)]), Q(3, 2)))
+@example(SpectralParam(*SP_K_HALF))
+def test_integer_views_match_fractions(sp):
+    n = sp.rank
+    den, lam_num, k_num = exact_view(sp)
+    assert den % 2 == 0 and k_num % 2 == 0
+    assert [Q(v, den) for v in lam_num] == list(sp.lam) and Q(k_num, den) == sp.k
+    assert float_view(sp) == (tuple(float(x) for x in sp.lam), float(sp.k))
+    table = cf._FactorTable(sp)
+    for i in range(n + 1):
+        for j in range(n + 1):
+            for c in (0, 1):
+                for ck in range(-n - 2, n + 3):
+                    spec = (i, j, c, ck)
+                    x = sp.lam[i] - sp.lam[j] + c + ck * sp.k
+                    num = table.num(spec)
+                    assert table.arg(spec) == x
+                    assert (num / den).hex() == float(x).hex()
+                    assert complex(num / den) == complex(x)
+                    assert table["gamma", spec][1] == (x <= 0 and x.denominator == 1)
+    N = n * (n + 1) // 2
+    for length in range(N + 1):
+        p = -2 * rs.inner(sp.lam, rs.delta(n)) - (sp.k - 1) * length + Q(N, 2)
+        assert (cf._phase_num(sp, length) / (2 * den)).hex() == float(p).hex()
+    funcs = {"a_w": cf.a_w, "F": cf.F_w_at_1, "limit": cf.limit_value}
+    for w in dg.all_permutations(n + 1):
+        exact = [float(m) for m in rs.add(rs.weyl_apply(w, sp.lam), sp.rho)]
+        assert [v.hex() for v in cy._leading_exponent(w, sp)] == [v.hex() for v in exact]
+        for kind, f in funcs.items():
+            assert _bits(f, w, sp) == _bits(functools.partial(_fraction_route, kind), w, sp)
+
+
+def test_views_are_bounded_and_leave_the_parameter():
+    # the views live in a bounded cache, not on the parameter, so a pool of
+    # parameters keeps none of them alive
+    sp, twin = (SpectralParam(rs.vec([Q(1, 3), Q(-1, 3)]), Q(3, 4)) for _ in range(2))
+    assert exact_view(sp) == (24, (8, -8), 18)  # D = lcm(3, 2 * 4)
+    assert float_view(sp) == ((1 / 3, -1 / 3), 0.75)
+    assert vars(sp) == {"lam": (Q(1, 3), Q(-1, 3)), "k": Q(3, 4)}
+    assert sp == twin and hash(sp) == hash(twin)
+    for view in (exact_view, float_view):
+        assert view.cache_info().maxsize is not None

@@ -168,7 +168,7 @@ def test_factor_order_lowest_axis_first():
         z = [10.0 ** (-2 * i) for i in range(n, -1, -1)]
         for w in dg.all_permutations(n + 1):
             c = cy.cycle_for_w(w, z, 0.1)
-            factors = cy._t_factors(c, sp)
+            factors = cy.omega_factor_list(c, sp)[1]
             low = []
             for f in factors:
                 chain = {c.diagram.target(f.pts[0])} if f.kind == "vanish" else set()
@@ -573,20 +573,43 @@ def test_broadcast_matches_flat_index_reference():
         assert abs(cy.integrate(c, sp_3, quad_3) - ref) <= 1e-13 * abs(ref)
 
 
+def _hex(values):
+    return [(v.real.hex(), v.imag.hex()) for v in values]
+
+
 @pytest.mark.parametrize("lead", [0, 1, 2])
 def test_leading_axis_blocks(lead, monkeypatch):
     # rank 3 has 6 axes: fixing `lead` leading axes leaves 8^(6-lead) nodes per
-    # block; a factor that reads no fixed axis is evaluated once per call, any
-    # other once per block
+    # block.  Per z, a factor that reads no fixed axis is evaluated once per
+    # call and any other once per block, and a block rebuilds the t values of
+    # the fixed points alone.  Two z share each block here.
     c, sp_3, quad, ref = _rank3_case((2, 4, 1, 3))
-    monkeypatch.setattr(cy, "_BLOCK_NODES", 8 ** (6 - lead))
-    evaluated = Counter()
-    factor_logs = cy._factor_logs
-    monkeypatch.setattr(cy, "_factor_logs", lambda *args: evaluated.update(args[3][1]) or factor_logs(*args))
-    assert abs(cy.integrate(c, sp_3, quad) - ref) <= 1e-13 * abs(ref)
-    factors = cy._t_factors(c, sp_3)
-    assert evaluated == {f: 1 if cy._lowest_axis(c, f) >= lead else 8**lead for f in factors}
+    other = cy.cycle_for_w(c.diagram.to_permutation(), [4e-6, 2e-4, 2e-2, 1.0], 0.1)
+    top = (1, c.rank + 1)
+    evaluated, built = Counter(), Counter()
+    logs, log_data = cy._logs, cy._log_data
+
+    def counting_logs(c, factors, nodes, data):
+        for f in factors:
+            evaluated[f] += np.size(data[1][top])  # one per z
+        return logs(c, factors, nodes, data)
+
+    def counting_log_data(c, nodes, data=None, points=None):
+        for p in c.points if points is None else points:
+            built[p] += 1 if data is None else np.size(data[1][top])
+        return log_data(c, nodes, data, points)
+
+    monkeypatch.setattr(cy, "_logs", counting_logs)
+    monkeypatch.setattr(cy, "_log_data", counting_log_data)
+    monkeypatch.setattr(cy, "_BLOCK_NODES", 2 * 8 ** (6 - lead))
+    got = cy._integrate([c, other], sp_3, quad)
+    assert abs(got[0] - ref) <= 1e-13 * abs(ref)
+    factors = cy.omega_factor_list(c, sp_3)[1]
+    assert evaluated == {f: 2 * (1 if cy._lowest_axis(c, f) >= lead else 8**lead) for f in factors}
     assert sum(cy._lowest_axis(c, f) < lead for f in factors) == (0, 3, 8)[lead]
+    assert built == {p: 2 * (1 if c.axis[p] >= lead else 8**lead) for p in c.points}
+    monkeypatch.setattr(cy, "_BLOCK_NODES", 8 ** (6 - lead))
+    assert _hex(got) == _hex([cy.integrate(c, sp_3, quad), cy.integrate(other, sp_3, quad)])
 
 
 # float.hex of (re, im) of `integrate`.  Each node's log-modulus and argument
@@ -696,6 +719,67 @@ def test_nonfinite_guard(monkeypatch):
         node = ast.literal_eval(str(err.value).split("tau = ")[1])
         assert len(node) == c2.naxes and all(v in x for v in node)
         assert node != [float(x[0])] * c2.naxes
+
+
+@pytest.mark.parametrize("rank, lead", [(1, 0), (2, 0), (2, 1), (2, 2), (3, 0), (3, 1), (3, 2)])
+def test_batch_matches_single_calls_bitwise(rank, lead, monkeypatch):
+    # five z in chunks of two cycles (2, 2, 1) at the blocking `lead` fixes:
+    # every result has the bits of `integrate` at its z alone, at the same
+    # blocking.  At rank 2, lead 2 fixes a point of row n, so the batch goes
+    # one cycle at a time.
+    lam = [Q(3, 10), Q(1, 7), Q(-2, 9)][:rank]
+    sp = SpectralParam(rs.vec(lam + [-sum(lam)]), Q(3, 2))
+    w = {1: (2, 1), 2: (2, 3, 1), 3: (2, 4, 1, 3)}[rank]
+    npts = {1: 33, 2: 9, 3: 8}[rank]
+    quad = cy.QuadratureSpec(points_per_axis=npts)
+    cycles = [cy.cycle_for_w(dg.Permutation(w), [r ** (rank - i) for i in range(rank + 1)], 0.1)
+              for r in (1e-2, 5e-3, 2e-2, 1e-3, 3e-2)]
+    monkeypatch.setattr(cy, "_BLOCK_NODES", 2 * npts ** (cycles[0].naxes - lead))
+    single = [cy.integrate(c, sp, quad) for c in cycles]
+    chunks = []  # the cycles of each chunk, seen at its head's log data
+    log_data = cy._log_data
+
+    def recording(c, nodes, data=None, points=None):
+        if points == c.points[lead:]:
+            chunks.append(np.size(data[0][(1, c.rank + 1)]))
+        return log_data(c, nodes, data, points)
+
+    monkeypatch.setattr(cy, "_log_data", recording)
+    assert _hex(cy._integrate(cycles, sp, quad)) == _hex(single)
+    assert chunks == ([1] * 5 if (rank, lead) == (2, 2) else [2, 2, 1])
+    assert _hex(cy._integrate(cycles[1:2], sp, quad)) == _hex(single[1:2])
+
+
+def test_batch_raises_first_failure_in_batch_order(monkeypatch):
+    # at these z the monomials overflow inside the cube, at the first node of
+    # axis 0 for `early` and at a later one for `late`; with axis 0 fixed and
+    # both in one chunk, `early` fails first, but a batch raises the error
+    # `integrate` raises at the first failing z in batch order
+    sp_2 = SpectralParam(rs.vec([Q(-100), Q(-300), Q(400)]), Q(20))
+    w = dg.Permutation((2, 3, 1))
+    quad = cy.QuadratureSpec(points_per_axis=9)
+    fine, late, early = (cy.cycle_for_w(w, z, 0.1) for z in
+                         ([0.05, 0.2, 1.0], [1e-4, 1e-2, 1.0], [1e-3, 1e-1, 1.0]))
+    monkeypatch.setattr(cy, "_BLOCK_NODES", 4 * 9 ** 2)
+    messages = {}
+    for c in (late, early):
+        with pytest.raises(ArithmeticError) as err:
+            cy.integrate(c, sp_2, quad)
+        messages[c] = str(err.value)
+    assert messages[late] != messages[early]
+    assert cmath.isfinite(cy.integrate(fine, sp_2, quad))
+    for batch in ([fine, late, early], [fine, early, late], [late, fine], [early, early]):
+        with pytest.raises(ArithmeticError) as err:
+            cy._integrate(batch, sp_2, quad)
+        assert str(err.value) == messages[batch[1] if batch[0] is fine else batch[0]]
+
+
+def test_batch_needs_one_diagram_and_bump():
+    sp = sp1()
+    c = cy.cycle_for_w(W_ID, [1e-2, 1.0], 0.1)
+    for other in (cy.cycle_for_w(W_S, [1e-2, 1.0], 0.1), cy.cycle_for_w(W_ID, [1e-2, 1.0], 0.05)):
+        with pytest.raises(ValueError):
+            cy._integrate([c, other], sp)
 
 
 def test_zero_base_inside_cube(monkeypatch):
