@@ -176,7 +176,8 @@ def cmd_integrate(args) -> int:
     z = [args.scale * r ** (n - i) for i in range(n + 1)]
     try:
         quad = cy.QuadratureSpec(scheme=args.scheme, points_per_axis=args.points, epsilon=args.epsilon)
-        cycles = [cy.cycle_for_w(w, z, quad.epsilon) for w in ws]
+        bump = cy.BumpFn(quad.epsilon)
+        cycles = [cy.CyclePath(dg.Diagram.from_permutation(w), z, bump) for w in ws]
     except ValueError as exc:
         raise SystemExit(f"usage error: {exc}")
     quad2 = cy.QuadratureSpec(scheme=args.scheme, points_per_axis=2 * args.points - 1, epsilon=args.epsilon)

@@ -40,50 +40,64 @@ broadcast over per-axis tau arrays, so each factor carries only the axes of
 its chain; blocks of the grid fix its leading axes and are summed in C
 order, so results are deterministic for a fixed spec.
 
-Each block's integrand is one log-space sum: the factor logs are summed as
-a real log-modulus and a real argument in factor order, each partial sum at
-the broadcast shape of its terms until it spans the block, and
-exponentiated once.  The factors are listed in descending order of the
-lowest axis they read (`_t_factors`), so the factors that read no fixed
-leading axis form a prefix of the list.  Their sum is the same in every
-block and is built once per `integrate` call; each block starts from it
-and adds the logs of the remaining factors only, rebuilding the t values
-of the points on the fixed axes alone.  Every node still sees the
-additions of one sum in factor order, as in `omega_w_eval`.  The
-Jacobian prod dt/dtau is a constant times one factor per axis (t_tar is
-z_collapse times e^{2 pi i tau}(1 - f) of every point above on the
-chain), so it rides in per-axis complex weights, and a block is summed by
-contracting its axes with them, last axis first.
+The integrand times the Jacobian prod dt/dtau is split by axis
+(`_plan`).  log t_p is log z_collapse(p) plus log1p(-f) + 2 pi i tau of
+every axis on the chain up from p, so the log of each monomial, of the
+t_tar in each vanishing factor and of the t_big in each difference
+big - small is a constant plus one term per axis; so is the Jacobian
+(t_tar is z_collapse times e^{2 pi i tau}(1 - f) of every point above on
+the chain).  The vanishing base reads its own axis, and
+log(1 - t_small/t_big) reads one axis when a row-n point meets a top-row
+z, several otherwise.  So the integrand is exp(const) times
+prod_a W_a(tau_a) times exp of the multi-axis differences, where each
+per-axis weight W_a is one complex array holding the rule weight, the
+Jacobian factor and the exp of every one-axis term on that axis.  At
+rank 1 and at k = 1 there are no multi-axis differences; at rank 2 they
+are 2 of 12 factors, at rank 3 9 of 30.
+
+Only the multi-axis differences are evaluated per node.  Their logs are
+summed as a real log-modulus and a real argument, smallest broadcast shape
+first, each partial sum at the broadcast shape of its terms, and the block
+is exponentiated once and contracted with the W_a of its free axes, last
+axis first.  The differences are listed in descending order of the lowest
+axis they read (`_t_factors`), so those that read no fixed leading axis
+form a prefix: their sum is the same in every block and is built once per
+`integrate` call, and each block adds the rest, rebuilding the t values of
+the points on the fixed axes alone.  exp(const), the W_a of the fixed
+axes at their nodes and the scales that keep each free axis's W_a at most
+its rule weight times its Jacobian factor are one factor per block, whose
+log-modulus is summed before it is exponentiated: no weight over- or
+underflows where the integrand itself does not.
 
 What depends on an axis's nodes alone, and not on z, lambda or k, is one
-per-axis node record: x, the bump f, log1p(-f), 2 pi tau,
-e^{2 pi i tau}(1 - f), the log-modulus and argument of the vanishing base
+per-axis node record: x, the bump f, e^{2 pi i tau}(1 - f) and its log
+log1p(-f) + 2 pi i tau, the log of the vanishing base
 1 - e^{2 pi i tau}(1 - f), and the Jacobian factor
 e^{2 pi i tau}(2 pi i (1 - f) - f').
-`integrate` takes its rule's record from a small cache keyed by (scheme,
-points per axis, bump), so the bump is evaluated once per rule and not once
-per call; the cached arrays are read-only.  The per-axis Jacobian weights
-depend on the rule and the diagram but not on z, and are cached the same
-way.  What depends on the diagram alone (points, axes, collapse anchors) is
-cached per diagram, and the factor list per diagram and float (lambda, k).
-Pointwise evaluation and `t_values` build records from their own tau
-(`_tau_nodes`), and `omega_w_eval` sums the factor logs as one complex sum
-(`_log_sum`).
+`integrate` takes its rule's record, and the rule weights times the
+Jacobian factors, from a small cache keyed by (scheme, points per axis,
+bump), so the bump is evaluated once per rule and not once per call; the
+cached arrays are read-only.  What depends on the diagram alone (points,
+axes, chains, collapse anchors, the factors without their exponents) is
+cached per diagram, and the factor list and the plan per diagram and
+float (lambda, k).  The z-free part of each axis's log is built once per
+call.  Pointwise evaluation and `t_values` build records from their own
+tau (`_tau_nodes`), and `omega_w_eval` sums the factor logs as one complex
+sum in factor order (`_log_sum`).
 
 Several z of one diagram and rule are integrated in one call of
 `_integrate`, which `integrate` calls with one cycle: the Richardson radii
 of `leading_coeff_estimate`, the 2n + 3 points of `fd_eigenvalue` and the
-radii of `hc integrate`.  The set-up (rule, weights, factor list, blocks)
-is done once.  Only what depends on z carries a leading batch axis: the
-t values, log-moduli and arguments from the top row down, and the z-only
-log.  The batch is cut into chunks of at most `_BLOCK_NODES` // (nodes per
-block) cycles (one, where a block fixes a point of row n), so a chunk's
-arrays are no larger than one block of one cycle, and each cycle is
-blocked as it is alone: at rank 2 with 41 points per axis a block is the
-whole grid, and a chunk holds one cycle.  Each node of each cycle sees the
-operations it sees alone, in the same order, so each result has the bits
-of its own `integrate` call.  A chunk of one cycle keeps the scalars and
-shapes of that call.
+radii of `hc integrate`.  The set-up (rule, plan, z-free logs, blocks) is
+done once.  What depends on z carries a leading batch axis, also for one
+cycle: the t values from the top row down, the one-axis differences and
+the weights.  The batch is cut into chunks of at most `_BLOCK_NODES` //
+(nodes per block) cycles, so a chunk's arrays are no larger than one block
+of one cycle, and each cycle is blocked as it is alone: at rank 2 with 41
+points per axis a block is the whole grid, and a chunk holds one cycle.
+Each node of each cycle sees the operations it sees alone, in the same
+order and on arrays, so each result has the bits of its own `integrate`
+call.
 """
 
 from __future__ import annotations
@@ -92,6 +106,7 @@ import cmath
 import functools
 import itertools
 import math
+import sys
 from dataclasses import dataclass
 from types import MappingProxyType
 from typing import Mapping, NamedTuple, Sequence
@@ -108,6 +123,7 @@ _SEPARATION_MARGIN = 0.85
 _BLOCK_NODES = 1 << 17  # most grid nodes `integrate` evaluates at once
 _MAX_REFINEMENTS = 20  # step doublings before `phase_continuation` gives up
 _FD_STEP = 1e-3  # central-difference step in log z of `fd_eigenvalue`
+_LOG_MAX = math.log(sys.float_info.max)  # the largest log-modulus exp keeps finite
 
 
 def _unit_interval(x) -> np.ndarray:
@@ -189,14 +205,14 @@ class CyclePath:
 
     def __init__(self, diagram: Diagram, z: Sequence[complex], bump: BumpFn | None = None):
         self.diagram = diagram
-        self.z = tuple(complex(v) for v in z)
+        self.z = tuple(map(complex, z))
         self.bump = bump or BumpFn()
         n = diagram.rows - 1
         if n < 1:
             raise ValueError("need a diagram with at least 2 rows")
         if len(self.z) != n + 1:
             raise ValueError("z must have one entry per top-row point")
-        mods = [abs(v) for v in self.z]
+        mods = list(map(abs, self.z))
         if not all(0 < a < b < math.inf for a, b in zip(mods, mods[1:])):
             raise ValueError("need finite 0 < |z_1| < ... < |z_{n+1}|")
         sep = (1.0 - self.bump.epsilon) ** n * _SEPARATION_MARGIN
@@ -208,7 +224,7 @@ class CyclePath:
             )
 
         self.rank = n
-        self.points, self.axis, self.collapse, self.below = _geometry(diagram)
+        self.points, self.axis, self.collapse, self.chain, self.below = _geometry(diagram)
 
     @property
     def naxes(self) -> int:
@@ -222,12 +238,14 @@ class CyclePath:
 class _Geometry(NamedTuple):
     """What a cycle takes from its diagram alone: the points in axis order,
     each point's axis, the index of the z anchor each point (top row
-    included) collapses to at tau = 0, and, per axis, how many points have
-    that axis's point above them on their chain."""
+    included) collapses to at tau = 0, the axes each point's chain up to row
+    n reads (its own first; none for the top row), and, per axis, how many
+    points have that axis's point above them on their chain."""
 
     points: tuple[Point, ...]
     axis: Mapping[Point, int]
     collapse: Mapping[Point, int]
+    chain: Mapping[Point, tuple[int, ...]]
     below: tuple[int, ...]
 
 
@@ -235,22 +253,28 @@ class _Geometry(NamedTuple):
 def _geometry(diagram: Diagram) -> _Geometry:
     n = diagram.rows - 1
     points = tuple((i, j) for j in range(1, n + 1) for i in range(1, j + 1))
+    axis = {p: a for a, p in enumerate(points)}
     collapse = {(i, n + 1): i for i in range(1, n + 2)}
-    for j in range(n, 0, -1):
-        for i in range(1, j + 1):
-            collapse[(i, j)] = collapse[diagram.target((i, j))]
-    below = dict.fromkeys(points, 0)
+    chain = {(i, n + 1): () for i in range(1, n + 2)}
+    for p in reversed(points):  # rows top-down
+        collapse[p] = collapse[diagram.target(p)]
+        chain[p] = (axis[p],) + chain[diagram.target(p)]
+    below = [0] * len(points)
     for p in points:
-        q = diagram.target(p)
-        while q[1] <= n:
-            below[q] += 1
-            q = diagram.target(q)
-    return _Geometry(points, MappingProxyType({p: a for a, p in enumerate(points)}),
-                     MappingProxyType(collapse), tuple(below.values()))
+        for a in chain[diagram.target(p)]:
+            below[a] += 1
+    return _Geometry(points, MappingProxyType(axis), MappingProxyType(collapse), MappingProxyType(chain), tuple(below))
 
 
 def cycle_for_w(w: Permutation, z: Sequence[complex], epsilon: float = 0.1) -> CyclePath:
     return CyclePath(Diagram.from_permutation(w), z, BumpFn(epsilon))
+
+
+def _cycles_for_w(w: Permutation, zs: Sequence[Sequence[complex]], epsilon: float) -> list[CyclePath]:
+    """The cycles of w at each z of `zs`, on one diagram and one bump; each z
+    has its own modulus and separation checks."""
+    d, bump = Diagram.from_permutation(w), BumpFn(epsilon)
+    return [CyclePath(d, z, bump) for z in zs]
 
 
 def cycle_point(c: CyclePath, tau: Sequence[float]) -> dict[Point, complex]:
@@ -264,17 +288,15 @@ def cycle_point(c: CyclePath, tau: Sequence[float]) -> dict[Point, complex]:
 class _Nodes(NamedTuple):
     """Everything about one axis's tau array that depends on neither z,
     lambda nor k: the bump f, the factor e^{2 pi i tau}(1 - f) of
-    t = e^{2 pi i tau}(1 - f) t_tar and the pieces of its log, the vanishing
-    base 1 - e^{2 pi i tau}(1 - f) as log-modulus and principal argument, and
-    the Jacobian factor e^{2 pi i tau}(2 pi i (1 - f) - f')."""
+    t = e^{2 pi i tau}(1 - f) t_tar and its log, the log of the vanishing
+    base 1 - e^{2 pi i tau}(1 - f) (log-modulus plus i times the principal
+    argument), and the Jacobian factor e^{2 pi i tau}(2 pi i (1 - f) - f')."""
 
     x: np.ndarray
     f: np.ndarray
-    log1m_f: np.ndarray  # log1p(-f)
-    angle: np.ndarray  # 2 pi tau
+    lstep: np.ndarray  # log1p(-f) + 2 pi i tau
     step: np.ndarray  # e^{2 pi i tau}(1 - f)
-    vlog: np.ndarray
-    varg: np.ndarray
+    lvan: np.ndarray
     jac: np.ndarray
 
     @classmethod
@@ -285,11 +307,13 @@ class _Nodes(NamedTuple):
         # argument lies in [-pi/2, pi/2] and is continuous on 0 < tau < 1
         s = np.sin(np.pi * x)
         g = f + (1.0 - f) * (2.0 * s * s - 1j * np.sin(2.0 * np.pi * x))
+        lstep, lvan = np.empty(np.shape(x), dtype=complex), np.empty(np.shape(x), dtype=complex)
+        lstep.real, lstep.imag = np.log1p(-f), 2.0 * np.pi * x
         with np.errstate(divide="ignore"):  # log(0) where the base vanishes is caught downstream
-            vlog = 0.5 * np.log(g.real**2 + g.imag**2)
+            lvan.real = 0.5 * np.log(g.real**2 + g.imag**2)
+        lvan.imag = np.arctan2(g.imag, g.real)
         rot = np.exp(2j * np.pi * x)
-        return cls(x, f, np.log1p(-f), 2.0 * np.pi * x, rot * (1.0 - f),
-                   vlog, np.arctan2(g.imag, g.real), rot * (2j * np.pi * (1.0 - f) - bump.deriv(x)))
+        return cls(x, f, lstep, rot * (1.0 - f), lvan, rot * (2j * np.pi * (1.0 - f) - bump.deriv(x)))
 
     def at(self, i: int) -> "_Nodes":
         """The record of node i alone, for an axis a block holds fixed."""
@@ -301,16 +325,18 @@ class _Nodes(NamedTuple):
 
 @functools.lru_cache(maxsize=8)
 def _quad_nodes(scheme: str, npoints: int, bump: BumpFn) -> tuple[_Nodes, np.ndarray]:
-    """The read-only node record and weights of one rule, built once.
+    """The read-only node record of one rule and its weights times the
+    Jacobian factors, built once.
 
     Keyed on the cycle's bump, not on a spec's epsilon: the two may differ
     by rounding, and the record must be the cycle's.
     """
     x, wts = _RULES[scheme](npoints)
     nodes = _Nodes.of(x, bump)
-    for v in (*nodes, wts):
+    wj = wts * nodes.jac
+    for v in (*nodes, wj):
         v.flags.writeable = False
-    return nodes, wts
+    return nodes, wj
 
 
 def _tau_nodes(c: CyclePath, tau) -> list[_Nodes]:
@@ -318,12 +344,14 @@ def _tau_nodes(c: CyclePath, tau) -> list[_Nodes]:
     return [_Nodes.of(a, c.bump) for a in np.asarray(tau, dtype=float)]
 
 
-def _t_values(c: CyclePath, nodes: Sequence[_Nodes]) -> dict[Point, np.ndarray]:
-    """t at every point, top row included; each t carries only its chain's axes."""
-    t: dict[Point, np.ndarray] = {(i, c.rank + 1): zi for i, zi in enumerate(c.z, start=1)}
-    for p in reversed(c.points):  # rows top-down, so every target comes first
-        nd = nodes[c.axis[p]]
-        t[p] = nd.step * t[c.diagram.target(p)]
+def _t_values(c: CyclePath, nodes: Sequence[_Nodes], t=None, points=None) -> dict[Point, np.ndarray]:
+    """t at every point of `points` (all of c's when not given), each carrying
+    only its chain's axes, added in place to `t` (c's z at the top row when
+    not given), which must hold every target; `t` is returned."""
+    if t is None:
+        t = _top_t([c])
+    for p in reversed(c.points if points is None else points):  # rows top-down, so every target comes first
+        t[p] = nodes[c.axis[p]].step * t[c.diagram.target(p)]
     return t
 
 
@@ -340,16 +368,16 @@ def omega_factor_list(c: CyclePath, sp: SpectralParam) -> tuple[complex, list[Fa
     return _z_log(c, lam, k), list(_t_factors(c.diagram, lam, k))
 
 
-def _z_log(c: CyclePath, lam: tuple[float, ...], k: float) -> complex:
+def _z_log(c: CyclePath, lam: tuple[float, ...], k: float, zexp: Sequence[float] | None = None) -> complex:
     """Log of the z-only factors of the form, principal branch, at float
-    (lambda, k)."""
+    (lambda, k); with `zexp`, times each z_i to the power zexp[i]."""
     n = c.rank
     if len(lam) != n + 1:
         raise ValueError("spectral parameter rank does not match the cycle")
     const = 0.0 + 0.0j
     head = lam[0] + k * n / 2.0
-    for zi in c.z:
-        const += head * cmath.log(zi)
+    for i, zi in enumerate(c.z):
+        const += (head if zexp is None else head + zexp[i]) * cmath.log(zi)
     ezv = 1.0 - 2.0 * k
     if ezv != 0.0:
         for i2 in range(1, n + 2):
@@ -358,10 +386,21 @@ def _z_log(c: CyclePath, lam: tuple[float, ...], k: float) -> complex:
     return const
 
 
-@functools.lru_cache(maxsize=64)
-def _t_factors(diagram: Diagram, lam: tuple[float, ...], k: float) -> tuple[Factor, ...]:
-    """The t-factors of the form at float (lambda, k); they depend on the
-    diagram, lambda and k, not on z, and are built once for each.
+class _Slot(NamedTuple):
+    """One t-factor of the form without its exponent (see `_slots`)."""
+
+    kind: str
+    key: int | str  # whose exponent it takes: a monomial's row j, "cross" or "within"
+    pts: tuple[Point, ...]
+    base: tuple[int, ...]  # the axes log t reads at its base point (see `_plan`)
+    zi: int  # the 0-based index of the z its base point collapses to
+    axis: int | None  # a vanishing factor's axis, or the one axis a difference reads
+
+
+@functools.lru_cache(maxsize=128)
+def _slots(diagram: Diagram) -> tuple[_Slot, ...]:
+    """The t-factors of the form without their exponents, built once per
+    diagram, in the order of `_t_factors`.
 
     Each factor is listed under its lower point p: the monomial of p, the
     cross-row factors of p with row j + 1, and the within-row differences
@@ -373,34 +412,51 @@ def _t_factors(diagram: Diagram, lam: tuple[float, ...], k: float) -> tuple[Fact
     read none of them come first.
     """
     n = diagram.rows - 1
-    collapse = _geometry(diagram).collapse
-    factors: list[Factor] = []
-    e_cross = k - 1.0
-    e_within = 2.0 - 2.0 * k
+    geo = _geometry(diagram)
+    slots: list[_Slot] = []
+
+    def add(kind, key, pts):
+        base = diagram.target(pts[0]) if kind == "vanish" else pts[0]
+        axis = geo.axis[pts[0]] if kind == "vanish" else None
+        if kind == "diff":
+            if geo.collapse[pts[0]] <= geo.collapse[pts[1]]:
+                raise AssertionError(f"difference factor {pts} not oriented big-minus-small")
+            axes = geo.chain[pts[0]] + geo.chain[pts[1]]  # the chains of a difference are disjoint
+            axis = axes[0] if len(axes) == 1 else None
+        slots.append(_Slot(kind, key, pts, geo.chain[base], geo.collapse[base] - 1, axis))
+
     for j in range(n, 0, -1):
-        e_row = lam[n - j + 1] - lam[n - j] - k
         for i in range(j, 0, -1):
             p = (i, j)
-            if e_row != 0.0:
-                factors.append(Factor("mono", e_row, (p,)))
+            add("mono", j, (p,))
             x = diagram.target(p)[0]
             for i1 in range(1, j + 2):
-                if e_cross == 0.0:
-                    break
                 if i1 == x:
-                    factors.append(Factor("vanish", e_cross, (p,)))
+                    add("vanish", "cross", (p,))
                 elif i1 < x:
-                    factors.append(Factor("diff", e_cross, (p, (i1, j + 1))))
+                    add("diff", "cross", (p, (i1, j + 1)))
                 else:
-                    factors.append(Factor("diff", e_cross, ((i1, j + 1), p)))
-            if e_within != 0.0:
-                for i1 in range(i + 1, j + 1):
-                    factors.append(Factor("diff", e_within, ((i1, j), p)))
+                    add("diff", "cross", ((i1, j + 1), p))
+            for i1 in range(i + 1, j + 1):
+                add("diff", "within", ((i1, j), p))
+    return tuple(slots)
 
-    for f in factors:
-        if f.kind == "diff" and collapse[f.pts[0]] <= collapse[f.pts[1]]:
-            raise AssertionError(f"difference factor {f} not oriented big-minus-small")
-    return tuple(factors)
+
+def _exponents(n: int, lam: tuple[float, ...], k: float) -> dict:
+    """The exponent of each slot key (`_Slot.key`) at float (lambda, k)."""
+    e: dict = {"cross": k - 1.0, "within": 2.0 - 2.0 * k}
+    for j in range(1, n + 1):
+        e[j] = lam[n - j + 1] - lam[n - j] - k
+    return e
+
+
+@functools.lru_cache(maxsize=64)
+def _t_factors(diagram: Diagram, lam: tuple[float, ...], k: float) -> tuple[Factor, ...]:
+    """The t-factors of the form at float (lambda, k), in the order of
+    `_slots`; they depend on the diagram, lambda and k, not on z, and are
+    built once for each."""
+    e = _exponents(diagram.rows - 1, lam, k)
+    return tuple(Factor(s.kind, e[s.key], s.pts) for s in _slots(diagram) if e[s.key] != 0.0)
 
 
 def _lowest_axis(c: CyclePath, f: Factor) -> int:
@@ -409,36 +465,29 @@ def _lowest_axis(c: CyclePath, f: Factor) -> int:
     return min(c.axis.get(q, c.naxes) for q in f.pts)
 
 
-def _top_row(cs: Sequence[CyclePath], shape: tuple[int, ...] = ()):
-    """t, log-modulus and argument of the top-row points, which sit at z, as
-    three dicts: Python scalars for one cycle, and for several cycles of one
-    diagram arrays of `shape` over them (the batch axis leads)."""
+def _top_t(cs: Sequence[CyclePath], shape: tuple[int, ...] | None = None) -> dict[Point, complex | np.ndarray]:
+    """t at the top row, which sits at z: the first cycle's z as Python
+    scalars, or with `shape`, arrays of that shape over the cycles, which
+    share one diagram (the batch axis leads)."""
     rows = len(cs[0].z)
-    if len(cs) == 1:
-        t = {(i, rows): v for i, v in enumerate(cs[0].z, start=1)}
-        return t, {p: math.log(abs(v)) for p, v in t.items()}, {p: cmath.phase(v) for p, v in t.items()}
-    t, logabs, arg = {}, {}, {}
-    for i, zs in enumerate(zip(*(c.z for c in cs)), start=1):
-        t[(i, rows)] = np.array(zs).reshape(shape)
-        logabs[(i, rows)] = np.array([math.log(abs(v)) for v in zs]).reshape(shape)
-        arg[(i, rows)] = np.array([cmath.phase(v) for v in zs]).reshape(shape)
-    return t, logabs, arg
+    if shape is None:
+        return {(i, rows): v for i, v in enumerate(cs[0].z, start=1)}
+    return {(i, rows): np.array(zs).reshape(shape) for i, zs in enumerate(zip(*(c.z for c in cs)), start=1)}
 
 
-def _log_data(c: CyclePath, nodes: Sequence[_Nodes], data=None, points=None):
-    """t values plus log-moduli and unwound arguments from per-axis records;
-    the records' arrays broadcast.  `data` holds the three at the top row (c's
-    z when not given) and at every target of `points`, the points to build
-    (all of c's when not given, in `c.points` order); they are added to it
-    in place, and it is returned."""
-    t, logabs, arg = data = data or _top_row([c])
-    for p in reversed(c.points if points is None else points):  # rows top-down
+def _log_data(c: CyclePath, nodes: Sequence[_Nodes]):
+    """t values plus log-moduli and unwound arguments at every point, top
+    row included, from per-axis records whose arrays broadcast."""
+    t = _top_t([c])
+    logabs = {p: math.log(abs(v)) for p, v in t.items()}
+    arg = {p: cmath.phase(v) for p, v in t.items()}
+    for p in reversed(c.points):  # rows top-down
         nd = nodes[c.axis[p]]
         tar = c.diagram.target(p)
         t[p] = nd.step * t[tar]
-        logabs[p] = nd.log1m_f + logabs[tar]
-        arg[p] = nd.angle + arg[tar]
-    return data
+        logabs[p] = nd.lstep.real + logabs[tar]
+        arg[p] = nd.lstep.imag + arg[tar]
+    return t, logabs, arg
 
 
 def _logs(c: CyclePath, factors: Sequence[Factor], nodes: Sequence[_Nodes], data):
@@ -455,7 +504,7 @@ def _logs(c: CyclePath, factors: Sequence[Factor], nodes: Sequence[_Nodes], data
                 p = f.pts[0]
                 tar = c.diagram.target(p)
                 nd = nodes[c.axis[p]]
-                logs.append((logabs[tar] + nd.vlog, arg[tar] + nd.varg))
+                logs.append((logabs[tar] + nd.lvan.real, arg[tar] + nd.lvan.imag))
             else:
                 big, small = f.pts
                 wv = 1.0 - t[small] / t[big]
@@ -592,44 +641,114 @@ def gauss_legendre_rule(npoints: int) -> tuple[np.ndarray, np.ndarray]:
 _RULES = {"tanh-sinh": tanh_sinh_rule, "gauss-legendre": gauss_legendre_rule}
 
 
-def _rule(quad: QuadratureSpec) -> tuple[np.ndarray, np.ndarray]:
-    return _RULES[quad.scheme](quad.points_per_axis)
+class _Plan(NamedTuple):
+    """The t-factors of the form regrouped for quadrature (see `_plan`).
+
+    The integrand times the Jacobian is exp(const) times, per axis a, a
+    function of tau_a alone, times exp of the multi-axis differences:
+    log t_p is log z_{collapse(p)} plus log1p(-f) + 2 pi i tau at every axis
+    on the chain from p up to row n, and each factor's log is such a log t
+    (of the point itself, its target or the bigger point) plus the log of
+    the vanishing base of its own axis, or of 1 - t_small/t_big.
+    """
+
+    coef: tuple[float, ...]  # per axis: coefficient of log1p(-f) + 2 pi i tau
+    vcoef: tuple[float, ...]  # per axis: coefficient of the vanishing base's log
+    single: tuple[tuple[Factor, ...], ...]  # per axis: the differences that read it alone
+    zexp: tuple[float, ...]  # per z_i: its exponent, besides the z-only factors (`_z_log`)
+    multi: tuple[Factor, ...]  # the differences that read several axes, in `_t_factors` order
 
 
 @functools.lru_cache(maxsize=64)
-def _axis_weights(scheme: str, npoints: int, bump: BumpFn, below: tuple[int, ...]) -> tuple[np.ndarray, ...]:
-    """The quadrature weights times the Jacobian prod_p dt_p/dtau_p, but for
-    the constant prod_p z_{collapse(p)}, as one read-only complex array per
-    axis, built once per rule and `below` (a diagram's `_Geometry.below`).
+def _plan(diagram: Diagram, lam: tuple[float, ...], k: float) -> _Plan:
+    """The quadrature plan at float (lambda, k), built once per diagram,
+    lambda and k, like `_t_factors` and from the same slots.
 
-    dt_p/dtau_p = e^{2 pi i tau_p} (2 pi i (1 - f_p) - f'_p) t_{tar(p)}, and
-    t_{tar(p)} is z_{collapse(p)} times e^{2 pi i tau_q} (1 - f_q) for every
-    point q above p on its chain.  So axis q carries its weight, its own
-    Jacobian factor and, once for each point below it, e^{2 pi i tau_q} (1 - f_q).
+    A factor's log t splits at its base point b (the monomial's point, the
+    vanishing factor's target, the difference's bigger point): its exponent
+    joins the coefficient of every axis on the chain up from b and the
+    exponent of z_{collapse(b)}.  The Jacobian prod_p dt_p/dtau_p adds, per
+    point p, one factor e^{2 pi i tau}(1 - f) at every axis on the chain of
+    its target (`below` of each axis) and one z_{collapse(p)}; its factor
+    e^{2 pi i tau}(2 pi i (1 - f) - f') of p's own axis stays in the
+    weights.  A difference of a row-n point and a top-row z reads one axis;
+    every other difference reads several.
     """
-    nodes, wts = _quad_nodes(scheme, npoints, bump)
-    out = tuple(wts * nodes.jac * nodes.step**d if d else wts * nodes.jac for d in below)
-    for w in out:
-        w.flags.writeable = False
+    geo = _geometry(diagram)
+    e = _exponents(diagram.rows - 1, lam, k)
+    coef = [float(d) for d in geo.below]
+    vcoef = [0.0] * len(geo.points)
+    single: list[list[Factor]] = [[] for _ in geo.points]
+    zexp = [0.0] * diagram.rows
+    for p in geo.points:
+        zexp[geo.collapse[p] - 1] += 1.0
+    multi = []
+    for s in _slots(diagram):
+        expo = e[s.key]
+        if expo == 0.0:  # as in `_t_factors`
+            continue
+        for a in s.base:
+            coef[a] += expo
+        zexp[s.zi] += expo
+        if s.kind == "vanish":
+            vcoef[s.axis] += expo
+        elif s.kind == "diff":
+            (multi if s.axis is None else single[s.axis]).append(Factor(s.kind, expo, s.pts))
+    return _Plan(tuple(coef), tuple(vcoef), tuple(map(tuple, single)), tuple(zexp), tuple(multi))
+
+
+def _axis_base(plan: _Plan, nodes: Sequence[_Nodes]) -> list[np.ndarray]:
+    """Per axis a, the log of its z-free terms, coef times the log of
+    e^{2 pi i tau}(1 - f) plus vcoef times that of the vanishing base;
+    `nodes[a]` is axis a's record."""
+    return [e * nd.lstep + ev * nd.lvan if ev else e * nd.lstep
+            for nd, e, ev in zip(nodes, plan.coef, plan.vcoef)]
+
+
+def _axis_logs(c: CyclePath, plan: _Plan, base, nodes: Sequence[_Nodes], cycles: Sequence[CyclePath]) -> list[np.ndarray]:
+    """`_axis_base`'s logs plus each axis's one-axis differences at each of
+    `cycles` (the batch axis leads); `nodes[a]` is axis a's record.  Such a
+    difference pairs a row-n point p, t_p = e^{2 pi i tau}(1 - f) z_{collapse(p)},
+    with a top-row z, so t_small/t_big is a ratio of z's times
+    e^{2 pi i tau}(1 - f), or over it."""
+    n = c.rank
+    # per difference: the z indices of the ratio, and whether the row-n point is the smaller
+    pairs = [(c.collapse[small], big[0], True) if big[1] > n else (small[0], c.collapse[big], False)
+             for f in itertools.chain(*plan.single) for big, small in [f.pts]]
+    q = np.array([[o.z[i - 1] / o.z[j - 1] for i, j, _ in pairs] for o in cycles]).reshape(len(cycles), -1)
+    out = []
+    d = 0
+    for s, diffs, nd in zip(base, plan.single, nodes):
+        for f in diffs:
+            wv = 1.0 - (q[:, d:d + 1] * nd.step if pairs[d][2] else q[:, d:d + 1] / nd.step)
+            lg = np.empty(wv.shape, dtype=complex)  # log(1 - ratio), principal branch
+            np.log(np.abs(wv), out=lg.real)
+            np.arctan2(wv.imag, wv.real, out=lg.imag)
+            s = s + f.expo * lg
+            d += 1
+        out.append(s)
     return out
 
 
-def _log_integrand(mod, arg, factors: Sequence[Factor], logs, shape: tuple[int, ...]):
-    """mod + i arg plus the sum of expo * (log-modulus + i argument) over the
-    factors, as two real sums (log-modulus, argument) in factor order.
-
-    Each partial sum keeps the broadcast shape of its terms until it spans
-    `shape`, so terms on few axes are added at their own size; from then on
-    it is added to in place, so `mod` and `arg` arrays that span `shape` are
-    updated.  Each node sees the additions `_log_sum` makes, in its order.
-    """
-    for f, (la, aa) in zip(factors, logs):
-        if getattr(mod, "shape", None) == shape:
-            mod += f.expo * la
-            arg += f.expo * aa
+def _multi_sum(factors: Sequence[Factor], t, inv: dict):
+    """Sum of expo * log(1 - t_small/t_big) over the differences `factors`
+    as a real log-modulus and argument (0.0 each for none), the ratio taken
+    as t_small (1/t_big) with 1/t_big from, or put into, `inv`.  Terms are
+    added smallest broadcast shape first (ties in list order), each partial
+    sum at the broadcast shape of its terms so far."""
+    mod = arg = 0.0
+    for f in sorted(factors, key=lambda f: np.broadcast(t[f.pts[0]], t[f.pts[1]]).size):
+        big, small = f.pts
+        if big not in inv:  # 1/t_big, formed once at t_big's shape
+            inv[big] = 1.0 / t[big]
+        wv = 1.0 - t[small] * inv[big]
+        la, aa = f.expo * np.log(np.abs(wv)), f.expo * np.arctan2(wv.imag, wv.real)
+        if np.ndim(mod) and np.shape(mod) == np.broadcast(mod, la).shape:
+            mod += la
+            arg += aa
         else:
-            mod = mod + f.expo * la
-            arg = arg + f.expo * aa
+            mod = mod + la
+            arg = arg + aa
     return mod, arg
 
 
@@ -637,45 +756,50 @@ def integrate(c: CyclePath, sp: SpectralParam, quad: QuadratureSpec | None = Non
     """Quadrature of the pulled-back form over [0,1]^N, N = n(n+1)/2.
 
     Includes the triangular Jacobian prod dt_{ij}/dtau_{ij} with
-    dt/dtau = e^{2 pi i tau} (2 pi i (1-f) - f') t_tar, which factors into
-    a constant and one complex array per axis (`_axis_weights`) that
-    multiply the rule's weights.  The factor logs are broadcast from the
-    rule's cached per-axis node record; each block fixes the fewest leading
-    axes that keep it within `_BLOCK_NODES` nodes (one axis stays free).
+    dt/dtau = e^{2 pi i tau} (2 pi i (1-f) - f') t_tar.  The integrand times
+    the Jacobian is exp(const) times prod_a W_a(tau_a) times exp of the
+    multi-axis differences (`_plan`): each per-axis weight W_a holds the
+    rule weight, the Jacobian factor and the exp of every term of the form
+    that reads axis a alone, and is built once per call from the rule's
+    cached node record.  Only the differences whose points span several
+    axes are evaluated per node.
 
-    A block's integrand is one log-space sum in factor order
-    (`_log_integrand`), exponentiated once and contracted with the per-axis
-    weights, last axis first; blocks are summed in C order, so memory stays
-    bounded and the result is deterministic for a spec.  The factors that
-    read no fixed axis come first (`_t_factors`) and are the same in every
-    block: their logs are evaluated and summed once per call, and each block
-    starts from that sum and adds only the logs of the rest, from the t
-    values of the fixed points alone.  With no axis fixed, every factor is
-    in the first part and the one block is the grid.
+    Each block fixes the fewest leading axes that keep it within
+    `_BLOCK_NODES` nodes (one axis stays free).  A block's sum of the
+    multi-axis logs, at the broadcast shape of its terms, is exponentiated
+    once and contracted with the W_a of its free axes, last axis first; it
+    is then multiplied by one factor: exp(const), the W_a of the fixed axes
+    at their nodes and the scales that keep the W_a in range.  Blocks are
+    summed in C order, so memory stays bounded and the result is
+    deterministic for a spec.  The multi-axis differences that read no fixed
+    axis are the same in every block: their logs are evaluated and summed
+    once per call, and each block adds the rest from the t values of the
+    fixed points alone.  At rank 1 and at k = 1 there are none, and the
+    integral is a weighted sum of the W_a.
 
     Raises ArithmeticError naming the first node, in C order, where the
-    integrand is not finite or a factor base vanishes.  `_integrate` takes
-    several z of one diagram in one call, with these bits at each.
+    integrand is not finite or a factor base vanishes: where the log-modulus
+    of the integrand times the Jacobian, summed in log space, is -inf or
+    beyond the float range, or, failing such a node, where the factored
+    evaluation is not finite.  `_integrate` takes several z of one diagram
+    in one call, with these bits at each.
     """
     return _integrate([c], sp, quad)[0]
 
 
 def _integrate(cycles: Sequence[CyclePath], sp: SpectralParam, quad: QuadratureSpec | None = None) -> list[complex]:
     """`integrate` at each of `cycles`, which share one diagram and bump, in
-    one call: the factor list, the rule's records, the Jacobian weights and
-    the split into blocks are set up once, and the z-dependent arrays carry a
-    leading batch axis.
+    one call: the plan, the rule's records, the z-free part of the per-axis
+    logs and the split into blocks are set up once, and the z-dependent
+    arrays carry a leading batch axis, also for one cycle.
 
     The batch is cut into chunks of at most `_BLOCK_NODES` // (block nodes)
     cycles, so a chunk holds no more nodes than one block of one cycle; the
     blocks of each cycle are those `integrate` makes alone.  Every node of
-    every cycle sees the operations of `integrate` at that cycle, in the same
-    order, so each result has its bits.  Once a block fixes a point of row
-    n, some factors of the fixed points read no free axis: alone, their logs
-    are taken of numpy scalars, whose log can differ in the last bit from
-    the array log a batch would take, so such a batch goes one cycle at a
-    time.  A chunk of one cycle keeps `integrate`'s scalars and shapes.  The
-    first failing cycle in batch order raises `integrate`'s error for it.
+    every cycle sees the operations of `integrate` at that cycle, in the
+    same order and on arrays, never on numpy scalars, so each result has its
+    bits.  The first failing cycle in batch order raises `integrate`'s error
+    for it.
     """
     c = cycles[0]
     if len(cycles) > 1 and any(o.diagram != c.diagram or o.bump != c.bump for o in cycles):
@@ -683,75 +807,147 @@ def _integrate(cycles: Sequence[CyclePath], sp: SpectralParam, quad: QuadratureS
     quad = quad or QuadratureSpec(epsilon=c.bump.epsilon)
     if abs(quad.epsilon - c.bump.epsilon) > 1e-12:
         raise ValueError("quadrature epsilon disagrees with the cycle's bump height")
-    nodes, _ = _quad_nodes(quad.scheme, quad.points_per_axis, c.bump)
+    nodes, wj = _quad_nodes(quad.scheme, quad.points_per_axis, c.bump)
     x = nodes.x
     npts = len(x)
+    naxes = c.naxes
     lam, k = float_view(sp)
-    consts = [_z_log(o, lam, k) for o in cycles]
-    factors = _t_factors(c.diagram, lam, k)
-    jw = _axis_weights(quad.scheme, quad.points_per_axis, c.bump, c.below)
+    plan = _plan(c.diagram, lam, k)
+    consts = [_z_log(o, lam, k, plan.zexp) for o in cycles]
     lead = 0
-    while lead < c.naxes - 1 and npts ** (c.naxes - lead) > _BLOCK_NODES:
+    while lead < naxes - 1 and npts ** (naxes - lead) > _BLOCK_NODES:
         lead += 1
-    free = c.naxes - lead
-    # a block that fixes a point of row n (the last n axes) takes one cycle
-    chunk = max(1, _BLOCK_NODES // npts**free) if lead <= c.naxes - c.rank else 1
-    # the factors that read a fixed axis close the list (`_t_factors`); they
-    # are the tail, evaluated per block, and the head is summed once
-    split = len(factors)
-    while lead and split and _lowest_axis(c, factors[split - 1]) < lead:
+    free = naxes - lead
+    chunk = max(1, _BLOCK_NODES // npts**free)
+    # the differences that read a fixed axis close the list (`_t_factors`);
+    # they are the tail, evaluated per block, and the head is summed once
+    split = len(plan.multi)
+    while lead and split and _lowest_axis(c, plan.multi[split - 1]) < lead:
         split -= 1
-    head, tail = factors[:split], factors[split:]
+    head, tail = plan.multi[:split], plan.multi[split:]
     free_nodes = [nodes.reshape((-1,) + (1,) * (free - 1 - a)) for a in range(free - 1)] + [nodes]
     # the head reads no fixed axis, so any node stands in for those
     head_nodes = [nodes.at(0) for _ in range(lead)] + free_nodes
+    flat_nodes = [nodes] * naxes
+    # the block spans the free axes that a multi-axis difference reads
+    read = {a for f in plan.multi for q in f.pts for a in c.chain[q]}
+    vshape = tuple(npts if a in read else 1 for a in range(lead, naxes))
     out = []
-    with np.errstate(over="ignore", invalid="ignore"):
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        base = _axis_base(plan, flat_nodes)
+        # a vanishing base on the grid: -inf in the log of an axis with a
+        # vanishing factor (a difference cannot vanish: the separation check
+        # keeps |t_small/t_big| below 1)
+        neg = any(plan.vcoef) and not nodes.lvan.real.min() > -math.inf
         for start in range(0, len(cycles), chunk):
             batch = cycles[start:start + chunk]
-            bshape = (len(batch),) if len(batch) > 1 else ()
-            zshape = bshape + (1,) * free
-            const = consts[start] if not bshape else np.array(consts[start:start + chunk]).reshape(zshape)
-            vals = np.empty(bshape + (npts,) * free, dtype=complex)  # every block's integrand in turn
-            data = _log_data(c, head_nodes, _top_row(batch, zshape), c.points[lead:])
-            logs = _logs(c, head, head_nodes, data)
-            head_mod, head_arg = _log_integrand(const.real, const.imag, head, logs, vals.shape)
-            del logs
-            acc = [0.0 + 0.0j] * len(batch)
-            errors = {}
-            for idx in itertools.product(range(npts), repeat=lead):
-                vals.real = head_mod
-                vals.imag = head_arg
+            nb = len(batch)
+            logs = _axis_logs(c, plan, base, flat_nodes, batch)
+            # The weights of a free axis are scaled by exp(-(their largest
+            # log-modulus)), and a fixed axis keeps only its phase in its
+            # weights; the scales, the fixed axes' log-moduli and const go
+            # into one factor per block and cycle, so that no weight over- or
+            # underflows where the integrand itself does not.
+            tops = [lg.real.max(axis=-1, keepdims=True) for lg in logs[lead:]]
+            weights = [wj * np.exp(1j * lg.imag) for lg in logs[:lead]]
+            weights += [wj * np.exp(lg - top) for lg, top in zip(logs[lead:], tops)]
+
+            def row(v, b):  # cycle b's row of what may carry the batch axis
+                return v[b] if v.ndim > 1 else v
+
+            # per cycle: the log-modulus of its constant factor, the phase of
+            # const, and the fixed axes' log-moduli and weights
+            shifts = [v.real + sum(float(row(top, b)[0]) for top in tops) for b, v in enumerate(consts[start:start + nb])]
+            rots = [cmath.exp(1j * v.imag) for v in consts[start:start + nb]]
+            fixed = [[(row(lg, b).real, row(w, b)) for lg, w in zip(logs[:lead], weights)] for b in range(nb)]
+            t = _t_values(c, head_nodes, _top_t(batch, (nb,) + (1,) * free), c.points[lead:]) if plan.multi else {}
+            inv: dict = {}
+            head_mod, head_arg = _multi_sum(head, t, inv)
+
+            def block_logs(idx, out=None):
+                """The block's multi-axis log sum at fixed nodes `idx`, at its
+                broadcast shape, into `out` (a new array when None)."""
+                tail_mod = tail_arg = 0.0
                 if tail:
                     block_nodes = [nodes.at(i) for i in idx] + free_nodes
                     # the points on fixed axes, overwritten per block; the rest are the head's
-                    logs = _logs(c, tail, block_nodes, _log_data(c, block_nodes, data, c.points[:lead]))
-                    _log_integrand(vals.real, vals.imag, tail, logs, vals.shape)
-                    del logs  # frees the block-sized factor arrays before exp
+                    tail_mod, tail_arg = _multi_sum(tail, _t_values(c, block_nodes, t, c.points[:lead]), dict(inv))
+                if out is None:
+                    out = np.empty((nb,) + vshape, dtype=complex)
+                np.add(head_mod, tail_mod, out=out.real)
+                np.add(head_arg, tail_arg, out=out.imag)
+                return out
+
+            vals = None  # every block's integrand in turn, but for the weights and the constant factor
+            acc = [0.0 + 0.0j] * nb
+            errors = {}
+            for idx in itertools.product(range(npts), repeat=lead):
+                vals = block_logs(idx, vals)
                 # a base that vanishes with positive exponent makes the log-modulus
                 # -inf and the integrand 0, but the node is on the singular locus
-                vanish = None if vals.real.min() > -math.inf else ~(vals.real > -math.inf)
+                vanish = not vals.real.min() > -math.inf
                 np.exp(vals, out=vals)
                 part = vals
-                for w in reversed(jw[lead:]):
-                    part = np.einsum("ij,j->i", part.reshape(-1, npts), w)
-                weight = math.prod(w[i] for w, i in zip(jw, idx))
-                for b, pb in enumerate(part.tolist()):
-                    if b not in errors and (vanish is not None or not cmath.isfinite(pb)):
-                        bad = ~np.isfinite(vals[b] if bshape else vals)
-                        if vanish is not None:
-                            bad |= vanish[b] if bshape else vanish
-                        if np.any(bad):
-                            node = (*idx, *np.argwhere(bad)[0])
+                for w in reversed(weights[lead:]):  # a block axis of size 1 sums the weights
+                    part = np.einsum("b...j,bj->b..." if w.ndim > 1 else "b...j,j->b...", part, w)
+                for b, (p, shift, rot, fx) in enumerate(zip(part.tolist(), shifts, rots, fixed)):
+                    shift += sum(float(m[i]) for (m, _), i in zip(fx, idx))
+                    scale = rot * _exp(shift) * math.prod(w[i] for (_, w), i in zip(fx, idx))
+                    term = scale * p
+                    if b not in errors and (vanish or neg or not cmath.isfinite(term)):
+                        node = _first_bad(block_logs(idx)[b], consts[start + b].real, [row(lg, b) for lg in logs],
+                                          nodes.jac, idx)
+                        if node is None and not cmath.isfinite(term):
+                            node = _first_nonfinite(vals[b], scale, [row(w, b) for w in weights], idx)
+                        if node is not None:
                             errors[b] = f"non-finite integrand at tau = {[float(x[i]) for i in node]}"
-                    acc[b] += weight * pb
+                    acc[b] += term
                 if 0 in errors:  # no cycle before it in the batch can fail
                     break
             if errors:
                 raise ArithmeticError(errors[min(errors)])
-            out += [math.prod(o.z[c.collapse[p] - 1] for p in c.points) * a for o, a in zip(batch, acc)]
-            del vals, data, head_mod, head_arg  # a chunk's arrays are freed before the next's
+            out += acc
+            del vals, t, inv, head_mod, head_arg  # a chunk's arrays are freed before the next's
     return out
+
+
+def _exp(v: float) -> float:
+    """e^v, inf where it overflows."""
+    try:
+        return math.exp(v)
+    except OverflowError:
+        return math.inf
+
+
+def _first_bad(logsum: np.ndarray, const: float, logs, jac: np.ndarray, idx: tuple[int, ...]):
+    """The first node of a block in C order, as a full index, where the
+    integrand times the Jacobian, summed in log space, has a log-modulus of
+    -inf (a base vanishes) or beyond the float range, or a non-finite
+    argument; None if there is none.  `logsum` is the block's multi-axis log
+    sum, `const` the real part of const, `logs` each axis's log, `jac` the
+    rule's Jacobian factors and `idx` the fixed axes' nodes."""
+    mod, arg = logsum.real + const, logsum.imag
+    for a, lg in enumerate(logs):
+        if a < len(idx):
+            mod = mod + (lg.real[idx[a]] + np.log(abs(jac[idx[a]])))
+            arg = arg + lg.imag[idx[a]]
+        else:
+            shape = (-1,) + (1,) * (len(logs) - 1 - a)
+            mod = mod + (lg.real + np.log(np.abs(jac))).reshape(shape)
+            arg = arg + lg.imag.reshape(shape)
+    bad = ~((mod > -math.inf) & (mod < _LOG_MAX) & np.isfinite(arg))
+    return (*idx, *np.argwhere(bad)[0]) if bad.any() else None
+
+
+def _first_nonfinite(vals: np.ndarray, scale: complex, weights, idx: tuple[int, ...]):
+    """The first node of a block in C order, as a full index, where the
+    exponentiated block `vals` times `scale` times the weights of the free
+    axes is not finite, or None."""
+    prod = vals * scale
+    for a in range(len(idx), len(weights)):
+        prod = prod * weights[a].reshape((-1,) + (1,) * (len(weights) - 1 - a))
+    bad = ~np.isfinite(prod)
+    return (*idx, *np.argwhere(bad)[0]) if bad.any() else None
 
 
 def integrate_for_w(
@@ -799,7 +995,7 @@ def _ratios(w: Permutation, sp: SpectralParam, quad: QuadratureSpec, scale: floa
     one `_integrate` call, and each divided by its leading power."""
     mu = _leading_exponent(w, sp)
     zs = [[scale * r ** (sp.rank - i) for i in range(sp.rank + 1)] for r in radii]
-    values = _integrate([cycle_for_w(w, z, quad.epsilon) for z in zs], sp, quad)
+    values = _integrate(_cycles_for_w(w, zs, quad.epsilon), sp, quad)
     return values, [v / _power(mu, z) for v, z in zip(values, zs)]
 
 
@@ -873,7 +1069,7 @@ def fd_eigenvalue(
         for step in (math.exp(h), math.exp(-h)):
             zs.append(list(z))
             zs[-1][i] = z[i] * step
-    base, *steps = _integrate([cycle_for_w(w, zv, quad.epsilon) for zv in zs], sp, quad)
+    base, *steps = _integrate(_cycles_for_w(w, zs, quad.epsilon), sp, quad)
     plus, minus = steps[0::2], steps[1::2]
     acc = 0.0 + 0.0j
     for i in range(n + 1):

@@ -1,6 +1,7 @@
 import ast
 import cmath
 import functools
+import itertools
 import json
 import math
 import random
@@ -15,7 +16,7 @@ from hccycles import cycles as cy
 from hccycles import diagrams as dg
 from hccycles import rootsystem as rs
 from hccycles.cli import main
-from hccycles.series import SpectralParam, freudenthal_table_for_w, gamma_L, phi_eval
+from hccycles.series import SpectralParam, float_view, freudenthal_table_for_w, gamma_L, phi_eval
 
 W_ID = dg.Permutation((1, 2))
 W_S = dg.Permutation((2, 1))
@@ -512,14 +513,17 @@ def test_fd_eigenvalue_rank2():
     assert abs(got - target) < 1e-3 * abs(target)
 
 
-def _flat_index_integrate(c, sp, quad=None, block=1 << 17):
+def _flat_index_integrate(c, sp, quad=None, block=1 << 17, long_double=False):
     """Test-only reference: the flat-index node loop `integrate` had before
-    it broadcast per-axis tau arrays, kept verbatim but for the node records
-    `_factor_logs` now takes in place of tau."""
+    it broadcast per-axis tau arrays, but for the node records `_factor_logs`
+    takes in place of tau.  With `long_double`, the factor logs stay float64
+    and the log sum, exp, Jacobian and accumulation run in np.clongdouble."""
     quad = quad or cy.QuadratureSpec(epsilon=c.bump.epsilon)
     if abs(quad.epsilon - c.bump.epsilon) > 1e-12:
         raise ValueError("quadrature epsilon disagrees with the cycle's bump height")
-    x, wts = cy._rule(quad)
+    x, wts = cy._RULES[quad.scheme](quad.points_per_axis)
+    real, cplx = (np.longdouble, np.clongdouble) if long_double else (float, complex)
+    two_pi_i = cplx(8j * np.arctan(real(1)))  # 2 pi i at the working precision
     naxes = c.naxes
     shape = (len(x),) * naxes
     total_nodes = len(x) ** naxes
@@ -528,26 +532,27 @@ def _flat_index_integrate(c, sp, quad=None, block=1 << 17):
         flat = np.arange(start, min(start + block, total_nodes))
         idx = np.unravel_index(flat, shape)
         tau = np.stack([x[ix] for ix in idx])
-        weight = np.ones(len(flat))
+        weight = np.ones(len(flat), dtype=real)
         for ix in idx:
             weight = weight * wts[ix]
 
         const, factors, logs, t = cy._factor_logs(c, sp, [cy._Nodes.of(a, c.bump) for a in tau])
         with np.errstate(over="ignore", invalid="ignore"):
-            total_log = np.full(len(flat), const, dtype=complex)
+            total_log = np.full(len(flat), const, dtype=cplx)
             for f, (la, aa) in zip(factors, logs):
-                total_log = total_log + f.expo * (la + 1j * aa)
+                total_log = total_log + f.expo * (np.asarray(la, real) + 1j * np.asarray(aa, real))
             vals = np.exp(total_log)
             for p in c.points:
                 tj = tau[c.axis[p]]
-                f = c.bump(tj)
-                fp = c.bump.deriv(tj)
-                vals = vals * np.exp(2j * np.pi * tj) * (2j * np.pi * (1.0 - f) - fp) * t[c.diagram.target(p)]
+                f = np.asarray(c.bump(tj), real)
+                fp = np.asarray(c.bump.deriv(tj), real)
+                tar = np.asarray(t[c.diagram.target(p)], cplx)
+                vals = vals * np.exp(two_pi_i * np.asarray(tj, real)) * (two_pi_i * (1.0 - f) - fp) * tar
         bad = ~np.isfinite(vals)
         if np.any(bad):
             j = int(np.argmax(bad))
             raise ArithmeticError(f"non-finite integrand at tau = {tau[:, j].tolist()}")
-        acc += complex(np.sum(vals * weight))
+        acc += np.sum(vals * weight)
     return acc
 
 
@@ -558,7 +563,7 @@ def _rank3_case(w):
     sp = SpectralParam(rs.vec(lam + [-sum(lam)]), Q(3, 2))
     quad = cy.QuadratureSpec(points_per_axis=8)  # the fewest points a spec allows
     c = cy.cycle_for_w(dg.Permutation(w), [1e-6, 1e-4, 1e-2, 1.0], 0.1)
-    return c, sp, quad, _flat_index_integrate(c, sp, quad)
+    return c, sp, quad, _flat_index_integrate(c, sp, quad, long_double=True)
 
 
 def test_broadcast_matches_flat_index_reference():
@@ -566,7 +571,7 @@ def test_broadcast_matches_flat_index_reference():
     quad = cy.QuadratureSpec(points_per_axis=25)
     for w in dg.all_permutations(3):
         c = cy.cycle_for_w(w, [1e-4, 1e-2, 1.0], 0.1)
-        ref = _flat_index_integrate(c, sp, quad)
+        ref = _flat_index_integrate(c, sp, quad, long_double=True)
         assert abs(cy.integrate(c, sp, quad) - ref) <= 1e-13 * abs(ref)
     for w in ((1, 2, 3, 4), (2, 4, 1, 3)):
         c, sp_3, quad_3, ref = _rank3_case(w)
@@ -580,63 +585,80 @@ def _hex(values):
 @pytest.mark.parametrize("lead", [0, 1, 2])
 def test_leading_axis_blocks(lead, monkeypatch):
     # rank 3 has 6 axes: fixing `lead` leading axes leaves 8^(6-lead) nodes per
-    # block.  Per z, a factor that reads no fixed axis is evaluated once per
-    # call and any other once per block, and a block rebuilds the t values of
-    # the fixed points alone.  Two z share each block here.
+    # block.  Per z, a multi-axis difference that reads no fixed axis is
+    # evaluated once per call and any other once per block; a one-axis
+    # difference is evaluated once per call, and monomials and vanishing
+    # factors never (they live in the plan's per-axis coefficients).  A block
+    # rebuilds the t values of the fixed points alone.  Two z share each block.
     c, sp_3, quad, ref = _rank3_case((2, 4, 1, 3))
     other = cy.cycle_for_w(c.diagram.to_permutation(), [4e-6, 2e-4, 2e-2, 1.0], 0.1)
     top = (1, c.rank + 1)
     evaluated, built = Counter(), Counter()
-    logs, log_data = cy._logs, cy._log_data
+    multi_sum, axis_logs, t_values = cy._multi_sum, cy._axis_logs, cy._t_values
 
-    def counting_logs(c, factors, nodes, data):
+    def counting_multi_sum(factors, t, inv):
         for f in factors:
-            evaluated[f] += np.size(data[1][top])  # one per z
-        return logs(c, factors, nodes, data)
+            evaluated[f] += np.size(t[top])  # one per z
+        return multi_sum(factors, t, inv)
 
-    def counting_log_data(c, nodes, data=None, points=None):
+    def counting_axis_logs(c, plan, base, nodes, cycles):
+        for f in itertools.chain(*plan.single):
+            evaluated[f] += len(cycles)
+        return axis_logs(c, plan, base, nodes, cycles)
+
+    def counting_t_values(c, nodes, t=None, points=None):
         for p in c.points if points is None else points:
-            built[p] += 1 if data is None else np.size(data[1][top])
-        return log_data(c, nodes, data, points)
+            built[p] += 1 if t is None else np.size(t[top])
+        return t_values(c, nodes, t, points)
 
-    monkeypatch.setattr(cy, "_logs", counting_logs)
-    monkeypatch.setattr(cy, "_log_data", counting_log_data)
+    monkeypatch.setattr(cy, "_multi_sum", counting_multi_sum)
+    monkeypatch.setattr(cy, "_axis_logs", counting_axis_logs)
+    monkeypatch.setattr(cy, "_t_values", counting_t_values)
     monkeypatch.setattr(cy, "_BLOCK_NODES", 2 * 8 ** (6 - lead))
     got = cy._integrate([c, other], sp_3, quad)
     assert abs(got[0] - ref) <= 1e-13 * abs(ref)
+    plan = cy._plan(c.diagram, *float_view(sp_3))
     factors = cy.omega_factor_list(c, sp_3)[1]
-    assert evaluated == {f: 2 * (1 if cy._lowest_axis(c, f) >= lead else 8**lead) for f in factors}
-    assert sum(cy._lowest_axis(c, f) < lead for f in factors) == (0, 3, 8)[lead]
+    assert Counter(f.kind for f in factors) == {"mono": 6, "vanish": 6, "diff": 18}
+    assert set(plan.multi) | set(itertools.chain(*plan.single)) == {f for f in factors if f.kind == "diff"}
+    assert (len(plan.multi), sum(map(len, plan.single))) == (9, 9)
+    assert evaluated == {**{f: 2 for f in itertools.chain(*plan.single)},
+                         **{f: 2 * (1 if cy._lowest_axis(c, f) >= lead else 8**lead) for f in plan.multi}}
+    assert sum(cy._lowest_axis(c, f) < lead for f in plan.multi) == (0, 1, 4)[lead]
     assert built == {p: 2 * (1 if c.axis[p] >= lead else 8**lead) for p in c.points}
     monkeypatch.setattr(cy, "_BLOCK_NODES", 8 ** (6 - lead))
     assert _hex(got) == _hex([cy.integrate(c, sp_3, quad), cy.integrate(other, sp_3, quad)])
 
 
-# float.hex of (re, im) of `integrate`.  Each node's log-modulus and argument
-# are summed in factor order, as in `_flat_index_integrate`, so the two agree
-# to 7e-15 relative; each block is contracted with per-axis weights that
-# carry the Jacobian.  The rank >= 2 values were re-recorded when
-# `_t_factors` took its lowest-axis order.  The last bits follow numpy's float64 kernels for exp,
-# sin, log and arctan2 and its einsum loops, which may differ between builds
-# and CPUs (these are x86-64 with AVX-512).
+# float.hex of (re, im) of `integrate`.  Each node's integrand is the
+# product of per-axis weights (rule weight, Jacobian factor and every
+# one-axis term of the form) with exp of the multi-axis differences, so it
+# agrees with `_flat_index_integrate`'s long-double sum to 1.5e-15 at rank
+# 1, 1.1e-14 at rank 2 and 1.7e-14 at rank 3.  The values were re-recorded
+# when the one-axis factors moved into the weights (the summands are the
+# same, grouped and rounded otherwise).  The test ids come from the case, not the bits, so a
+# re-recording keeps them.  The last bits follow numpy's float64 kernels
+# for exp, sin, log and arctan2 and its einsum loops, which may differ
+# between builds and CPUs (these are x86-64 with AVX-512).
 GOLDEN = [
-    ((1, 2), "tanh-sinh", 121, 0.1, "0x1.01d51edcd1149p-8", "-0x1.4f197473520eep-10"),
-    ((2, 1), "tanh-sinh", 121, 0.1, "-0x1.102af4a0e6f5dp-5", "-0x1.a2d2bb5bea29ap-4"),
-    ((1, 2), "tanh-sinh", 241, 0.1, "0x1.01d51edcd1170p-8", "-0x1.4f1974735211dp-10"),
-    ((2, 1), "tanh-sinh", 241, 0.1, "-0x1.102af4a0e6f81p-5", "-0x1.a2d2bb5bea2d4p-4"),
-    ((1, 2, 3), "tanh-sinh", 25, 0.1, "0x1.c382ae87565e7p-18", "0x1.44700fd2bc607p-22"),
-    ((1, 3, 2), "tanh-sinh", 25, 0.1, "0x1.022d2bf6cbcbfp-19", "-0x1.674bed050c193p-15"),
-    ((2, 1, 3), "tanh-sinh", 25, 0.1, "0x1.13cdabd390643p-21", "-0x1.7fd3d6bd0931cp-17"),
-    ((2, 3, 1), "tanh-sinh", 25, 0.1, "-0x1.a5c302f34338ap-14", "-0x1.2f0fbd4fe2b20p-18"),
-    ((3, 1, 2), "tanh-sinh", 25, 0.1, "-0x1.87d86578e40fdp-12", "-0x1.19908f03eb7d2p-16"),
-    ((3, 2, 1), "tanh-sinh", 25, 0.1, "-0x1.d9fab500aa066p-16", "0x1.49cfc1e20124ep-11"),
-    ((2, 4, 1, 3), "tanh-sinh", 8, 0.1, "-0x1.86ccd9988f923p-45", "0x1.a26c44520e911p-43"),
-    ((1, 2), "gauss-legendre", 41, 0.1, "0x1.01d55a70f9668p-8", "-0x1.4f19c1e239df8p-10"),
-    ((2, 1), "tanh-sinh", 161, 0.05, "-0x1.102af4a0e6f66p-5", "-0x1.a2d2bb5bea2a2p-4"),
+    ((1, 2), "tanh-sinh", 121, 0.1, "0x1.01d51edcd1148p-8", "-0x1.4f197473520ebp-10"),
+    ((2, 1), "tanh-sinh", 121, 0.1, "-0x1.102af4a0e6f60p-5", "-0x1.a2d2bb5bea29fp-4"),
+    ((1, 2), "tanh-sinh", 241, 0.1, "0x1.01d51edcd116fp-8", "-0x1.4f1974735211bp-10"),
+    ((2, 1), "tanh-sinh", 241, 0.1, "-0x1.102af4a0e6f83p-5", "-0x1.a2d2bb5bea2ddp-4"),
+    ((1, 2, 3), "tanh-sinh", 25, 0.1, "0x1.c382ae87565c4p-18", "0x1.44700fd2bc630p-22"),
+    ((1, 3, 2), "tanh-sinh", 25, 0.1, "0x1.022d2bf6cbbe0p-19", "-0x1.674bed050c18cp-15"),
+    ((2, 1, 3), "tanh-sinh", 25, 0.1, "0x1.13cdabd3906a8p-21", "-0x1.7fd3d6bd0931cp-17"),
+    ((2, 3, 1), "tanh-sinh", 25, 0.1, "-0x1.a5c302f34337bp-14", "-0x1.2f0fbd4fe2868p-18"),
+    ((3, 1, 2), "tanh-sinh", 25, 0.1, "-0x1.87d86578e40a5p-12", "-0x1.19908f03eb672p-16"),
+    ((3, 2, 1), "tanh-sinh", 25, 0.1, "-0x1.d9fab500a9898p-16", "0x1.49cfc1e2011fbp-11"),
+    ((2, 4, 1, 3), "tanh-sinh", 8, 0.1, "-0x1.86ccd9988f84bp-45", "0x1.a26c44520ec46p-43"),
+    ((1, 2), "gauss-legendre", 41, 0.1, "0x1.01d55a70f9664p-8", "-0x1.4f19c1e239df5p-10"),
+    ((2, 1), "tanh-sinh", 161, 0.05, "-0x1.102af4a0e6f6dp-5", "-0x1.a2d2bb5bea2a3p-4"),
 ]
 
 
-@pytest.mark.parametrize("w, scheme, points, eps, re_hex, im_hex", GOLDEN)
+@pytest.mark.parametrize("w, scheme, points, eps, re_hex, im_hex", GOLDEN,
+                         ids=["-".join(map(str, g[0])) + f"-{g[1]}-{g[2]}-{g[3]}" for g in GOLDEN])
 def test_integrate_golden_bits(w, scheme, points, eps, re_hex, im_hex):
     if len(w) == 4:
         c, sp, quad, _ = _rank3_case(w)  # 8^6 nodes: blocks fix the leading axis
@@ -664,21 +686,64 @@ def test_node_record_cached(monkeypatch):
 
 
 def test_axis_weights_cached():
-    # the per-axis Jacobian weights depend on the rule and the diagram, not
-    # on z: integrating one cycle's form at another z builds none
+    # the plan behind the per-axis weights depends on the diagram and float
+    # (lambda, k), not on z or the rule: integrating one cycle's form at
+    # another z or on another rule builds none, and the plan is immutable
     w = dg.Permutation((2, 3, 1))
-    quad = cy.QuadratureSpec(points_per_axis=25)
     cycles = [cy.cycle_for_w(w, z, 0.1) for z in ([1e-4, 1e-2, 1.0], [4e-4, 2e-2, 1.0])]
-    cy._axis_weights.cache_clear()
-    first = [cy.integrate(c, sp2(), quad) for c in cycles]
-    assert cy._axis_weights.cache_info().misses == 1
-    assert [cy.integrate(c, sp2(), quad) for c in cycles] == first
-    assert cy._axis_weights.cache_info().misses == 1
-    weights = cy._axis_weights(quad.scheme, quad.points_per_axis, cycles[0].bump, cycles[0].below)
-    assert len(weights) == cycles[0].naxes
-    for arr in weights:
-        with pytest.raises(ValueError):
-            arr[0] = 0.0
+    quads = [cy.QuadratureSpec(points_per_axis=25), cy.QuadratureSpec(scheme="gauss-legendre", points_per_axis=9)]
+    cy._plan.cache_clear()
+    first = [cy.integrate(c, sp2(), q) for c in cycles for q in quads]
+    assert cy._plan.cache_info().misses == 1
+    assert [cy.integrate(c, sp2(), q) for c in cycles for q in quads] == first
+    assert cy._plan.cache_info().misses == 1
+    plan = cy._plan(cycles[0].diagram, *float_view(sp2()))
+    assert len(plan.coef) == len(plan.vcoef) == len(plan.single) == cycles[0].naxes
+    assert len(plan.zexp) == cycles[0].rank + 1
+    for field in plan:
+        assert isinstance(field, tuple)
+        with pytest.raises(TypeError):
+            field[0] = 0.0
+    with pytest.raises(AttributeError):
+        plan.coef = ()
+
+
+def _plan_log(c, sp, tau):
+    """The plan's log of the integrand times the Jacobian at one tau, but
+    for the Jacobian factors e^{2 pi i tau}(2 pi i (1 - f) - f') that the
+    weights hold: the constant, each axis's folded terms, the multi-axis
+    differences."""
+    plan = cy._plan(c.diagram, *float_view(sp))
+    nodes = cy._tau_nodes(c, np.asarray(tau)[:, None])
+    t = cy._t_values(c, nodes)
+    total = cy._z_log(c, *float_view(sp), plan.zexp)
+    for lg in cy._axis_logs(c, plan, cy._axis_base(plan, nodes), nodes, [c]):
+        total += complex(lg.flat[0])
+    mod, arg = cy._multi_sum(plan.multi, t, {})  # 0.0 each at rank 1
+    return total + complex(np.sum(mod), np.sum(arg))
+
+
+def test_plan_matches_pointwise():
+    # the plan regroups the form's factors by axis: with the Jacobian's t_tar
+    # factors, taken from the pointwise path's unwound logs, it is the
+    # form's log at every tau, to rounding
+    lam = [Q(3, 10), Q(1, 7), Q(-2, 9)]
+    rng = np.random.default_rng(7)
+    for n in (1, 2, 3):
+        sp = SpectralParam(rs.vec(lam[:n] + [-sum(lam[:n])]), Q(3, 2))
+        z = [10.0 ** (-2 * i) for i in range(n, -1, -1)]
+        for w in dg.all_permutations(n + 1):
+            c = cy.cycle_for_w(w, z, 0.1)
+            for _ in range(4):
+                tau = rng.uniform(0.01, 0.99, c.naxes)
+                v = cy.omega_w_eval(c, sp, tau)
+                _, logabs, arg = cy._log_data(c, cy._tau_nodes(c, tau))
+                want = complex(v.log_magnitude, v.argument)
+                for p in c.points:
+                    tar = c.diagram.target(p)
+                    want += complex(logabs[tar], arg[tar])
+                got = _plan_log(c, sp, tau)
+                assert abs(got.real - want.real) <= 1e-13 and abs(got.imag - want.imag) <= 1e-13, (w.images, tau)
 
 
 def test_node_records_read_only_and_distinct():
@@ -719,14 +784,21 @@ def test_nonfinite_guard(monkeypatch):
         node = ast.literal_eval(str(err.value).split("tau = ")[1])
         assert len(node) == c2.naxes and all(v in x for v in node)
         assert node != [float(x[0])] * c2.naxes
+    # where no node's log-modulus leaves the float range but the factored
+    # evaluation overflows, the first node it overflows at is named: a
+    # non-finite sum never comes back quietly
+    monkeypatch.setattr(cy, "_LOG_MAX", math.inf)
+    for lead in (0, 1, 2):
+        monkeypatch.setattr(cy, "_BLOCK_NODES", 9 ** (3 - lead))
+        with pytest.raises(ArithmeticError, match="non-finite integrand at tau"):
+            cy.integrate(c2, sp_2, quad)
 
 
 @pytest.mark.parametrize("rank, lead", [(1, 0), (2, 0), (2, 1), (2, 2), (3, 0), (3, 1), (3, 2)])
 def test_batch_matches_single_calls_bitwise(rank, lead, monkeypatch):
     # five z in chunks of two cycles (2, 2, 1) at the blocking `lead` fixes:
     # every result has the bits of `integrate` at its z alone, at the same
-    # blocking.  At rank 2, lead 2 fixes a point of row n, so the batch goes
-    # one cycle at a time.
+    # blocking, also where a block fixes a point of row n (rank 2, lead 2).
     lam = [Q(3, 10), Q(1, 7), Q(-2, 9)][:rank]
     sp = SpectralParam(rs.vec(lam + [-sum(lam)]), Q(3, 2))
     w = {1: (2, 1), 2: (2, 3, 1), 3: (2, 4, 1, 3)}[rank]
@@ -736,17 +808,16 @@ def test_batch_matches_single_calls_bitwise(rank, lead, monkeypatch):
               for r in (1e-2, 5e-3, 2e-2, 1e-3, 3e-2)]
     monkeypatch.setattr(cy, "_BLOCK_NODES", 2 * npts ** (cycles[0].naxes - lead))
     single = [cy.integrate(c, sp, quad) for c in cycles]
-    chunks = []  # the cycles of each chunk, seen at its head's log data
-    log_data = cy._log_data
+    chunks = []  # the cycles of each chunk, seen at its one-axis logs
+    axis_logs = cy._axis_logs
 
-    def recording(c, nodes, data=None, points=None):
-        if points == c.points[lead:]:
-            chunks.append(np.size(data[0][(1, c.rank + 1)]))
-        return log_data(c, nodes, data, points)
+    def recording(c, plan, base, nodes, cycles):
+        chunks.append(len(cycles))
+        return axis_logs(c, plan, base, nodes, cycles)
 
-    monkeypatch.setattr(cy, "_log_data", recording)
+    monkeypatch.setattr(cy, "_axis_logs", recording)
     assert _hex(cy._integrate(cycles, sp, quad)) == _hex(single)
-    assert chunks == ([1] * 5 if (rank, lead) == (2, 2) else [2, 2, 1])
+    assert chunks == [2, 2, 1]
     assert _hex(cy._integrate(cycles[1:2], sp, quad)) == _hex(single[1:2])
 
 
@@ -791,9 +862,9 @@ def test_zero_base_inside_cube(monkeypatch):
     quad = cy.QuadratureSpec(points_per_axis=9)
     assert cmath.isfinite(cy.integrate(c, sp, quad))
     nodes, wts = cy._quad_nodes(quad.scheme, quad.points_per_axis, c.bump)
-    vlog = nodes.vlog.copy()
-    vlog[4] = -math.inf
-    monkeypatch.setattr(cy, "_quad_nodes", lambda *args: (nodes._replace(vlog=vlog), wts))
+    lvan = nodes.lvan.copy()
+    lvan[4] = complex(-math.inf, lvan[4].imag)
+    monkeypatch.setattr(cy, "_quad_nodes", lambda *args: (nodes._replace(lvan=lvan), wts))
     x = nodes.x
     # every axis shares the patched record: the first bad node in C order
     # has the last axis at node 4 and the others at node 0
