@@ -18,22 +18,27 @@ over one even denominator D (`series.exact_view`), so each argument is
 an integer numerator over D, formed by integer additions.  Its exact pole
 test is an integer test, and its float is one correctly rounded integer
 division, the same bits as the float of the Fraction.  A Fraction is built
-only for the symbolic product and for the text of a PoleError.  The table
-is keyed by (i, j, c, c_k) and holds, for each key, the numerator, its
-exact pole test and the evaluated Gamma or sine value, so all w of one
+only for the symbolic product.  The table is keyed by (i, j, c, c_k) and
+holds, for each key, the evaluated Gamma or sine factor, so all w of one
 (lambda, k) share them and the rho factors are evaluated once per table.
-It fills lazily:
-each factor is built and evaluated on first use, and a one-off a(w) pays
-for its own factors only.  Tables are memoized per `SpectralParam` by an
-lru_cache of 4 entries.  Each closed form lists its factors once, as table
-keys per w (`_a_w_factors`, `_F_w_factors`, `_limit_factors`); the symbolic
-`a_w_product` is built from the same keys, and the fast evaluation
-multiplies the table's values in exactly the order `GammaProduct.eval`
-multiplies the symbolic product, `** power` steps included.  The results
-are therefore bit-identical to the symbolic route's, and so are its
-PoleErrors and the zeros of a reciprocal Gamma at a pole.  A failure comes
-only from the function whose factor fails: at k = 1/2, a(w) is finite
-while F_w(1) and the limit raise.
+It fills lazily: each factor is built and evaluated on first use, and a
+one-off a(w) pays for its own factors only.  Tables are memoized per
+`SpectralParam` by an lru_cache of 4 entries.  Each closed form lists its
+factors once, as table keys per w (`_a_w_factors`, `_F_w_factors`,
+`_limit_factors`); the symbolic `a_w_product` is built from the same keys.
+
+One rule and one loop evaluate every product.  `_gamma_factor` takes a
+Gamma argument as an exact numerator and denominator and gives its exact
+pole test, the 1e-8 zero rule of a reciprocal Gamma and its value.
+`_multiply` multiplies the constant, each Gamma to its power, each sine
+and the phase in that order, reading each factor by its key only when it
+gets there, and stops at the first Gamma factor that raises or gives 0.
+`GammaProduct.eval` lets it read `_ExactFactors`, which evaluates the
+exact arguments on each read; a(w), F_w(1) and the limit let it read the
+factor table, which caches the same values.  So the two routes give the
+same bits, PoleErrors and zeros.  A failure comes only from the function
+whose factor fails: at k = 1/2, a(w) is finite while F_w(1) and the limit
+raise.
 
 The complex Gamma function is a Lanczos approximation (g = 7, 9 terms,
 about 15 significant digits on the test domain) with the reflection formula
@@ -78,7 +83,7 @@ _LEMMA_6_4_TOL = 1e-9  # its bound on the relative residual
 
 
 class PoleError(ArithmeticError):
-    """A Gamma factor is evaluated at (or within 1e-8 of) a nonpositive integer."""
+    """A Gamma factor is evaluated at a pole: a nonpositive integer."""
 
 
 def _near_nonpositive_int(x: complex, tol: float = _POLE_TOL) -> bool:
@@ -86,16 +91,6 @@ def _near_nonpositive_int(x: complex, tol: float = _POLE_TOL) -> bool:
         return False
     r = round(x.real)
     return r <= 0 and abs(x.real - r) <= tol
-
-
-def _check_pole(arg, tag: str):
-    """Raise PoleError if Gamma(arg) has a pole at an exact arg, or within
-    _POLE_TOL of a float one."""
-    if isinstance(arg, (int, Q)):
-        if arg <= 0 and arg.denominator == 1:
-            raise PoleError(f"Gamma argument {arg} is a nonpositive integer{tag and f' ({tag})'}")
-    elif _near_nonpositive_int(complex(arg)):
-        raise PoleError(f"Gamma argument {complex(arg)} within {_POLE_TOL} of a pole{tag and f' ({tag})'}")
 
 
 def gamma(z: complex) -> complex:
@@ -122,8 +117,9 @@ def sinpi(x: complex) -> complex:
 class GammaProduct:
     """Product of Gamma(x)^{+-1}, sin(pi x), e^{i pi x} and rational constants.
 
-    Arguments stay exact (Fraction) when built from exact spectral data, so
-    pole detection is exact where it can be.
+    Arguments are exact rationals, int or Fraction, so the pole test of a
+    Gamma factor is exact; `eval` raises TypeError when it reaches a Gamma
+    argument of any other type.
     """
 
     gammas: list[tuple[object, int, str]] = field(default_factory=list)  # (arg, power, tag)
@@ -168,21 +164,60 @@ class GammaProduct:
         return out
 
     def eval(self) -> complex:
-        val = complex(self.const)
-        for arg, power, tag in self.gammas:
-            if power > 0:
-                _check_pole(arg, tag)
-                val *= gamma(complex(arg)) ** power
-            else:
-                # reciprocal of Gamma is entire: a pole upstairs is a zero here
-                a = complex(arg)
-                if _near_nonpositive_int(a):
-                    return 0.0 + 0.0j
-                val *= gamma(a) ** power
-        for arg, tag in self.sins:
-            val *= sinpi(complex(arg))
-        val *= cmath.exp(1j * math.pi * complex(self.exp_pi_i))
-        return val
+        gammas = [(("gamma", arg), power, tag) for arg, power, tag in self.gammas]
+        sins = [(("sin", arg), tag) for arg, tag in self.sins]
+        return _multiply(self.const, gammas, sins, ("phase", self.exp_pi_i), _ExactFactors())
+
+
+class _ExactFactors:
+    """The factors of a GammaProduct by key (kind, exact argument), as
+    `_FactorTable` holds them, each evaluated when it is read."""
+
+    def __getitem__(self, key):
+        kind, arg = key
+        if kind == "gamma":
+            if not isinstance(arg, (int, Q)):
+                raise TypeError(f"Gamma argument {arg!r} is not an int or a Fraction")
+            return _gamma_factor(arg.numerator, arg.denominator)
+        return sinpi(arg) if kind == "sin" else cmath.exp(1j * math.pi * complex(arg))
+
+
+def _gamma_factor(num: int, den: int) -> tuple:
+    """Gamma at the exact argument x = num / den (den > 0), as
+    (pole, zero, value, num, den): pole is whether x is a nonpositive
+    integer, exactly when num <= 0 and den divides num; zero is whether x is
+    within 1e-8 of one, so that 1/Gamma(x) is taken as 0; value is Gamma(x)
+    unless zero, else None.  num / den is the float of x, bit for bit."""
+    pole = num <= 0 and num % den == 0
+    zero = pole or _near_nonpositive_int(z := complex(num / den))
+    return pole, zero, None if zero else gamma(z), num, den
+
+
+def _multiply(const, gammas, sins, phase, factors) -> complex:
+    """const * prod Gamma^power * prod sin * phase, multiplied in that order.
+
+    gammas holds (key, power, tag), sins (key, tag) and phase a key, and
+    `factors[key]` is the factor's value, for a Gamma its `_gamma_factor`
+    tuple; each is read only when the loop reaches it.  The first Gamma
+    factor that fails decides: at a pole a positive power raises PoleError,
+    and a power <= 0 within 1e-8 of a pole makes the product 0, since
+    1/Gamma is entire.  A positive power near a pole but not at it is
+    evaluated.
+    """
+    val = complex(const)
+    for key, power, tag in gammas:
+        pole, zero, g, num, den = factors[key]
+        if power > 0:
+            if pole:
+                raise PoleError(f"Gamma argument {num // den} is a nonpositive integer{tag and f' ({tag})'}")
+            val *= (gamma(complex(num / den)) if g is None else g) ** power
+        elif zero:
+            return 0j
+        else:
+            val *= g ** power
+    for key, _ in sins:
+        val *= factors[key]
+    return val * factors[phase]
 
 
 @functools.lru_cache(maxsize=16)
@@ -215,14 +250,12 @@ class _FactorTable(dict):
 
     For kind "gamma" and "sin" the spec (i, j, c, ck) names the argument
     x = lambda_i - lambda_j + c + ck k.  Every such x is an integer numerator
-    over the one denominator D of `exact_view(sp)` (`num`): x is a nonpositive
-    integer exactly when num <= 0 and D divides num, and num / D is the
-    float of x, bit for bit.  "gamma" holds (num, x is a nonpositive integer,
-    x is within 1e-8 of one so that 1/Gamma(x) is taken as 0, Gamma(x) unless
-    it is) and "sin" holds sin(pi x).  "phase" holds e^{i pi p} with
-    2 D p = _phase_num(sp, spec), and "limit" the w-independent factors of
-    `limit_value`.  The exact Fraction x (`arg`) is built only for the
-    symbolic product and for the text of a PoleError.
+    over the one denominator D of `exact_view(sp)` (`num`), and num / D is
+    the float of x, bit for bit.  "gamma" holds `_gamma_factor(num, D)`,
+    the entry that `_multiply` reads, and "sin" holds sin(pi x).  "phase"
+    holds e^{i pi p} with 2 D p = _phase_num(sp, spec), and "limit" the
+    w-independent factors of `limit_value`.  The exact Fraction x (`arg`) is
+    built only for the symbolic product.
     """
 
     __slots__ = ("sp", "den", "lam", "k")
@@ -245,10 +278,7 @@ class _FactorTable(dict):
         kind, spec = key
         den = self.den
         if kind == "gamma":
-            num = self.num(spec)
-            pole = num <= 0 and num % den == 0
-            zero = pole or _near_nonpositive_int(z := complex(num / den))
-            value = num, pole, zero, None if zero else gamma(z)
+            value = _gamma_factor(self.num(spec), den)
         elif kind == "sin":
             value = sinpi(self.num(spec) / den)
         elif kind == "phase":
@@ -275,7 +305,7 @@ def _factor_table(sp: SpectralParam) -> _FactorTable:
 class _Product(NamedTuple):
     """One closed form at one w as factor-table keys, in GammaProduct order:
     the constant, the Gamma factors (key, power, tag), the sine factors
-    (key, tag) and the phase."""
+    (key, tag) and the phase, the first arguments of `_multiply`."""
 
     const: float
     gammas: tuple
@@ -347,26 +377,6 @@ def _symbolic(prod: _Product, table: _FactorTable) -> GammaProduct:
     return out.times_exp_pi_i(Q(_phase_num(table.sp, prod.phase[1]), 2 * table.den))
 
 
-def _evaluate(prod: _Product, table: _FactorTable) -> complex:
-    """`_symbolic(prod, table).eval()` from the table's values: the same
-    factors in the same order, so the same bits, PoleErrors and zeros."""
-    val = complex(prod.const)
-    for key, power, tag in prod.gammas:
-        num, pole, zero, g = table[key]
-        if power > 0:
-            if pole:
-                _check_pole(Q(num, table.den), tag)
-            val *= (gamma(complex(num / table.den)) if g is None else g) ** power
-        elif zero:
-            return 0.0 + 0.0j
-        else:
-            val *= g ** power
-    for key, _ in prod.sins:
-        val *= table[key]
-    val *= table[prod.phase]
-    return val
-
-
 def a_w_product(w: Permutation, sp: SpectralParam) -> GammaProduct:
     """Leading coefficient of the cycle integral as a symbolic product:
 
@@ -378,7 +388,7 @@ def a_w_product(w: Permutation, sp: SpectralParam) -> GammaProduct:
 
 def a_w(w: Permutation, sp: SpectralParam) -> complex:
     """`a_w_product(w, sp).eval()`, bit for bit, from the factor table."""
-    return _evaluate(_a_w_factors(w.images, sp.rank), _factor_table(sp))
+    return _multiply(*_a_w_factors(w.images, sp.rank), _factor_table(sp))
 
 
 def F_w_at_1(w: Permutation, sp: SpectralParam) -> complex:
@@ -389,7 +399,7 @@ def F_w_at_1(w: Permutation, sp: SpectralParam) -> complex:
 
     The pairing (rho, coroot of e_a - e_b) is k (b - a).
     """
-    return _evaluate(_F_w_factors(w.images, sp.rank), _factor_table(sp))
+    return _multiply(*_F_w_factors(w.images, sp.rank), _factor_table(sp))
 
 
 def limit_value(w: Permutation, sp: SpectralParam) -> complex:
@@ -408,7 +418,7 @@ def limit_value(w: Permutation, sp: SpectralParam) -> complex:
             raise ZeroDivisionError(
                 f"denominator sin({m} pi k) = {s:.2e} vanishes at k = {sp.k}"
             )
-    val = _evaluate(_limit_factors(w.images, n), table)
+    val = _multiply(*_limit_factors(w.images, n), table)
     sin_ratio, gnum, gden = table["limit", None]
     val *= sin_ratio
     return val * gnum / gden

@@ -220,6 +220,7 @@ def test_usage_error_exit_code():
         ["integrate", "--z-ratio", "0.9"],
         ["diagrams", "order", "7", "--count-geq", "1,x"],
         ["diagrams", "poincare", "3", "--count-geq", "w0"],
+        ["diagrams", "order", "3", "--count-geq", "all"],
     ],
 )
 def test_bad_input_is_usage_error(argv, capsys, tmp_path, monkeypatch):
