@@ -60,7 +60,7 @@ summed as a real log-modulus and a real argument, smallest broadcast shape
 first, each partial sum at the broadcast shape of its terms, and the block
 is exponentiated once and contracted with the W_a of its free axes, last
 axis first.  The differences are listed in descending order of the lowest
-axis they read (`_t_factors`), so those that read no fixed leading axis
+axis they read (`_geometry`), so those that read no fixed leading axis
 form a prefix: their sum is the same in every block and is built once per
 `integrate` call, and each block adds the rest, rebuilding the t values of
 the points on the fixed axes alone.  exp(const), the W_a of the fixed
@@ -77,24 +77,27 @@ e^{2 pi i tau}(2 pi i (1 - f) - f').
 `integrate` takes its rule's record, and the rule weights times the
 Jacobian factors, from a small cache keyed by (scheme, points per axis,
 bump), so the bump is evaluated once per rule and not once per call; the
-cached arrays are read-only.  What depends on the diagram alone (points,
-axes, chains, collapse anchors, the factors without their exponents) is
-cached per diagram, and the factor list and the plan per diagram and
-float (lambda, k).  The z-free part of each axis's log is built once per
-call.  Pointwise evaluation and `t_values` build records from their own
-tau (`_tau_nodes`), and `omega_w_eval` sums the factor logs as one complex
-sum in factor order (`_log_sum`).
+cached arrays are read-only.  Two more records are cached.  `_geometry`
+holds what depends on the diagram alone: points, axes, chains, collapse
+anchors and the factor slots, the t-factors without their exponents.
+`_plan` holds what depends on the diagram and float (lambda, k): the
+factors with a nonzero exponent, which the pointwise path reads, and
+their regrouping by axis for quadrature.  The z-free part of each axis's
+log is built once per call.  Pointwise evaluation and `t_values` build
+records from their own tau (`_tau_nodes`), and `omega_w_eval` sums the
+factor logs as one complex sum in factor order (`_log_sum`).
 
 Several z of one diagram and rule are integrated in one call of
 `_integrate`, which `integrate` calls with one cycle: the Richardson radii
 of `leading_coeff_estimate`, the 2n + 3 points of `fd_eigenvalue` and the
 radii of `hc integrate`.  The set-up (rule, plan, z-free logs, blocks) is
 done once.  What depends on z carries a leading batch axis, also for one
-cycle: the t values from the top row down, the one-axis differences and
-the weights.  The batch is cut into chunks of at most `_BLOCK_NODES` //
-(nodes per block) cycles, so a chunk's arrays are no larger than one block
-of one cycle, and each cycle is blocked as it is alone: at rank 2 with 41
-points per axis a block is the whole grid, and a chunk holds one cycle.
+cycle: the t values from the top row down, every axis's log (broadcast
+where it has no one-axis difference) and the weights.  The batch is cut
+into chunks of at most `_BLOCK_NODES` // (nodes per block) cycles, so a
+chunk's arrays are no larger than one block of one cycle, and each cycle
+is blocked as it is alone: at rank 2 with 41 points per axis a block is
+the whole grid, and a chunk holds one cycle.
 Each node of each cycle sees the operations it sees alone, in the same
 order and on arrays, so each result has the bits of its own `integrate`
 call.
@@ -224,7 +227,7 @@ class CyclePath:
             )
 
         self.rank = n
-        self.points, self.axis, self.collapse, self.chain, self.below = _geometry(diagram)
+        self.points, self.axis, self.collapse, self.chain, self.below, _ = _geometry(diagram)
 
     @property
     def naxes(self) -> int:
@@ -235,18 +238,42 @@ class CyclePath:
         return _t_values(self, _tau_nodes(self, tau))
 
 
+class _Slot(NamedTuple):
+    """One t-factor of the form without its exponent (see `_geometry`)."""
+
+    kind: str
+    key: int | str  # whose exponent it takes: a monomial's row j, "cross" or "within"
+    pts: tuple[Point, ...]
+    base: tuple[int, ...]  # the axes log t reads at its base point (see `_plan`)
+    zi: int  # the 0-based index of the z its base point collapses to
+    axis: int | None  # a vanishing factor's axis, or the one axis a difference reads
+
+
 class _Geometry(NamedTuple):
     """What a cycle takes from its diagram alone: the points in axis order,
     each point's axis, the index of the z anchor each point (top row
     included) collapses to at tau = 0, the axes each point's chain up to row
-    n reads (its own first; none for the top row), and, per axis, how many
-    points have that axis's point above them on their chain."""
+    n reads (its own first; none for the top row), per axis, how many
+    points have that axis's point above them on their chain, and the
+    t-factors of the form without their exponents (`slots`).
+
+    Each factor is listed under its lower point p: the monomial of p, the
+    cross-row factors of p with row j + 1, and the within-row differences
+    t_{(i1, j)} - t_p with i1 > i.  Points come rows top-down (j = n ... 1)
+    and right to left within a row (i = j ... 1), so descending in axis.  A
+    factor reads the axis of its lower point and the axes above it on the
+    chains, so the slot list is non-increasing in the lowest axis a factor
+    reads (`_lowest_axis`): for any number of fixed leading axes, the
+    factors that read none of them come first, which `_integrate`'s split
+    of the multi-axis differences into head and tail relies on.
+    """
 
     points: tuple[Point, ...]
     axis: Mapping[Point, int]
     collapse: Mapping[Point, int]
     chain: Mapping[Point, tuple[int, ...]]
     below: tuple[int, ...]
+    slots: tuple[_Slot, ...]
 
 
 @functools.lru_cache(maxsize=128)
@@ -263,18 +290,38 @@ def _geometry(diagram: Diagram) -> _Geometry:
     for p in points:
         for a in chain[diagram.target(p)]:
             below[a] += 1
-    return _Geometry(points, MappingProxyType(axis), MappingProxyType(collapse), MappingProxyType(chain), tuple(below))
+    slots: list[_Slot] = []
+
+    def add(kind, key, pts):
+        base = diagram.target(pts[0]) if kind == "vanish" else pts[0]
+        one = axis[pts[0]] if kind == "vanish" else None
+        if kind == "diff":
+            if collapse[pts[0]] <= collapse[pts[1]]:
+                raise AssertionError(f"difference factor {pts} not oriented big-minus-small")
+            axes = chain[pts[0]] + chain[pts[1]]  # the chains of a difference are disjoint
+            one = axes[0] if len(axes) == 1 else None
+        slots.append(_Slot(kind, key, pts, chain[base], collapse[base] - 1, one))
+
+    for j in range(n, 0, -1):
+        for i in range(j, 0, -1):
+            p = (i, j)
+            add("mono", j, (p,))
+            x = diagram.target(p)[0]
+            for i1 in range(1, j + 2):
+                if i1 == x:
+                    add("vanish", "cross", (p,))
+                elif i1 < x:
+                    add("diff", "cross", (p, (i1, j + 1)))
+                else:
+                    add("diff", "cross", ((i1, j + 1), p))
+            for i1 in range(i + 1, j + 1):
+                add("diff", "within", ((i1, j), p))
+    return _Geometry(points, MappingProxyType(axis), MappingProxyType(collapse), MappingProxyType(chain),
+                     tuple(below), tuple(slots))
 
 
 def cycle_for_w(w: Permutation, z: Sequence[complex], epsilon: float = 0.1) -> CyclePath:
     return CyclePath(Diagram.from_permutation(w), z, BumpFn(epsilon))
-
-
-def _cycles_for_w(w: Permutation, zs: Sequence[Sequence[complex]], epsilon: float) -> list[CyclePath]:
-    """The cycles of w at each z of `zs`, on one diagram and one bump; each z
-    has its own modulus and separation checks."""
-    d, bump = Diagram.from_permutation(w), BumpFn(epsilon)
-    return [CyclePath(d, z, bump) for z in zs]
 
 
 def cycle_point(c: CyclePath, tau: Sequence[float]) -> dict[Point, complex]:
@@ -365,7 +412,7 @@ def omega_factor_list(c: CyclePath, sp: SpectralParam) -> tuple[complex, list[Fa
     the cycle boundary; 0-th powers are 1).
     """
     lam, k = float_view(sp)
-    return _z_log(c, lam, k), list(_t_factors(c.diagram, lam, k))
+    return _z_log(c, lam, k), list(_plan(c.diagram, lam, k).factors)
 
 
 def _z_log(c: CyclePath, lam: tuple[float, ...], k: float, zexp: Sequence[float] | None = None) -> complex:
@@ -384,79 +431,6 @@ def _z_log(c: CyclePath, lam: tuple[float, ...], k: float, zexp: Sequence[float]
             for i1 in range(i2 + 1, n + 2):
                 const += ezv * cmath.log(c.z[i1 - 1] - c.z[i2 - 1])
     return const
-
-
-class _Slot(NamedTuple):
-    """One t-factor of the form without its exponent (see `_slots`)."""
-
-    kind: str
-    key: int | str  # whose exponent it takes: a monomial's row j, "cross" or "within"
-    pts: tuple[Point, ...]
-    base: tuple[int, ...]  # the axes log t reads at its base point (see `_plan`)
-    zi: int  # the 0-based index of the z its base point collapses to
-    axis: int | None  # a vanishing factor's axis, or the one axis a difference reads
-
-
-@functools.lru_cache(maxsize=128)
-def _slots(diagram: Diagram) -> tuple[_Slot, ...]:
-    """The t-factors of the form without their exponents, built once per
-    diagram, in the order of `_t_factors`.
-
-    Each factor is listed under its lower point p: the monomial of p, the
-    cross-row factors of p with row j + 1, and the within-row differences
-    t_{(i1, j)} - t_p with i1 > i.  Points come rows top-down (j = n ... 1)
-    and right to left within a row (i = j ... 1), so descending in axis.  A
-    factor reads the axis of its lower point and the axes above it on the
-    chains, so the list is non-increasing in the lowest axis a factor reads
-    (`_lowest_axis`): for any number of fixed leading axes, the factors that
-    read none of them come first.
-    """
-    n = diagram.rows - 1
-    geo = _geometry(diagram)
-    slots: list[_Slot] = []
-
-    def add(kind, key, pts):
-        base = diagram.target(pts[0]) if kind == "vanish" else pts[0]
-        axis = geo.axis[pts[0]] if kind == "vanish" else None
-        if kind == "diff":
-            if geo.collapse[pts[0]] <= geo.collapse[pts[1]]:
-                raise AssertionError(f"difference factor {pts} not oriented big-minus-small")
-            axes = geo.chain[pts[0]] + geo.chain[pts[1]]  # the chains of a difference are disjoint
-            axis = axes[0] if len(axes) == 1 else None
-        slots.append(_Slot(kind, key, pts, geo.chain[base], geo.collapse[base] - 1, axis))
-
-    for j in range(n, 0, -1):
-        for i in range(j, 0, -1):
-            p = (i, j)
-            add("mono", j, (p,))
-            x = diagram.target(p)[0]
-            for i1 in range(1, j + 2):
-                if i1 == x:
-                    add("vanish", "cross", (p,))
-                elif i1 < x:
-                    add("diff", "cross", (p, (i1, j + 1)))
-                else:
-                    add("diff", "cross", ((i1, j + 1), p))
-            for i1 in range(i + 1, j + 1):
-                add("diff", "within", ((i1, j), p))
-    return tuple(slots)
-
-
-def _exponents(n: int, lam: tuple[float, ...], k: float) -> dict:
-    """The exponent of each slot key (`_Slot.key`) at float (lambda, k)."""
-    e: dict = {"cross": k - 1.0, "within": 2.0 - 2.0 * k}
-    for j in range(1, n + 1):
-        e[j] = lam[n - j + 1] - lam[n - j] - k
-    return e
-
-
-@functools.lru_cache(maxsize=64)
-def _t_factors(diagram: Diagram, lam: tuple[float, ...], k: float) -> tuple[Factor, ...]:
-    """The t-factors of the form at float (lambda, k), in the order of
-    `_slots`; they depend on the diagram, lambda and k, not on z, and are
-    built once for each."""
-    e = _exponents(diagram.rows - 1, lam, k)
-    return tuple(Factor(s.kind, e[s.key], s.pts) for s in _slots(diagram) if e[s.key] != 0.0)
 
 
 def _lowest_axis(c: CyclePath, f: Factor) -> int:
@@ -642,7 +616,8 @@ _RULES = {"tanh-sinh": tanh_sinh_rule, "gauss-legendre": gauss_legendre_rule}
 
 
 class _Plan(NamedTuple):
-    """The t-factors of the form regrouped for quadrature (see `_plan`).
+    """The t-factors of the form at float (lambda, k), and their regrouping
+    for quadrature (see `_plan`).
 
     The integrand times the Jacobian is exp(const) times, per axis a, a
     function of tau_a alone, times exp of the multi-axis differences:
@@ -652,17 +627,22 @@ class _Plan(NamedTuple):
     the vanishing base of its own axis, or of 1 - t_small/t_big.
     """
 
+    factors: tuple[Factor, ...]  # every t-factor with a nonzero exponent, in slot order
     coef: tuple[float, ...]  # per axis: coefficient of log1p(-f) + 2 pi i tau
     vcoef: tuple[float, ...]  # per axis: coefficient of the vanishing base's log
     single: tuple[tuple[Factor, ...], ...]  # per axis: the differences that read it alone
     zexp: tuple[float, ...]  # per z_i: its exponent, besides the z-only factors (`_z_log`)
-    multi: tuple[Factor, ...]  # the differences that read several axes, in `_t_factors` order
+    multi: tuple[Factor, ...]  # the differences that read several axes, in slot order
 
 
 @functools.lru_cache(maxsize=64)
 def _plan(diagram: Diagram, lam: tuple[float, ...], k: float) -> _Plan:
-    """The quadrature plan at float (lambda, k), built once per diagram,
-    lambda and k, like `_t_factors` and from the same slots.
+    """The t-factors and the quadrature plan at float (lambda, k), built
+    once per diagram, lambda and k from the diagram's slots (`_geometry`).
+
+    A slot whose exponent is exactly 0 is dropped: its power is 1, and its
+    base may vanish on the cycle boundary.  `single` and `multi` hold the
+    differences of `factors`, the same objects.
 
     A factor's log t splits at its base point b (the monomial's point, the
     vanishing factor's target, the difference's bigger point): its exponent
@@ -675,26 +655,31 @@ def _plan(diagram: Diagram, lam: tuple[float, ...], k: float) -> _Plan:
     every other difference reads several.
     """
     geo = _geometry(diagram)
-    e = _exponents(diagram.rows - 1, lam, k)
+    n = diagram.rows - 1
+    # the exponent of each slot key (`_Slot.key`)
+    e = {"cross": k - 1.0, "within": 2.0 - 2.0 * k}
+    e.update((j, lam[n - j + 1] - lam[n - j] - k) for j in range(1, n + 1))
     coef = [float(d) for d in geo.below]
     vcoef = [0.0] * len(geo.points)
     single: list[list[Factor]] = [[] for _ in geo.points]
     zexp = [0.0] * diagram.rows
     for p in geo.points:
         zexp[geo.collapse[p] - 1] += 1.0
-    multi = []
-    for s in _slots(diagram):
+    factors, multi = [], []
+    for s in geo.slots:
         expo = e[s.key]
-        if expo == 0.0:  # as in `_t_factors`
+        if expo == 0.0:
             continue
+        f = Factor(s.kind, expo, s.pts)
+        factors.append(f)
         for a in s.base:
             coef[a] += expo
         zexp[s.zi] += expo
         if s.kind == "vanish":
             vcoef[s.axis] += expo
         elif s.kind == "diff":
-            (multi if s.axis is None else single[s.axis]).append(Factor(s.kind, expo, s.pts))
-    return _Plan(tuple(coef), tuple(vcoef), tuple(map(tuple, single)), tuple(zexp), tuple(multi))
+            (multi if s.axis is None else single[s.axis]).append(f)
+    return _Plan(tuple(factors), tuple(coef), tuple(vcoef), tuple(map(tuple, single)), tuple(zexp), tuple(multi))
 
 
 def _axis_base(plan: _Plan, nodes: Sequence[_Nodes]) -> list[np.ndarray]:
@@ -707,10 +692,12 @@ def _axis_base(plan: _Plan, nodes: Sequence[_Nodes]) -> list[np.ndarray]:
 
 def _axis_logs(c: CyclePath, plan: _Plan, base, nodes: Sequence[_Nodes], cycles: Sequence[CyclePath]) -> list[np.ndarray]:
     """`_axis_base`'s logs plus each axis's one-axis differences at each of
-    `cycles` (the batch axis leads); `nodes[a]` is axis a's record.  Such a
-    difference pairs a row-n point p, t_p = e^{2 pi i tau}(1 - f) z_{collapse(p)},
-    with a top-row z, so t_small/t_big is a ratio of z's times
-    e^{2 pi i tau}(1 - f), or over it."""
+    `cycles`, every log with the leading batch axis (an axis without such a
+    difference has one log for all, broadcast); `nodes[a]` is axis a's
+    record.  Such a difference pairs a row-n point p,
+    t_p = e^{2 pi i tau}(1 - f) z_{collapse(p)}, with a top-row z, so
+    t_small/t_big is a ratio of z's times e^{2 pi i tau}(1 - f), or over
+    it."""
     n = c.rank
     # per difference: the z indices of the ratio, and whether the row-n point is the smaller
     pairs = [(c.collapse[small], big[0], True) if big[1] > n else (small[0], c.collapse[big], False)
@@ -726,7 +713,7 @@ def _axis_logs(c: CyclePath, plan: _Plan, base, nodes: Sequence[_Nodes], cycles:
             np.arctan2(wv.imag, wv.real, out=lg.imag)
             s = s + f.expo * lg
             d += 1
-        out.append(s)
+        out.append(s if diffs else np.broadcast_to(s, (len(cycles),) + np.shape(s)))
     return out
 
 
@@ -819,7 +806,7 @@ def _integrate(cycles: Sequence[CyclePath], sp: SpectralParam, quad: QuadratureS
         lead += 1
     free = naxes - lead
     chunk = max(1, _BLOCK_NODES // npts**free)
-    # the differences that read a fixed axis close the list (`_t_factors`);
+    # the differences that read a fixed axis close the list (`_geometry`);
     # they are the tail, evaluated per block, and the head is summed once
     split = len(plan.multi)
     while lead and split and _lowest_axis(c, plan.multi[split - 1]) < lead:
@@ -852,14 +839,11 @@ def _integrate(cycles: Sequence[CyclePath], sp: SpectralParam, quad: QuadratureS
             weights = [wj * np.exp(1j * lg.imag) for lg in logs[:lead]]
             weights += [wj * np.exp(lg - top) for lg, top in zip(logs[lead:], tops)]
 
-            def row(v, b):  # cycle b's row of what may carry the batch axis
-                return v[b] if v.ndim > 1 else v
-
             # per cycle: the log-modulus of its constant factor, the phase of
             # const, and the fixed axes' log-moduli and weights
-            shifts = [v.real + sum(float(row(top, b)[0]) for top in tops) for b, v in enumerate(consts[start:start + nb])]
+            shifts = [v.real + sum(float(top[b, 0]) for top in tops) for b, v in enumerate(consts[start:start + nb])]
             rots = [cmath.exp(1j * v.imag) for v in consts[start:start + nb]]
-            fixed = [[(row(lg, b).real, row(w, b)) for lg, w in zip(logs[:lead], weights)] for b in range(nb)]
+            fixed = [[(lg[b].real, w[b]) for lg, w in zip(logs[:lead], weights)] for b in range(nb)]
             t = _t_values(c, head_nodes, _top_t(batch, (nb,) + (1,) * free), c.points[lead:]) if plan.multi else {}
             inv: dict = {}
             head_mod, head_arg = _multi_sum(head, t, inv)
@@ -889,16 +873,16 @@ def _integrate(cycles: Sequence[CyclePath], sp: SpectralParam, quad: QuadratureS
                 np.exp(vals, out=vals)
                 part = vals
                 for w in reversed(weights[lead:]):  # a block axis of size 1 sums the weights
-                    part = np.einsum("b...j,bj->b..." if w.ndim > 1 else "b...j,j->b...", part, w)
+                    part = np.einsum("b...j,bj->b...", part, w)
                 for b, (p, shift, rot, fx) in enumerate(zip(part.tolist(), shifts, rots, fixed)):
                     shift += sum(float(m[i]) for (m, _), i in zip(fx, idx))
                     scale = rot * _exp(shift) * math.prod(w[i] for (_, w), i in zip(fx, idx))
                     term = scale * p
                     if b not in errors and (vanish or neg or not cmath.isfinite(term)):
-                        node = _first_bad(block_logs(idx)[b], consts[start + b].real, [row(lg, b) for lg in logs],
+                        node = _first_bad(block_logs(idx)[b], consts[start + b].real, [lg[b] for lg in logs],
                                           nodes.jac, idx)
                         if node is None and not cmath.isfinite(term):
-                            node = _first_nonfinite(vals[b], scale, [row(w, b) for w in weights], idx)
+                            node = _first_nonfinite(vals[b], scale, [w[b] for w in weights], idx)
                         if node is not None:
                             errors[b] = f"non-finite integrand at tau = {[float(x[i]) for i in node]}"
                     acc[b] += term
@@ -995,7 +979,7 @@ def _ratios(w: Permutation, sp: SpectralParam, quad: QuadratureSpec, scale: floa
     one `_integrate` call, and each divided by its leading power."""
     mu = _leading_exponent(w, sp)
     zs = [[scale * r ** (sp.rank - i) for i in range(sp.rank + 1)] for r in radii]
-    values = _integrate(_cycles_for_w(w, zs, quad.epsilon), sp, quad)
+    values = _integrate([cycle_for_w(w, z, quad.epsilon) for z in zs], sp, quad)
     return values, [v / _power(mu, z) for v, z in zip(values, zs)]
 
 
@@ -1069,7 +1053,7 @@ def fd_eigenvalue(
         for step in (math.exp(h), math.exp(-h)):
             zs.append(list(z))
             zs[-1][i] = z[i] * step
-    base, *steps = _integrate(_cycles_for_w(w, zs, quad.epsilon), sp, quad)
+    base, *steps = _integrate([cycle_for_w(w, z, quad.epsilon) for z in zs], sp, quad)
     plus, minus = steps[0::2], steps[1::2]
     acc = 0.0 + 0.0j
     for i in range(n + 1):

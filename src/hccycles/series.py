@@ -22,6 +22,7 @@ again by exact recurrence, and checks truncated commutators.
 
 from __future__ import annotations
 
+import cmath
 import functools
 import json
 import math
@@ -206,6 +207,8 @@ def freudenthal_table(mu: Sequence, sp: SpectralParam, depth: int) -> CoeffTable
     asymptotic exponents of two solutions then collide) or if a recurrence
     bracket vanishes at some nu.
     """
+    if depth < 0:
+        raise ValueError(f"depth must be >= 0, got {depth}")
     mu = _validate_mu(mu, sp)
     n = sp.rank
     pairs = rs.positive_root_pairs(n)
@@ -277,45 +280,47 @@ def residual_L(table: CoeffTable) -> Q:
     return worst
 
 
-def phi_eval(table: CoeffTable, z: Sequence[complex], depth: int | None = None) -> complex:
-    """z^mu * sum G_nu z^{nu-mu}, truncated; principal powers.
+def _terms(table: CoeffTable, z: Sequence[complex]) -> list[tuple[int, complex]]:
+    """(depth, G_nu z^{nu-mu}) for every entry of the table, in (depth,
+    offset) order.
 
     Requires finite 0 < |z_1| < ... < |z_{n+1}| (the asymptotic zone).
     """
-    import cmath
-
     zs = [complex(v) for v in z]
     if len(zs) != table.rank + 1:
         raise ValueError("z has wrong length")
-    mods = [abs(v) for v in zs]
-    if not all(0 < a < b < math.inf for a, b in zip(mods, mods[1:])):
+    if not all(0 < abs(a) < abs(b) < math.inf for a, b in zip(zs, zs[1:])):
         raise ValueError("need finite 0 < |z_1| < ... < |z_{n+1}| for the asymptotic zone")
-
-    head = cmath.exp(sum(float(m) * cmath.log(zi) for m, zi in zip(table.mu, zs)))
-    ratios = [zs[i] / zs[i + 1] for i in range(table.rank)]
-    if depth is None:
-        depth = table.depth
-    total = 0j
+    ratios = [a / b for a, b in zip(zs, zs[1:])]
+    terms = []
     for offset in sorted(table.entries, key=lambda o: (sum(o), o)):
-        if sum(offset) > depth:
-            continue
         term = complex(table.entries[offset])
         for r, c in zip(ratios, offset):
             term *= r ** c
+        terms.append((sum(offset), term))
+    return terms
+
+
+def phi_eval(table: CoeffTable, z: Sequence[complex]) -> complex:
+    """z^mu * sum G_nu z^{nu-mu} over the whole table; principal powers.
+
+    Requires finite 0 < |z_1| < ... < |z_{n+1}| (the asymptotic zone).
+    """
+    zs = [complex(v) for v in z]
+    total = 0j
+    for _, term in _terms(table, zs):
         total += term
-    return head * total
+    return cmath.exp(sum(float(m) * cmath.log(zi) for m, zi in zip(table.mu, zs))) * total
 
 
 def series_terms_by_depth(table: CoeffTable, z: Sequence[complex]) -> list[float]:
-    """|sum of depth-h terms| of the normalized series, h = 0..depth."""
-    zs = [complex(v) for v in z]
-    ratios = [zs[i] / zs[i + 1] for i in range(table.rank)]
+    """|sum of depth-h terms| of the normalized series, h = 0..depth.
+
+    Requires z in the asymptotic zone, as `phi_eval` does.
+    """
     sums = [0j] * (table.depth + 1)
-    for offset, g in table.entries.items():
-        term = complex(g)
-        for r, c in zip(ratios, offset):
-            term *= r ** c
-        sums[sum(offset)] += term
+    for h, term in _terms(table, z):
+        sums[h] += term
     return [abs(s) for s in sums]
 
 

@@ -137,9 +137,9 @@ def test_factor_census():
 
 
 def _factors_row_by_row(c, sp):
-    """The factor list in the order `_t_factors` used before it ordered by
-    lowest axis: rows bottom-up, points left to right, each row's within-row
-    differences after its points."""
+    """The factor list in the order it had before the slots (`_geometry`)
+    were ordered by lowest axis: rows bottom-up, points left to right, each
+    row's within-row differences after its points."""
     n = c.rank
     lam = [float(x) for x in sp.lam]
     k = float(sp.k)
@@ -184,6 +184,33 @@ def test_factor_order_lowest_axis_first():
             assert Counter(factors) == Counter(reference)
             if n == 1:
                 assert factors == reference
+
+
+def test_one_zero_exponent_rule():
+    # the plan alone drops a factor of exponent 0: the factor list is its
+    # `factors`, and `single` and `multi` hold exactly the list's
+    # differences, the same objects, in list order
+    lam = [Q(3, 10), Q(1, 7), Q(-2, 9)]
+    draws = [SpectralParam(rs.vec(lam[:n] + [-sum(lam[:n])]), k) for n in (1, 2, 3) for k in (Q(1), Q(3, 2))]
+    # e_1 = lambda_2 - lambda_1 - k = 0: the monomial is dropped
+    draws.append(SpectralParam(rs.vec([Q(-3, 4), Q(3, 4)]), Q(3, 2)))
+    for sp in draws:
+        n = sp.rank
+        z = [10.0 ** (-2 * i) for i in range(n, -1, -1)]
+        for w in dg.all_permutations(n + 1):
+            c = cy.cycle_for_w(w, z, 0.1)
+            factors = cy.omega_factor_list(c, sp)[1]
+            plan = cy._plan(c.diagram, *float_view(sp))
+            assert len(factors) == len(plan.factors) and all(f is g for f, g in zip(factors, plan.factors))
+            assert all(f.expo != 0.0 for f in factors)
+            kinds = {f.kind for f in factors}
+            assert kinds == ({"mono"} if sp.k == 1 else {"vanish", "diff"} if sp.lam[0] == Q(-3, 4)
+                             else {"mono", "vanish", "diff"})
+            pos = {id(f): i for i, f in enumerate(factors)}
+            held = [plan.multi, *plan.single]
+            assert sorted(pos[id(f)] for g in held for f in g) == [i for i, f in enumerate(factors) if f.kind == "diff"]
+            for g in held:
+                assert [pos[id(f)] for f in g] == sorted(pos[id(f)] for f in g)
 
 
 def test_k1_reduces_to_mellin():
@@ -308,9 +335,9 @@ def test_singular_locus_error():
 # `factor_arguments` at one tau per case, each argument keyed by its factor's
 # kind and points, so the pins do not depend on the factor order.  The
 # arguments were recorded when `omega_w_eval` still summed the factor logs in
-# a loop of its own; the sums at rank >= 2 were re-recorded when `_t_factors`
-# took its lowest-axis order (the summands are the same, added in another
-# order).  lambda as in the `integrate` goldens below,
+# a loop of its own; the sums at rank >= 2 were re-recorded when the factor
+# list took its lowest-axis order (the summands are the same, added in
+# another order).  lambda as in the `integrate` goldens below,
 # z = (10^(-2n), ..., 10^(-2), 1), and the same caveat on numpy's float64
 # kernels.
 POINT_GOLDEN = [
@@ -816,13 +843,17 @@ def test_nonfinite_guard(monkeypatch):
             cy.integrate(c2, sp_2, quad)
 
 
-@pytest.mark.parametrize("rank, lead", [(1, 0), (2, 0), (2, 1), (2, 2), (3, 0), (3, 1), (3, 2)])
-def test_batch_matches_single_calls_bitwise(rank, lead, monkeypatch):
+@pytest.mark.parametrize("rank, lead, k", [
+    pytest.param(rank, lead, k, id=f"{rank}-{lead}" + ("-k1" if k == 1 else ""))
+    for k in (Q(3, 2), Q(1)) for rank, lead in [(1, 0), (2, 0), (2, 1), (2, 2), (3, 0), (3, 1), (3, 2)]])
+def test_batch_matches_single_calls_bitwise(rank, lead, k, monkeypatch):
     # five z in chunks of two cycles (2, 2, 1) at the blocking `lead` fixes:
     # every result has the bits of `integrate` at its z alone, at the same
     # blocking, also where a block fixes a point of row n (rank 2, lead 2).
+    # At k = 1 the cross and within exponents are 0: no axis has a one-axis
+    # difference, and every axis's log is broadcast along the batch axis.
     lam = [Q(3, 10), Q(1, 7), Q(-2, 9)][:rank]
-    sp = SpectralParam(rs.vec(lam + [-sum(lam)]), Q(3, 2))
+    sp = SpectralParam(rs.vec(lam + [-sum(lam)]), k)
     w = {1: (2, 1), 2: (2, 3, 1), 3: (2, 4, 1, 3)}[rank]
     npts = {1: 33, 2: 9, 3: 8}[rank]
     quad = cy.QuadratureSpec(points_per_axis=npts)
@@ -840,6 +871,7 @@ def test_batch_matches_single_calls_bitwise(rank, lead, monkeypatch):
     monkeypatch.setattr(cy, "_axis_logs", recording)
     assert _hex(cy._integrate(cycles, sp, quad)) == _hex(single)
     assert chunks == [2, 2, 1]
+    assert any(cy._plan(cycles[0].diagram, *float_view(sp)).single) == (k != 1)
     assert _hex(cy._integrate(cycles[1:2], sp, quad)) == _hex(single[1:2])
 
 

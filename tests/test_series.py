@@ -1,3 +1,4 @@
+import cmath
 import json
 import random
 from fractions import Fraction as Q
@@ -274,6 +275,80 @@ def test_phi_eval_term_decay():
     t = se.freudenthal_table_for_w(dg.Permutation((1, 2)), sp, 8)
     mags = se.series_terms_by_depth(t, [1e-3, 1.0])
     assert all(a > b for a, b in zip(mags, mags[1:]))
+
+
+def test_phi_eval_sums_whole_table():
+    # phi_eval takes no depth: it sums every entry of the table
+    t = se.freudenthal_table_for_w(dg.Permutation((2, 1)), sp1(), 4)
+    z = [1e-1, 1.0]
+    r = complex(z[0] / z[1])
+    head = complex(z[0]) ** float(t.mu[0]) * complex(z[1]) ** float(t.mu[1])
+    whole = head * sum(complex(g) * r ** off[0] for off, g in t.entries.items())
+    assert abs(se.phi_eval(t, z) - whole) <= 1e-14 * abs(whole)
+    with pytest.raises(TypeError):
+        se.phi_eval(t, z, 10)
+
+
+def test_freudenthal_table_rejects_negative_depth():
+    sp = sp1()
+    with pytest.raises(ValueError, match="depth"):
+        se.freudenthal_table_for_w(dg.Permutation((1, 2)), sp, -1)
+    mu = rs.add(sp.lam, sp.rho)
+    with pytest.raises(ValueError, match="depth"):
+        se.freudenthal_table(mu, sp, -1)
+    assert se.freudenthal_table(mu, sp, 0).entries == {(0,): 1}
+
+
+def test_series_terms_need_asymptotic_zone():
+    # both evaluations of the series make one zone check
+    t = se.freudenthal_table_for_w(dg.Permutation((1, 2)), sp1(), 4)
+    for z in ([2.0, 1.0], [1.0, 0.0], [0.0, 1.0], [1.0, float("inf")], [float("nan"), 1.0], [1e-3, 1.0, 2.0]):
+        for fn in (se.phi_eval, se.series_terms_by_depth):
+            with pytest.raises(ValueError):
+                fn(t, z)
+
+
+def _phi_eval_loop(table, z):
+    """phi_eval as one loop of its own, as it was before the shared walk."""
+    zs = [complex(v) for v in z]
+    head = cmath.exp(sum(float(m) * cmath.log(zi) for m, zi in zip(table.mu, zs)))
+    ratios = [zs[i] / zs[i + 1] for i in range(table.rank)]
+    total = 0j
+    for offset in sorted(table.entries, key=lambda o: (sum(o), o)):
+        term = complex(table.entries[offset])
+        for r, c in zip(ratios, offset):
+            term *= r ** c
+        total += term
+    return head * total
+
+
+def _terms_by_depth_loop(table, z):
+    """series_terms_by_depth as one loop of its own, in the table's order."""
+    zs = [complex(v) for v in z]
+    ratios = [zs[i] / zs[i + 1] for i in range(table.rank)]
+    sums = [0j] * (table.depth + 1)
+    for offset, g in table.entries.items():
+        term = complex(g)
+        for r, c in zip(ratios, offset):
+            term *= r ** c
+        sums[sum(offset)] += term
+    return [abs(s) for s in sums]
+
+
+def test_series_walk_matches_separate_loops_bitwise():
+    rng = random.Random(11)
+    for n, depth in ((1, 6), (2, 4), (3, 3)):
+        for _ in range(2):
+            sp = random_generic(rng, n)
+            zs = [[r ** (n - i) for i in range(n + 1)] for r in (0.02, 0.1)]
+            zs.append([complex(0.3 ** (n - i)) * cmath.exp(0.4j * i) for i in range(n + 1)])
+            for w in dg.all_permutations(n + 1):
+                t = se.freudenthal_table_for_w(w, sp, depth)
+                for z in zs:
+                    got, want = se.phi_eval(t, z), _phi_eval_loop(t, z)
+                    assert (got.real.hex(), got.imag.hex()) == (want.real.hex(), want.imag.hex())
+                    got = [m.hex() for m in se.series_terms_by_depth(t, z)]
+                    assert got == [m.hex() for m in _terms_by_depth_loop(t, z)]
 
 
 def test_table_offsets_respect_dominance():
