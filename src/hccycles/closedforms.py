@@ -27,17 +27,22 @@ one-off a(w) pays for its own factors only.  Tables are memoized per
 factors once, as table keys per w (`_a_w_factors`, `_F_w_factors`,
 `_limit_factors`); the symbolic `a_w_product` is built from the same keys.
 
-One rule and one loop evaluate every product.  `_gamma_factor` takes a
-Gamma argument as an exact numerator and denominator and gives its exact
-pole test, the 1e-8 zero rule of a reciprocal Gamma and its value.
-`_multiply` multiplies the constant, each Gamma to its power, each sine
-and the phase in that order, reading each factor by its key only when it
-gets there, and stops at the first Gamma factor that raises or gives 0.
-`GammaProduct.eval` lets it read `_ExactFactors`, which evaluates the
-exact arguments on each read; a(w), F_w(1) and the limit let it read the
-factor table, which caches the same values.  So the two routes give the
-same bits, PoleErrors and zeros.  A failure comes only from the function
-whose factor fails: at k = 1/2, a(w) is finite while F_w(1) and the limit
+One rule per factor kind and one loop evaluate every product.  Each rule
+takes an exact argument as a numerator and a positive denominator, and
+is the one place where that argument becomes a float: `_gamma_factor`
+gives a Gamma factor's exact pole test, the 1e-8 zero rule of a
+reciprocal Gamma and the value, `_sin_factor` gives sin(pi x) and
+`_phase_factor` gives e^{i pi x}.  `_multiply` multiplies the constant,
+each Gamma to its power, each sine and the phase in that order, reading
+each factor by its key only when it gets there, and stops at the first
+Gamma factor that raises or gives 0.  `GammaProduct.eval` lets it read
+`_ExactFactors`, which applies the rules to the exact arguments on each
+read; a(w), F_w(1) and the limit let it read the factor table, which
+applies them once per argument and caches the result.  So the two routes
+give the same bits, PoleErrors and zeros.  The table's "limit" entry, the
+w-independent factors of the limit, is built from the table's own sine
+and Gamma entries of m k.  A failure comes only from the function whose
+factor fails: at k = 1/2, a(w) is finite while F_w(1) and the limit
 raise.
 
 The complex Gamma function is a Lanczos approximation (g = 7, 9 terms,
@@ -171,15 +176,14 @@ class GammaProduct:
 
 class _ExactFactors:
     """The factors of a GammaProduct by key (kind, exact argument), as
-    `_FactorTable` holds them, each evaluated when it is read."""
+    `_FactorTable` holds them, each evaluated by its kind's rule when it is
+    read."""
 
     def __getitem__(self, key):
         kind, arg = key
-        if kind == "gamma":
-            if not isinstance(arg, (int, Q)):
-                raise TypeError(f"Gamma argument {arg!r} is not an int or a Fraction")
-            return _gamma_factor(arg.numerator, arg.denominator)
-        return sinpi(arg) if kind == "sin" else cmath.exp(1j * math.pi * complex(arg))
+        if not isinstance(arg, (int, Q)):
+            raise TypeError(f"{kind.capitalize()} argument {arg!r} is not an int or a Fraction")
+        return _FACTOR_RULES[kind](arg.numerator, arg.denominator)
 
 
 def _gamma_factor(num: int, den: int) -> tuple:
@@ -187,10 +191,24 @@ def _gamma_factor(num: int, den: int) -> tuple:
     (pole, zero, value, num, den): pole is whether x is a nonpositive
     integer, exactly when num <= 0 and den divides num; zero is whether x is
     within 1e-8 of one, so that 1/Gamma(x) is taken as 0; value is Gamma(x)
-    unless zero, else None.  num / den is the float of x, bit for bit."""
+    unless pole, else None.  num / den is the float of x, bit for bit, and
+    `gamma` raises PoleError if that float is a nonpositive integer."""
     pole = num <= 0 and num % den == 0
-    zero = pole or _near_nonpositive_int(z := complex(num / den))
-    return pole, zero, None if zero else gamma(z), num, den
+    z = complex(num / den)
+    return pole, pole or _near_nonpositive_int(z), None if pole else gamma(z), num, den
+
+
+def _sin_factor(num: int, den: int) -> complex:
+    """sin(pi x) at the exact argument x = num / den (den > 0)."""
+    return sinpi(num / den)
+
+
+def _phase_factor(num: int, den: int) -> complex:
+    """e^{i pi x} at the exact argument x = num / den (den > 0)."""
+    return cmath.exp(1j * math.pi * complex(num / den))
+
+
+_FACTOR_RULES = {"gamma": _gamma_factor, "sin": _sin_factor, "phase": _phase_factor}
 
 
 def _multiply(const, gammas, sins, phase, factors) -> complex:
@@ -207,14 +225,11 @@ def _multiply(const, gammas, sins, phase, factors) -> complex:
     val = complex(const)
     for key, power, tag in gammas:
         pole, zero, g, num, den = factors[key]
-        if power > 0:
-            if pole:
-                raise PoleError(f"Gamma argument {num // den} is a nonpositive integer{tag and f' ({tag})'}")
-            val *= (gamma(complex(num / den)) if g is None else g) ** power
-        elif zero:
+        if pole and power > 0:
+            raise PoleError(f"Gamma argument {num // den} is a nonpositive integer{tag and f' ({tag})'}")
+        if zero and power <= 0:
             return 0j
-        else:
-            val *= g ** power
+        val *= g ** power
     for key, _ in sins:
         val *= factors[key]
     return val * factors[phase]
@@ -250,12 +265,16 @@ class _FactorTable(dict):
 
     For kind "gamma" and "sin" the spec (i, j, c, ck) names the argument
     x = lambda_i - lambda_j + c + ck k.  Every such x is an integer numerator
-    over the one denominator D of `exact_view(sp)` (`num`), and num / D is
-    the float of x, bit for bit.  "gamma" holds `_gamma_factor(num, D)`,
-    the entry that `_multiply` reads, and "sin" holds sin(pi x).  "phase"
-    holds e^{i pi p} with 2 D p = _phase_num(sp, spec), and "limit" the
-    w-independent factors of `limit_value`.  The exact Fraction x (`arg`) is
-    built only for the symbolic product.
+    over the one denominator D of `exact_view(sp)` (`num`), and the entry is
+    its kind's rule at (num, D): `_gamma_factor`, the tuple that `_multiply`
+    reads, or `_sin_factor`.  "phase" holds `_phase_factor` at
+    (_phase_num(sp, spec), 2 D).  "limit" holds the w-independent factors of
+    `limit_value`, read from the sine and Gamma entries of m k (spec
+    (0, 0, 0, m), m = 1..n+1): sin(pi k)^{n+1} / prod_m sin(m pi k),
+    Gamma(k)^{(n+1)(n+2)/2} and prod_m Gamma(m k).  It raises
+    ZeroDivisionError at the first m with |sin(m pi k)| < 1e-8, before it
+    reads a Gamma entry.  The exact Fraction x (`arg`) is built only for the
+    symbolic product.
     """
 
     __slots__ = ("sp", "den", "lam", "k")
@@ -276,25 +295,29 @@ class _FactorTable(dict):
 
     def __missing__(self, key):
         kind, spec = key
-        den = self.den
-        if kind == "gamma":
-            value = _gamma_factor(self.num(spec), den)
-        elif kind == "sin":
-            value = sinpi(self.num(spec) / den)
+        if kind == "limit":
+            value = self._limit()
         elif kind == "phase":
-            value = cmath.exp(1j * math.pi * complex(_phase_num(self.sp, spec) / (2 * den)))
-        else:  # "limit"
-            n, k = self.sp.rank, self.k
-            sin_den = 1.0 + 0j
-            for m in range(1, n + 2):
-                sin_den *= self["sin", (0, 0, 0, m)]
-            gnum = gamma(complex(k / den)) ** ((n + 1) * (n + 2) // 2)
-            gden = 1.0 + 0j
-            for m in range(1, n + 2):
-                gden *= gamma(complex(m * k / den))
-            value = self["sin", (0, 0, 0, 1)] ** (n + 1) / sin_den, gnum, gden
+            value = _phase_factor(_phase_num(self.sp, spec), 2 * self.den)
+        else:
+            value = _FACTOR_RULES[kind](self.num(spec), self.den)
         self[key] = value
         return value
+
+    def _limit(self) -> tuple[complex, complex, complex]:
+        n, ms = self.sp.rank, range(1, self.sp.rank + 2)
+        sines, gammas = [], []
+        for m in ms:
+            sines.append(s := self["sin", (0, 0, 0, m)])
+            if abs(s) < _SIN_ZERO_TOL:
+                raise ZeroDivisionError(f"denominator sin({m} pi k) = {s:.2e} vanishes at k = {self.sp.k}")
+        for m in ms:
+            pole, _, g, num, den = self["gamma", (0, 0, 0, m)]
+            if pole:  # m k a nonpositive integer whose float sine passes the guard: |m k| near 1e8 or more
+                raise PoleError(f"Gamma pole at {complex(num / den)}")
+            gammas.append(g)
+        sin_ratio = sines[0] ** (n + 1) / math.prod(sines, start=1.0 + 0j)
+        return sin_ratio, gammas[0] ** ((n + 1) * (n + 2) // 2), math.prod(gammas, start=1.0 + 0j)
 
 
 @functools.lru_cache(maxsize=4)
@@ -410,18 +433,9 @@ def limit_value(w: Permutation, sp: SpectralParam) -> complex:
       * sin(pi k)^{n+1} / (sin(pi k) ... sin((n+1) pi k))
       * Gamma(k)^{(n+1)(n+2)/2} / (Gamma(k) ... Gamma((n+1)k)).
     """
-    n = sp.rank
     table = _factor_table(sp)
-    for m in range(1, n + 2):
-        s = table["sin", (0, 0, 0, m)]
-        if abs(s) < _SIN_ZERO_TOL:
-            raise ZeroDivisionError(
-                f"denominator sin({m} pi k) = {s:.2e} vanishes at k = {sp.k}"
-            )
-    val = _multiply(*_limit_factors(w.images, n), table)
     sin_ratio, gnum, gden = table["limit", None]
-    val *= sin_ratio
-    return val * gnum / gden
+    return _multiply(*_limit_factors(w.images, sp.rank), table) * sin_ratio * gnum / gden
 
 
 def gauss_value_by_beta_quadrature(m: float, k: float) -> float:

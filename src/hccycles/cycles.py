@@ -412,15 +412,14 @@ def omega_factor_list(c: CyclePath, sp: SpectralParam) -> tuple[complex, list[Fa
     the cycle boundary; 0-th powers are 1).
     """
     lam, k = float_view(sp)
-    return _z_log(c, lam, k), list(_plan(c.diagram, lam, k).factors)
+    plan = _plan(c.diagram, lam, k)
+    return _z_log(c, lam, k), list(plan.factors)
 
 
 def _z_log(c: CyclePath, lam: tuple[float, ...], k: float, zexp: Sequence[float] | None = None) -> complex:
     """Log of the z-only factors of the form, principal branch, at float
     (lambda, k); with `zexp`, times each z_i to the power zexp[i]."""
     n = c.rank
-    if len(lam) != n + 1:
-        raise ValueError("spectral parameter rank does not match the cycle")
     const = 0.0 + 0.0j
     head = lam[0] + k * n / 2.0
     for i, zi in enumerate(c.z):
@@ -653,7 +652,13 @@ def _plan(diagram: Diagram, lam: tuple[float, ...], k: float) -> _Plan:
     e^{2 pi i tau}(2 pi i (1 - f) - f') of p's own axis stays in the
     weights.  A difference of a row-n point and a top-row z reads one axis;
     every other difference reads several.
+
+    Raises ValueError unless lambda has one coordinate per row: every
+    quadrature path and `omega_factor_list` read the plan before the
+    z-only log.
     """
+    if len(lam) != diagram.rows:
+        raise ValueError("spectral parameter rank does not match the cycle")
     geo = _geometry(diagram)
     n = diagram.rows - 1
     # the exponent of each slot key (`_Slot.key`)

@@ -314,12 +314,15 @@ def phi_eval(table: CoeffTable, z: Sequence[complex]) -> complex:
 
 
 def series_terms_by_depth(table: CoeffTable, z: Sequence[complex]) -> list[float]:
-    """|sum of depth-h terms| of the normalized series, h = 0..depth.
+    """|sum of depth-h terms| of the normalized series, for h from 0 to the
+    depth of the table's deepest entry (`CoeffTable.from_json` sets `depth`
+    the same way).
 
     Requires z in the asymptotic zone, as `phi_eval` does.
     """
-    sums = [0j] * (table.depth + 1)
-    for h, term in _terms(table, z):
+    terms = _terms(table, z)
+    sums = [0j] * (max((h for h, _ in terms), default=0) + 1)
+    for h, term in terms:
         sums[h] += term
     return [abs(s) for s in sums]
 

@@ -256,6 +256,61 @@ def test_gamma_argument_must_be_exact(arg):
                 prod.eval()
 
 
+@pytest.mark.parametrize("arg", [0.25, -1.0, 2.5 + 0j])
+def test_sine_and_phase_arguments_must_be_exact(arg):
+    # every factor kind takes an int or a Fraction, checked when the loop
+    # reaches the factor: a zero of 1/Gamma before it still gives 0
+    for prod in (cf.GammaProduct().times_sin(arg), cf.GammaProduct().times_exp_pi_i(arg)):
+        with pytest.raises(TypeError, match="is not an int or a Fraction"):
+            prod.eval()
+    assert _hand_product((-1, -1)).times_sin(arg).eval() == 0j
+    assert _hand_product((-1, -1)).times_exp_pi_i(arg).eval() == 0j
+
+
+def test_reciprocal_gamma_next_to_pole_is_evaluated():
+    # within 1e-8 of a pole but not at it, 1/Gamma is taken as 0 after its
+    # Gamma is evaluated, so both powers raise where that evaluation does:
+    # where the argument's float is the pole, and past the float range
+    assert _hand_product((Q(-2) + Q(1, 10**9), -1)).eval() == 0j
+    on_float = Q(-2) + Q(1, 10**17)
+    assert float(on_float) == -2.0
+    for power in (1, -1):
+        with pytest.raises(cf.PoleError) as err:
+            _hand_product((on_float, power)).eval()
+        assert str(err.value) == "Gamma pole at (-2+0j)"
+        with pytest.raises(OverflowError, match="complex exponentiation"):
+            _hand_product((Q(-200) + Q(1, 10**9), power)).eval()
+
+
+# float.hex of (re, im) of limit_value at k = -199999999/200000000, recorded
+# while the limit still called `gamma` itself: Gamma(k) is 5e-9 from the pole
+# at -1, inside the 1e-8 zero window, and |sin(pi k)| = 1.6e-8 passes the
+# guard, so the table's Gamma entry must carry a value there
+LIMIT_NEXT_TO_POLE = [
+    (Q(3, 10), (1, 2), ("-0x1.590ae81a36bc2p+29", "0x1.c071ce3072e09p+27")),
+    (Q(3, 10), (2, 1), ("0x1.590ae7c193efep+29", "-0x1.c071cf4f5fd6ep+27")),
+    (Q(-3, 10), (1, 2), ("-0x1.590ae7df1f895p+29", "-0x1.c071cde3a6615p+27")),
+    (Q(-3, 10), (2, 1), ("0x1.590ae837c2557p+29", "0x1.c071ccc4b96b7p+27")),
+]
+
+
+def test_limit_next_to_gamma_pole_bits():
+    k = Q(-199999999, 200000000)
+    for s, images, (re, im) in LIMIT_NEXT_TO_POLE:
+        sp = sp1(s, k)
+        table = cf._FactorTable(sp)
+        pole, zero, g, _, _ = table["gamma", (0, 0, 0, 1)]
+        assert zero and not pole and abs(g) > 1e8
+        assert cf._SIN_ZERO_TOL < abs(table["sin", (0, 0, 0, 1)]) < 2e-8
+        v = cf.limit_value(dg.Permutation(images), sp)
+        assert (v.real.hex(), v.imag.hex()) == (re, im)
+    # a pole of Gamma(m k) whose float sine passes the guard raises as the
+    # Gamma function does
+    with pytest.raises(cf.PoleError) as err:
+        cf.limit_value(W_ID, sp1(Q(3, 10), Q(-10**8)))
+    assert str(err.value) == "Gamma pole at (-100000000+0j)"
+
+
 def test_pairings_are_coordinate_differences():
     # vector-form oracle: (w.lambda, coroot alpha), (rho, coroot alpha), (lambda, delta)
     rng = random.Random(5)

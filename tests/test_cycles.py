@@ -15,7 +15,9 @@ from hccycles import closedforms as cf
 from hccycles import cycles as cy
 from hccycles import diagrams as dg
 from hccycles import rootsystem as rs
+from hccycles import series as se
 from hccycles.cli import main
+from hccycles.polynomial import Poly
 from hccycles.series import SpectralParam, float_view, freudenthal_table_for_w, gamma_L, phi_eval
 
 W_ID = dg.Permutation((1, 2))
@@ -928,6 +930,38 @@ def test_zero_base_inside_cube(monkeypatch):
         with pytest.raises(ArithmeticError) as err:
             cy.integrate(c, sp, quad)
         assert str(err.value) == expected
+
+
+def test_spectral_rank_must_match_cycle():
+    # a parameter of lower or higher rank than the cycle is refused by
+    # `_plan`, which every path reads first
+    w = dg.Permutation((2, 3, 1))
+    z = [1e-4, 1e-2, 1.0]
+    c = cy.cycle_for_w(w, z, 0.1)
+    quad = cy.QuadratureSpec(points_per_axis=9)
+    lam = [Q(3, 10), Q(1, 7), Q(-2, 9)]
+    for sp in (sp1(), SpectralParam(rs.vec(lam + [-sum(lam)]), Q(3, 2))):
+        calls = (lambda: cy.integrate(c, sp, quad), lambda: cy.integrate_for_w(w, z, sp, quad),
+                 lambda: cy.omega_w_eval(c, sp, [0.5] * c.naxes))
+        for call in calls:
+            with pytest.raises(ValueError, match="spectral parameter rank does not match the cycle"):
+                call()
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: cy.CyclePath(dg.Diagram.from_permutation(dg.Permutation((1,))), [1.0]),
+     "need a diagram with at least 2 rows"),
+    (lambda: cy.CyclePath(dg.Diagram.from_permutation(W_ID), [1e-2, 0.5, 1.0]),
+     "z must have one entry per top-row point"),
+    (lambda: cy.mellin_value_at_unit_coupling(W_ID, [1e-2, 1.0], sp1()), "closed form holds at k = 1 only"),
+    (lambda: se.a1_hypergeometric_coefficients(sp2(), W_ID, 2), "rank-1 oracle only"),
+    (lambda: cf.gauss_value_by_beta_quadrature(-2.0, 0.25), "Beta arguments must be positive"),
+    (lambda: cf.power_vandermonde_residual(1, 0.5, [[1.0, 2.0, 3.0]]), "point has wrong dimension"),
+    (lambda: se.commuting_symbol_table(Poly.var(3, 0), 1, Q(1, 2), 1), "sigma must be a polynomial in 2 variables"),
+], ids=["one-row-diagram", "z-length", "mellin-k", "a1-rank", "beta-domain", "point-dimension", "sigma-variables"])
+def test_input_errors(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()
 
 
 def test_integrate_epsilon_mismatch_guard():

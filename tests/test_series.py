@@ -289,6 +289,17 @@ def test_phi_eval_sums_whole_table():
         se.phi_eval(t, z, 10)
 
 
+def test_series_terms_sized_by_entries():
+    # the per-depth sums run to the deepest entry, whatever the depth field
+    # says, as phi_eval sums every entry; `from_json` sets the field so
+    t = se.freudenthal_table_for_w(dg.Permutation((2, 1)), sp1(), 4)
+    z = [1e-1, 1.0]
+    mags = se.series_terms_by_depth(t, z)
+    assert len(mags) == 5
+    assert se.series_terms_by_depth(se.CoeffTable(t.mu, t.k, 2, t.entries), z) == mags
+    assert se.series_terms_by_depth(se.CoeffTable.from_json(t.to_json()), z) == mags
+
+
 def test_freudenthal_table_rejects_negative_depth():
     sp = sp1()
     with pytest.raises(ValueError, match="depth"):
