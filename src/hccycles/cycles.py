@@ -84,8 +84,11 @@ anchors and the factor slots, the t-factors without their exponents.
 factors with a nonzero exponent, which the pointwise path reads, and
 their regrouping by axis for quadrature.  The z-free part of each axis's
 log is built once per call.  Pointwise evaluation and `t_values` build
-records from their own tau (`_tau_nodes`), and `omega_w_eval` sums the
-factor logs as one complex sum in factor order (`_log_sum`).
+records from their own tau (`_tau_nodes`).  There is one walk that builds
+t, from the top row down (`_t_values`), for quadrature and pointwise
+evaluation alike.  The pointwise path takes each factor's log t at its
+base point from that point's chain (`_log_t`), not from the plan, and
+`omega_w_eval` sums the factor logs as one complex sum in factor order.
 
 Several z of one diagram and rule are integrated in one call of
 `_integrate`, which `integrate` calls with one cycle: the Richardson radii
@@ -131,7 +134,7 @@ _LOG_MAX = math.log(sys.float_info.max)  # the largest log-modulus exp keeps fin
 
 def _unit_interval(x) -> np.ndarray:
     xs = np.asarray(x, dtype=float)
-    if np.any(xs < 0.0) or np.any(xs > 1.0):
+    if not np.all((xs >= 0.0) & (xs <= 1.0)):  # NaN included
         raise ValueError("bump argument outside [0, 1]")
     return xs
 
@@ -227,7 +230,7 @@ class CyclePath:
             )
 
         self.rank = n
-        self.points, self.axis, self.collapse, self.chain, self.below, _ = _geometry(diagram)
+        self.points, self.axis, self.collapse, self.chain = _geometry(diagram)[:4]
 
     @property
     def naxes(self) -> int:
@@ -438,68 +441,57 @@ def _lowest_axis(c: CyclePath, f: Factor) -> int:
     return min(c.axis.get(q, c.naxes) for q in f.pts)
 
 
-def _top_t(cs: Sequence[CyclePath], shape: tuple[int, ...] | None = None) -> dict[Point, complex | np.ndarray]:
-    """t at the top row, which sits at z: the first cycle's z as Python
-    scalars, or with `shape`, arrays of that shape over the cycles, which
-    share one diagram (the batch axis leads)."""
+def _top_t(cs: Sequence[CyclePath], shape: tuple[int, ...] = ()) -> dict[Point, np.ndarray]:
+    """t at the top row, which sits at z: arrays of `shape` over the cycles,
+    which share one diagram (the batch axis leads).  One cycle is a batch of
+    one with shape ()."""
     rows = len(cs[0].z)
-    if shape is None:
-        return {(i, rows): v for i, v in enumerate(cs[0].z, start=1)}
     return {(i, rows): np.array(zs).reshape(shape) for i, zs in enumerate(zip(*(c.z for c in cs)), start=1)}
 
 
-def _log_data(c: CyclePath, nodes: Sequence[_Nodes]):
-    """t values plus log-moduli and unwound arguments at every point, top
-    row included, from per-axis records whose arrays broadcast."""
-    t = _top_t([c])
-    logabs = {p: math.log(abs(v)) for p, v in t.items()}
-    arg = {p: cmath.phase(v) for p, v in t.items()}
-    for p in reversed(c.points):  # rows top-down
-        nd = nodes[c.axis[p]]
-        tar = c.diagram.target(p)
-        t[p] = nd.step * t[tar]
-        logabs[p] = nd.lstep.real + logabs[tar]
-        arg[p] = nd.lstep.imag + arg[tar]
-    return t, logabs, arg
+def _log_t(c: CyclePath, nodes: Sequence[_Nodes], p: Point):
+    """log|t_p| and the unwound argument of t_p: log z_{collapse(p)} plus
+    log1p(-f) + 2 pi i tau of every axis on p's chain, added top-down, in
+    the order the t walk multiplies them in; `nodes[a]` is axis a's record."""
+    z = c.z[c.collapse[p] - 1]
+    logabs, arg = math.log(abs(z)), cmath.phase(z)
+    for a in reversed(c.chain[p]):
+        logabs = nodes[a].lstep.real + logabs
+        arg = nodes[a].lstep.imag + arg
+    return logabs, arg
 
 
-def _logs(c: CyclePath, factors: Sequence[Factor], nodes: Sequence[_Nodes], data):
-    """Per-factor (log-modulus, argument) arrays under the anchored branch
-    from `_log_data`'s `data`; `nodes[a]` is axis a's node record."""
-    t, logabs, arg = data
+def _logs(c: CyclePath, factors: Sequence[Factor], nodes: Sequence[_Nodes], t):
+    """Per-factor (log-modulus, argument) arrays under the anchored branch:
+    log t at the factor's base point (the monomial's point, the vanishing
+    factor's target, the difference's bigger point) from its chain
+    (`_log_t`), plus the log of the vanishing base or of 1 - t_small/t_big,
+    the latter from the t values `t`; `nodes[a]` is axis a's record."""
     logs = []
     with np.errstate(divide="ignore"):  # log(0) on the boundary is caught downstream
         for f in factors:
             if f.kind == "mono":
-                p = f.pts[0]
-                logs.append((logabs[p], arg[p]))
+                logs.append(_log_t(c, nodes, f.pts[0]))
             elif f.kind == "vanish":
                 p = f.pts[0]
-                tar = c.diagram.target(p)
+                logabs, arg = _log_t(c, nodes, c.diagram.target(p))
                 nd = nodes[c.axis[p]]
-                logs.append((logabs[tar] + nd.lvan.real, arg[tar] + nd.lvan.imag))
+                logs.append((logabs + nd.lvan.real, arg + nd.lvan.imag))
             else:
                 big, small = f.pts
+                logabs, arg = _log_t(c, nodes, big)
                 wv = 1.0 - t[small] / t[big]
-                logs.append((logabs[big] + 0.5 * np.log(wv.real**2 + wv.imag**2),
-                             arg[big] + np.arctan2(wv.imag, wv.real)))
+                logs.append((logabs + 0.5 * np.log(wv.real**2 + wv.imag**2),
+                             arg + np.arctan2(wv.imag, wv.real)))
     return logs
 
 
 def _factor_logs(c: CyclePath, sp: SpectralParam, nodes: Sequence[_Nodes]):
     """The z-only log, the factors, their (log-modulus, argument) arrays and
-    the t values at c's z; `nodes[a]` is axis a's node record."""
+    the t values (`_t_values`) at c's z; `nodes[a]` is axis a's record."""
     const, factors = omega_factor_list(c, sp)
-    data = _log_data(c, nodes)
-    return const, factors, _logs(c, factors, nodes, data), data[0]
-
-
-def _log_sum(const: complex, factors: Sequence[Factor], logs):
-    """Log of the form's coefficient: const + sum of expo (log|base| + i arg)."""
-    total = const
-    for f, (la, aa) in zip(factors, logs):
-        total = total + f.expo * (la + 1j * aa)
-    return total
+    t = _t_values(c, nodes)
+    return const, factors, _logs(c, factors, nodes, t), t
 
 
 def omega_w_eval(c: CyclePath, sp: SpectralParam, tau: Sequence[float]) -> PhasedValue:
@@ -509,10 +501,11 @@ def omega_w_eval(c: CyclePath, sp: SpectralParam, tau: Sequence[float]) -> Phase
     applies it.  Raises if any factor base vanishes at tau.
     """
     const, factors, logs, _ = _factor_logs(c, sp, _tau_nodes(c, tau))
-    for f, (la, _) in zip(factors, logs):
+    total = const  # const + sum of expo (log|base| + i arg), in factor order
+    for f, (la, aa) in zip(factors, logs):
         if not np.isfinite(la):
             raise ValueError(f"factor {f} evaluated on the singular locus at tau={list(tau)}")
-    total = _log_sum(const, factors, logs)
+        total = total + f.expo * (la + 1j * aa)
     return PhasedValue(float(total.real), float(total.imag))
 
 
@@ -553,8 +546,10 @@ def phase_continuation(
     (segment passing too near the singular locus).  All points of the
     segment are evaluated as one batch, then the steps are scanned in order,
     factor by factor: the first zero base raises, the first change of pi/2
-    or more doubles `steps`.
+    or more doubles `steps`.  Raises ValueError for `steps` < 1.
     """
+    if steps < 1:
+        raise ValueError(f"need at least 1 step, got {steps}")
     a = np.asarray(tau_from, dtype=float)
     b = np.asarray(tau_to, dtype=float)
     _, factors = omega_factor_list(c, sp)
@@ -578,7 +573,13 @@ def phase_continuation(
 
 
 def anchor_arguments(c: CyclePath, sp: SpectralParam, eta: float = 1e-3) -> tuple[np.ndarray, list[float]]:
-    """Base point tau = eta*(1,..,1) and the principal arguments there."""
+    """Base point tau = eta*(1,..,1) and the principal arguments there.
+
+    Raises ValueError unless 0 < eta < 1: at 0 a vanishing base is exactly
+    0, and at 1 its principal argument is pi/2, not the anchored -pi/2.
+    """
+    if not 0.0 < eta < 1.0:
+        raise ValueError(f"anchor eta must lie in (0, 1), got {eta}")
     tau = np.full(c.naxes, eta)
     _, factors = omega_factor_list(c, sp)
     return tau, [cmath.phase(b) for b in _factor_bases(c, factors, tau)]

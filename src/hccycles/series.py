@@ -182,6 +182,11 @@ class CoeffTable:
     @classmethod
     def from_json(cls, text: str) -> "CoeffTable":
         raw = json.loads(text)
+        n = len(raw["mu"]) - 1
+        for e in raw["entries"]:  # offsets come from outside: one nonnegative integer per rank
+            off = e["offset"]
+            if len(off) != n or not all(type(c) is int and c >= 0 for c in off):
+                raise ValueError(f"offset {off} is not {n} nonnegative integers")
         entries = {tuple(e["offset"]): Q(e["value"]) for e in raw["entries"]}
         depth = max((sum(off) for off in entries), default=0)
         return cls(

@@ -45,7 +45,7 @@ def test_bump():
         fd = (b(x + 1e-6) - b(x - 1e-6)) / 2e-6
         assert abs(b.deriv(x) - fd) < 1e-8
     for fn in (b, b.deriv):
-        for x in (1.5, -1e-9, [0.5, 1.0 + 1e-12]):
+        for x in (1.5, -1e-9, [0.5, 1.0 + 1e-12], math.nan, [0.5, math.nan]):
             with pytest.raises(ValueError):
                 fn(x)
     with pytest.raises(ValueError):
@@ -293,6 +293,34 @@ def test_phase_continuation_gives_up(monkeypatch):
     monkeypatch.setattr(cy, "_MAX_REFINEMENTS", 3)
     got = cy.phase_continuation(c, sp, [0.2], [0.8], a0, steps=1)
     assert max(abs(a - b) for a, b in zip(got, cy.factor_arguments(c, sp, [0.8]))) < 1e-9
+
+
+def test_phase_tracking_rejects_degenerate_inputs():
+    # steps < 1 built no step and returned the start arguments; at eta = 0 or
+    # 1 a vanishing base's principal argument is not the anchored -pi/2
+    sp = sp1()
+    c = cy.cycle_for_w(W_ID, [1e-2, 1.0], 0.1)
+    tau0, args0 = cy.anchor_arguments(c, sp)
+    for steps in (0, -1):
+        with pytest.raises(ValueError, match=f"need at least 1 step, got {steps}"):
+            cy.phase_continuation(c, sp, tau0, [0.9], args0, steps=steps)
+    for eta in (0.0, 1.0, -1e-3, 1.5, math.nan):
+        with pytest.raises(ValueError, match="anchor eta must lie in"):
+            cy.anchor_arguments(c, sp, eta)
+    got = cy.phase_continuation(c, sp, tau0, [0.9], args0, steps=1)
+    assert max(abs(a - b) for a, b in zip(got, cy.factor_arguments(c, sp, [0.9]))) < 1e-9
+
+
+def test_nan_tau_rejected():
+    # NaN is not in [0, 1] (it failed neither comparison of the bump's check):
+    # the pointwise paths name the bump's range, not the singular locus
+    sp = sp1()
+    c = cy.cycle_for_w(W_ID, [1e-2, 1.0], 0.1)
+    calls = (lambda: cy.cycle_point(c, [math.nan]), lambda: cy.factor_arguments(c, sp, [math.nan]),
+             lambda: cy.omega_w_eval(c, sp, [math.nan]))
+    for call in calls:
+        with pytest.raises(ValueError, match=r"bump argument outside \[0, 1\]"):
+            call()
 
 
 def test_phase_loop_winding_and_reversal():
@@ -788,11 +816,10 @@ def test_plan_matches_pointwise():
             for _ in range(4):
                 tau = rng.uniform(0.01, 0.99, c.naxes)
                 v = cy.omega_w_eval(c, sp, tau)
-                _, logabs, arg = cy._log_data(c, cy._tau_nodes(c, tau))
+                nodes = cy._tau_nodes(c, tau)
                 want = complex(v.log_magnitude, v.argument)
                 for p in c.points:
-                    tar = c.diagram.target(p)
-                    want += complex(logabs[tar], arg[tar])
+                    want += complex(*cy._log_t(c, nodes, c.diagram.target(p)))
                 got = _plan_log(c, sp, tau)
                 assert abs(got.real - want.real) <= 1e-13 and abs(got.imag - want.imag) <= 1e-13, (w.images, tau)
 

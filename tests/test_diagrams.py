@@ -5,6 +5,7 @@ from fractions import Fraction as Q
 
 import pytest
 
+from hccycles import claims
 from hccycles import diagrams as dg
 from hccycles.diagrams import Diagram, Permutation
 from hccycles.polynomial import Poly, geometric_sum
@@ -28,12 +29,8 @@ def test_target_rule_examples():
         d1.target((2, 1))
 
 
-def test_targets_never_marked():
-    for r in range(2, 7):
-        for d in dg.all_diagrams(r):
-            for j in range(1, r):
-                for i in range(1, j + 1):
-                    assert not d.is_marked(d.target((i, j)))
+def test_targets_never_marked(check_claim):
+    check_claim("diagram_validity")
 
 
 def test_permutation_basic():
@@ -133,16 +130,12 @@ def test_length_examples():
     assert dg.Diagram(tuple(range(1, r + 1))).length() == r * (r - 1) // 2
 
 
-def test_left_arrows_equal_length():
-    for r in range(1, 7):
-        for d in dg.all_diagrams(r):
-            assert d.left_arrow_count() == d.length()
+def test_left_arrows_equal_length(check_claim):
+    check_claim("left_arrows")
 
 
-def test_top_row_mark_maps_to_one():
-    for r in range(1, 7):
-        for d in dg.all_diagrams(r):
-            assert d.to_permutation()(d.marks[-1]) == 1
+def test_top_row_mark_maps_to_one(check_claim):
+    check_claim("top_mark")
 
 
 def test_reduced_word_examples():
@@ -285,10 +278,28 @@ def test_length_monotonicity():
                     )
 
 
-def test_stripped_relation():
-    for r in range(1, 6):
-        for w in dg.all_permutations(r):
-            assert dg.stripped_relation_holds(w)
+def test_stripped_relation(check_claim):
+    check_claim("induction")
+
+
+# Each of the four registry entries above fails, with its message, once the
+# library function it checks is broken; the last three only at the largest r
+# the entry covers.
+BROKEN = [
+    ("diagram_validity", Diagram, "is_marked", lambda f: lambda self, point: True, "marked target"),
+    ("left_arrows", Diagram, "left_arrow_count", lambda f: lambda self: f(self) + (self.rows == 6),
+     "left arrows != length"),
+    ("top_mark", Diagram, "to_permutation",
+     lambda f: lambda self: Permutation(f(self).images[::-1]) if self.rows == 6 else f(self), "w(i_r) != 1"),
+    ("induction", dg, "stripped_relation_holds", lambda f: lambda w: f(w) and len(w.images) != 5,
+     "stripping relation fails at (1, 2, 3, 4, 5)"),
+]
+
+
+@pytest.mark.parametrize("name, owner, attr, wrap, message", BROKEN, ids=[b[0] for b in BROKEN])
+def test_diagram_claims_reject_broken_library(name, owner, attr, wrap, message, monkeypatch):
+    monkeypatch.setattr(owner, attr, wrap(getattr(owner, attr)))
+    assert getattr(claims, f"_chk_{name}")(42) == (False, message)
 
 
 def test_gz_rank2_cases():

@@ -383,6 +383,18 @@ def test_coefftable_json_roundtrip():
     assert se.residual_L(back) == 0
 
 
+@pytest.mark.parametrize("rank, offsets", [
+    (1, [[0], [1, 0]]), (2, [[0]]), (1, [[0], [-1]]), (1, [[0], [0.5]]), (1, [[0], [True]]),
+], ids=["long", "short", "negative", "fraction", "bool"])
+def test_coefftable_json_rejects_bad_offsets(rank, offsets):
+    # each offset is `rank` nonnegative integers; phi_eval zipped a wrong
+    # length short, and residual_L alone refused it
+    mu = [str(Q(m, 10)) for m in range(rank + 1)]
+    text = json.dumps({"mu": mu, "k": "3/2", "entries": [{"offset": o, "value": "1/10"} for o in offsets]})
+    with pytest.raises(ValueError, match=f"offset .* is not {rank} nonnegative integers"):
+        se.CoeffTable.from_json(text)
+
+
 def test_symbol_table_identity_and_first_order():
     for n in (1, 2):
         k = Q(5, 7)
