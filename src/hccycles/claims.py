@@ -33,6 +33,12 @@ def random_generic(rng: random.Random, n: int, kmin: Q, kden: int) -> se.Spectra
             return sp
 
 
+def _worse(worst: float, dev: float) -> float:
+    """The larger of two deviations, NaN if either is NaN: `max(worst, dev)`
+    keeps worst when dev is NaN, and a NaN deviation must fail its bound."""
+    return math.nan if math.isnan(worst) or math.isnan(dev) else max(worst, dev)
+
+
 def _chk_root_data(seed):
     for n in range(1, 5):
         delta = rs.delta(n)
@@ -383,8 +389,8 @@ def _chk_leading(seed):
     for w in dg.all_permutations(2):
         est = cy.leading_coeff_estimate(w, sp, 1e-3, quad)
         a = cf.a_w(w, sp)
-        worst = max(worst, abs(est - a) / abs(a))
-    if worst > 1e-3:
+        worst = _worse(worst, abs(est - a) / abs(a))
+    if not worst <= 1e-3:
         return False, f"leading coefficient off by {worst:.2e}"
     return True, f"n=1 both w: |estimate - a(w)|/|a(w)| = {worst:.2e} <= 1e-3"
 
@@ -396,8 +402,8 @@ def _chk_diffeq(seed):
     worst = 0.0
     for w in dg.all_permutations(2):
         got = cy.fd_eigenvalue(w, [1e-2, 1.0], sp, quad)
-        worst = max(worst, abs(got - target) / abs(target))
-    if worst > 1e-3:
+        worst = _worse(worst, abs(got - target) / abs(target))
+    if not worst <= 1e-3:
         return False, f"eigenvalue off by {worst:.2e}"
     return True, f"finite-difference L reproduces the eigenvalue to {worst:.2e}"
 
@@ -441,8 +447,8 @@ def _chk_opdam(seed):
             got = cf.F_w_at_1(w, sp)
             m = rs.inner(rs.weyl_apply(w, sp.lam), rs.root(1, 1, 2))
             ref = cf.gauss_value_by_beta_quadrature(float(m), float(k))
-            worst = max(worst, abs(got - ref) / abs(ref))
-    if worst > 1e-10:
+            worst = _worse(worst, abs(got - ref) / abs(ref))
+    if not worst <= 1e-10:
         return False, f"Gauss-summation oracle off by {worst:.2e}"
     return True, f"F_w(1) matches the Beta-quadrature Gauss oracle to {worst:.2e}"
 
@@ -458,11 +464,11 @@ def _chk_limit(seed):
                 for w in dg.all_permutations(n + 1):
                     lhs = cf.limit_value(w, sp)
                     rhs = cf.a_w(w, sp) * cf.F_w_at_1(w, sp)
-                    worst = max(worst, abs(lhs - rhs) / abs(rhs))
+                    worst = _worse(worst, abs(lhs - rhs) / abs(rhs))
             except (cf.PoleError, ZeroDivisionError):
                 continue
             trials += 1
-    if worst > 1e-10:
+    if not worst <= 1e-10:
         return False, f"limit != a*F by {worst:.2e}"
     return True, f"limit = a(w) F_w(1) to {worst:.2e}, 50 draws per rank, n<=3, all w"
 

@@ -6,7 +6,8 @@ Products are kept as symbolic factor lists (Gamma, sin(pi x), e^{i pi x},
 rational constants) so the same object can be evaluated directly or after
 reflection-formula rewriting Gamma(x) sin(pi x) -> pi / Gamma(1-x).  The
 reflection route of a(w) is `a_w_product(w, sp).reflected().eval()`; it
-agrees with `a_w` to ~1e-12 away from poles and that agreement is a test.
+agrees with `a_w` to about 1e-15 away from poles and that agreement is a
+test.
 
 a(w), F_w(1) and the limit are evaluated from a factor table, one per
 spectral parameter.  Under w the pairing of the positive root (a, b) is
@@ -16,38 +17,40 @@ sine argument is x = lambda_i - lambda_j + c + c_k k: a pairing shifted by
 m k (i = j for the last two kinds).  lambda and k are held as integers
 over one even denominator D (`series.exact_view`), so each argument is
 an integer numerator over D, formed by integer additions.  Its exact pole
-test is an integer test, and its float is one correctly rounded integer
-division, the same bits as the float of the Fraction.  A Fraction is built
-only for the symbolic product.  The table is keyed by (i, j, c, c_k) and
-holds, for each key, the evaluated Gamma or sine factor, so all w of one
-(lambda, k) share them and the rho factors are evaluated once per table.
-It fills lazily: each factor is built and evaluated on first use, and a
-one-off a(w) pays for its own factors only.  Tables are memoized per
-`SpectralParam` by an lru_cache of 4 entries.  Each closed form lists its
-factors once, as table keys per w (`_a_w_factors`, `_F_w_factors`,
-`_limit_factors`); the symbolic `a_w_product` is built from the same keys.
+test is an integer test, and each float taken of it is one correctly
+rounded integer division.  A Fraction is built only for the symbolic
+product.  The table is keyed by (i, j, c, c_k) and holds, for each key,
+the evaluated Gamma or sine factor, so all w of one (lambda, k) share them
+and the rho factors are evaluated once per table.  It fills lazily: each
+factor is built and evaluated on first use, and a one-off a(w) pays for
+its own factors only.  Tables are memoized per `SpectralParam` by an
+lru_cache of 4 entries.  Each closed form lists its factors once, as table
+keys per w (`_a_w_factors`, `_F_w_factors`, `_limit_factors`); the
+symbolic `a_w_product` is built from the same keys.
 
 One rule per factor kind and one loop evaluate every product.  Each rule
 takes an exact argument as a numerator and a positive denominator, and
 is the one place where that argument becomes a float: `_gamma_factor`
-gives a Gamma factor's exact pole test, the 1e-8 zero rule of a
-reciprocal Gamma and the value, `_sin_factor` gives sin(pi x) and
-`_phase_factor` gives e^{i pi x}.  `_multiply` multiplies the constant,
-each Gamma to its power, each sine and the phase in that order, reading
-each factor by its key only when it gets there, and stops at the first
-Gamma factor that raises or gives 0.  `GammaProduct.eval` lets it read
-`_ExactFactors`, which applies the rules to the exact arguments on each
-read; a(w), F_w(1) and the limit let it read the factor table, which
-applies them once per argument and caches the result.  So the two routes
-give the same bits, PoleErrors and zeros.  The table's "limit" entry, the
-w-independent factors of the limit, is built from the table's own sine
-and Gamma entries of m k.  A failure comes only from the function whose
-factor fails: at k = 1/2, a(w) is finite while F_w(1) and the limit
-raise.
+gives a Gamma factor's exact pole test and its real value, `_sin_factor`
+gives the real sin(pi x) and `_phase_factor` gives e^{i pi x}.  The
+Gamma and sine rules take a float only of x >= 0, of 1 - x, or of the
+exact distance from x to the nearest integer: a negative Gamma argument
+goes through the reflection formula and a sine argument is reduced
+exactly first, so a factor next to a pole or a zero keeps its relative
+accuracy.  `_multiply` multiplies the constant, each Gamma to its power,
+each sine and the phase in that order, reading each factor by its key
+only when it gets there, and stops at the first Gamma factor at a pole.
+`GammaProduct.eval` lets it read `_ExactFactors`, which applies the rules
+to the exact arguments on each read; a(w), F_w(1) and the limit let it
+read the factor table, which applies them once per argument and caches
+the result.  So the two routes give the same bits, PoleErrors and zeros.
+The table's "limit" entry, the w-independent factors of the limit, is
+built from the table's own sine and Gamma entries of m k.  A failure comes
+only from the function whose factor fails: at k = 1/2, a(w) is finite
+while F_w(1) and the limit raise.
 
-The complex Gamma function is a Lanczos approximation (g = 7, 9 terms,
-about 15 significant digits on the test domain) with the reflection formula
-for Re z < 1/2.  No exactness is claimed for any analytic value here; all
+Gamma is `math.gamma`, real and good to a few ulps up to its overflow
+at about 171.6.  No exactness is claimed for any analytic value here; all
 comparisons carry tolerances.
 """
 
@@ -65,23 +68,6 @@ from .diagrams import Diagram, Permutation
 from .polynomial import Poly, vandermonde
 from .series import SpectralParam, exact_view
 
-# Lanczos coefficients, g = 7.
-_LANCZOS_G = 7.0
-_LANCZOS_C = (
-    0.99999999999980993,
-    676.5203681218851,
-    -1259.1392167224028,
-    771.32342877765313,
-    -176.61502916214059,
-    12.507343278686905,
-    -0.13857109526572012,
-    9.9843695780195716e-6,
-    1.5056327351493116e-7,
-)
-
-
-_POLE_TOL = 1e-8
-_SIN_ZERO_TOL = 1e-8  # |sin(m pi k)| below which `limit_value` refuses to divide
 _BETA_POINTS = 400  # tanh-sinh points of each Beta integral of the Gauss oracle
 _LEMMA_6_4_POINTS = 100  # random points of `lemma_6_4_check`
 _LEMMA_6_4_TOL = 1e-9  # its bound on the relative residual
@@ -89,33 +75,6 @@ _LEMMA_6_4_TOL = 1e-9  # its bound on the relative residual
 
 class PoleError(ArithmeticError):
     """A Gamma factor is evaluated at a pole: a nonpositive integer."""
-
-
-def _near_nonpositive_int(x: complex, tol: float = _POLE_TOL) -> bool:
-    if abs(x.imag) > tol:
-        return False
-    r = round(x.real)
-    return r <= 0 and abs(x.real - r) <= tol
-
-
-def gamma(z: complex) -> complex:
-    """Complex Gamma via Lanczos; reflection for Re z < 1/2."""
-    z = complex(z)
-    if _near_nonpositive_int(z, tol=0.0):
-        raise PoleError(f"Gamma pole at {z}")
-    if z.real < 0.5:
-        # Gamma(z) Gamma(1-z) = pi / sin(pi z)
-        return math.pi / (cmath.sin(math.pi * z) * gamma(1.0 - z))
-    z -= 1.0
-    x = complex(_LANCZOS_C[0])
-    for i, c in enumerate(_LANCZOS_C[1:], start=1):
-        x += c / (z + i)
-    t = z + _LANCZOS_G + 0.5
-    return math.sqrt(2.0 * math.pi) * t ** (z + 0.5) * cmath.exp(-t) * x
-
-
-def sinpi(x: complex) -> complex:
-    return cmath.sin(math.pi * complex(x))
 
 
 @dataclass
@@ -188,19 +147,32 @@ class _ExactFactors:
 
 def _gamma_factor(num: int, den: int) -> tuple:
     """Gamma at the exact argument x = num / den (den > 0), as
-    (pole, zero, value, num, den): pole is whether x is a nonpositive
-    integer, exactly when num <= 0 and den divides num; zero is whether x is
-    within 1e-8 of one, so that 1/Gamma(x) is taken as 0; value is Gamma(x)
-    unless pole, else None.  num / den is the float of x, bit for bit, and
-    `gamma` raises PoleError if that float is a nonpositive integer."""
-    pole = num <= 0 and num % den == 0
-    z = complex(num / den)
-    return pole, pole or _near_nonpositive_int(z), None if pole else gamma(z), num, den
+    (pole, value, num, den): pole is whether x is a nonpositive integer,
+    exactly when num <= 0 and den divides num, and value is Gamma(x) unless
+    pole, else None.  For x > 0 it is `math.gamma` of the float of x; for
+    x < 0 it is pi / (sin(pi x) Gamma(1 - x)), with the sine from
+    `_sin_factor`, so an x next to a pole keeps its exact distance from it.
+    Raises OverflowError where Gamma(x) or Gamma(1 - x) exceeds the float
+    range, past about 171.6."""
+    if num <= 0 and num % den == 0:
+        return True, None, num, den
+    if num > 0:
+        return False, math.gamma(num / den), num, den
+    return False, math.pi / (_sin_factor(num, den) * math.gamma((den - num) / den)), num, den
 
 
-def _sin_factor(num: int, den: int) -> complex:
-    """sin(pi x) at the exact argument x = num / den (den > 0)."""
-    return sinpi(num / den)
+def _sin_factor(num: int, den: int) -> float:
+    """sin(pi x) at the exact argument x = num / den (den > 0).
+
+    x = q + r / den is split exactly, with q an integer and r / den in
+    (-1/2, 1/2], and sin(pi x) = (-1)^q sin(pi r / den), taken as
+    sin(pi (-1)^q r / den) so that an integer x gives +0.0: only the
+    remainder becomes a float, so a sine next to a zero keeps its exact
+    distance from it."""
+    q, r = divmod(num, den)
+    if 2 * r > den:
+        q, r = q + 1, r - den
+    return math.sin(math.pi * ((-r if q % 2 else r) / den))
 
 
 def _phase_factor(num: int, den: int) -> complex:
@@ -217,17 +189,17 @@ def _multiply(const, gammas, sins, phase, factors) -> complex:
     gammas holds (key, power, tag), sins (key, tag) and phase a key, and
     `factors[key]` is the factor's value, for a Gamma its `_gamma_factor`
     tuple; each is read only when the loop reaches it.  The first Gamma
-    factor that fails decides: at a pole a positive power raises PoleError,
-    and a power <= 0 within 1e-8 of a pole makes the product 0, since
-    1/Gamma is entire.  A positive power near a pole but not at it is
-    evaluated.
+    factor at a pole decides: a positive power raises PoleError, and a
+    power <= 0 makes the product 0, since 1/Gamma is entire.  A factor next
+    to a pole but not at it is evaluated.  The Gamma and sine factors are
+    real and the phase complex, so the product is complex.
     """
     val = complex(const)
     for key, power, tag in gammas:
-        pole, zero, g, num, den = factors[key]
-        if pole and power > 0:
-            raise PoleError(f"Gamma argument {num // den} is a nonpositive integer{tag and f' ({tag})'}")
-        if zero and power <= 0:
+        pole, g, num, den = factors[key]
+        if pole:
+            if power > 0:
+                raise PoleError(f"Gamma argument {num // den} is a nonpositive integer{tag and f' ({tag})'}")
             return 0j
         val *= g ** power
     for key, _ in sins:
@@ -272,8 +244,9 @@ class _FactorTable(dict):
     `limit_value`, read from the sine and Gamma entries of m k (spec
     (0, 0, 0, m), m = 1..n+1): sin(pi k)^{n+1} / prod_m sin(m pi k),
     Gamma(k)^{(n+1)(n+2)/2} and prod_m Gamma(m k).  It raises
-    ZeroDivisionError at the first m with |sin(m pi k)| < 1e-8, before it
-    reads a Gamma entry.  The exact Fraction x (`arg`) is built only for the
+    ZeroDivisionError at the first m whose sine is exactly 0, that is where
+    m k is an integer, before it reads a Gamma entry; so no Gamma entry it
+    reads is at a pole.  The exact Fraction x (`arg`) is built only for the
     symbolic product.
     """
 
@@ -304,20 +277,14 @@ class _FactorTable(dict):
         self[key] = value
         return value
 
-    def _limit(self) -> tuple[complex, complex, complex]:
+    def _limit(self) -> tuple[float, float, float]:
         n, ms = self.sp.rank, range(1, self.sp.rank + 2)
-        sines, gammas = [], []
-        for m in ms:
-            sines.append(s := self["sin", (0, 0, 0, m)])
-            if abs(s) < _SIN_ZERO_TOL:
-                raise ZeroDivisionError(f"denominator sin({m} pi k) = {s:.2e} vanishes at k = {self.sp.k}")
-        for m in ms:
-            pole, _, g, num, den = self["gamma", (0, 0, 0, m)]
-            if pole:  # m k a nonpositive integer whose float sine passes the guard: |m k| near 1e8 or more
-                raise PoleError(f"Gamma pole at {complex(num / den)}")
-            gammas.append(g)
-        sin_ratio = sines[0] ** (n + 1) / math.prod(sines, start=1.0 + 0j)
-        return sin_ratio, gammas[0] ** ((n + 1) * (n + 2) // 2), math.prod(gammas, start=1.0 + 0j)
+        sines = [self["sin", (0, 0, 0, m)] for m in ms]
+        if 0 in sines:
+            raise ZeroDivisionError(f"denominator sin({sines.index(0) + 1} pi k) vanishes at k = {self.sp.k}")
+        gammas = [self["gamma", (0, 0, 0, m)][1] for m in ms]
+        sin_ratio = sines[0] ** (n + 1) / math.prod(sines)
+        return sin_ratio, gammas[0] ** ((n + 1) * (n + 2) // 2), math.prod(gammas)
 
 
 @functools.lru_cache(maxsize=4)
@@ -511,7 +478,8 @@ def power_vandermonde_residual(n: int, k: float, points: Sequence[Sequence[float
     The operator sum_{i<j} [t_i t_j d_i d_j + (k-1) t_i t_j/(t_i-t_j)(d_i - d_j)]
     is applied through log-derivatives g_i = (2k-1) sum_{q != i} 1/(t_i - t_q):
     d_i d_j F / F = g_i g_j + (2k-1)/(t_i-t_j)^2.  Expected eigenvalue
-    (2k-1)(n-1)n(n+1)(6kn-3n+2)/24.
+    (2k-1)(n-1)n(n+1)(6kn-3n+2)/24.  NaN if any residual is NaN, so that
+    it fails every bound.
     """
     expected = (2 * k - 1) * (n - 1) * n * (n + 1) * (6 * k * n - 3 * n + 2) / 24.0
     worst = 0.0
@@ -530,7 +498,8 @@ def power_vandermonde_residual(n: int, k: float, points: Sequence[Sequence[float
                 acc += t[i] * t[j] * (g[i] * g[j] + (2 * k - 1) / (t[i] - t[j]) ** 2)
                 acc += (k - 1) * t[i] * t[j] / (t[i] - t[j]) * (g[i] - g[j])
         scale = max(1.0, abs(expected))
-        worst = max(worst, abs(acc - expected) / scale)
+        res = abs(acc - expected) / scale
+        worst = math.nan if math.isnan(worst) or math.isnan(res) else max(worst, res)
     return worst
 
 

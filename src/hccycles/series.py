@@ -183,12 +183,18 @@ class CoeffTable:
     def from_json(cls, text: str) -> "CoeffTable":
         raw = json.loads(text)
         n = len(raw["mu"]) - 1
-        for e in raw["entries"]:  # offsets come from outside: one nonnegative integer per rank
+        entries = {}
+        for e in raw["entries"]:  # offsets come from outside: one nonnegative integer per rank, each once
             off = e["offset"]
             if len(off) != n or not all(type(c) is int and c >= 0 for c in off):
                 raise ValueError(f"offset {off} is not {n} nonnegative integers")
-        entries = {tuple(e["offset"]): Q(e["value"]) for e in raw["entries"]}
+            if tuple(off) in entries:
+                raise ValueError(f"offset {off} is repeated")
+            entries[tuple(off)] = Q(e["value"])
         depth = max((sum(off) for off in entries), default=0)
+        # distinct offsets of height <= depth are all of them exactly when there are C(depth + n, n)
+        if len(entries) != math.comb(depth + n, n):
+            raise ValueError(f"the offsets are not every {n}-tuple of height <= {depth}")
         return cls(
             mu=rs.vec(raw["mu"]),
             k=Q(raw["k"]),

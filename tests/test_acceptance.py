@@ -4,6 +4,7 @@ for criteria 3 and 10, under their own names.  The other numbered criteria
 keep only what the registry does not check (more draws, other seeds, a
 second oracle).  Tolerances are fixed here, not tuned elsewhere."""
 
+import math
 import random
 import time
 from fractions import Fraction as Q
@@ -16,7 +17,7 @@ from hccycles import cycles as cy
 from hccycles import diagrams as dg
 from hccycles import rootsystem as rs
 from hccycles import series as se
-from hccycles.claims import SUITES, _chk_limit, _chk_multiparam, _chk_order, _chk_poincare, random_generic
+from hccycles.claims import SUITES, _chk_limit, _chk_multiparam, _chk_opdam, _chk_order, _chk_poincare, random_generic
 from hccycles.polynomial import vandermonde
 
 # Criteria 3 and 10 keep their own named tests; every other registry entry
@@ -85,6 +86,17 @@ def test_limit_check_rejects_perturbed_F(monkeypatch):
     monkeypatch.setattr(cf, "F_w_at_1", lambda w, sp: F_w_at_1(w, sp) * (1 + 1e-8))
     passed, detail = _chk_limit(42)
     assert not passed and detail.startswith("limit != a*F by 1.00e-08")
+
+
+@pytest.mark.parametrize("name, check, expected", [
+    ("limit_value", _chk_limit, "limit != a*F by nan"),
+    ("F_w_at_1", _chk_opdam, "Gauss-summation oracle off by nan"),
+], ids=["limit", "opdam"])
+def test_closed_form_checks_reject_nan(monkeypatch, name, check, expected):
+    # a NaN deviation fails the bound, where max(worst, nan) dropped it
+    f = getattr(cf, name)
+    monkeypatch.setattr(cf, name, lambda w, sp: math.nan if w.images[:2] == (2, 1) else f(w, sp))
+    assert check(42) == (False, expected)
 
 
 def test_criterion_6_freudenthal_recurrence():

@@ -395,6 +395,22 @@ def test_coefftable_json_rejects_bad_offsets(rank, offsets):
         se.CoeffTable.from_json(text)
 
 
+@pytest.mark.parametrize("offsets, message", [
+    ([[0], [1], [1]], r"offset \[1\] is repeated"),
+    ([[1]], "the offsets are not every 1-tuple of height <= 1"),
+    ([], "the offsets are not every 1-tuple of height <= 0"),
+    ([[0], [2]], "the offsets are not every 1-tuple of height <= 2"),
+], ids=["repeated", "no-leading", "empty", "gap"])
+def test_coefftable_json_rejects_incomplete_tables(offsets, message):
+    # a table holds each offset of height <= its depth once, as
+    # freudenthal_table writes it; a repeated offset kept the last value, and
+    # a missing one made residual_L raise KeyError
+    text = json.dumps({"mu": ["1/5", "-1/5"], "k": "3/2",
+                       "entries": [{"offset": o, "value": str(Q(1, 10 + i))} for i, o in enumerate(offsets)]})
+    with pytest.raises(ValueError, match=message):
+        se.CoeffTable.from_json(text)
+
+
 def test_symbol_table_identity_and_first_order():
     for n in (1, 2):
         k = Q(5, 7)
