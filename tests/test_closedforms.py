@@ -45,6 +45,26 @@ FACTOR_ARGS = (
 )
 
 
+def test_gamma_known_values():
+    assert abs(cf._gamma_factor(1, 2)[1] - math.sqrt(math.pi)) < 1e-14
+    assert abs(cf._gamma_factor(-1, 2)[1] + 2 * math.sqrt(math.pi)) < 1e-14
+    assert cf._gamma_factor(1, 1) == (False, 1.0, 1, 1)
+    assert cf._gamma_factor(5, 1) == (False, 24.0, 5, 1)
+    assert cf._gamma_factor(0, 1) == (True, None, 0, 1)
+    assert cf._gamma_factor(-3, 1) == (True, None, -3, 1)
+
+
+def test_gamma_against_scipy():
+    rng = random.Random(1)
+    for _ in range(400):
+        den = rng.randint(1, 97)
+        num = rng.randint(-8 * den, 8 * den)
+        if num <= 0 and num % den == 0:
+            continue
+        ref = ss.gamma(num / den)
+        assert abs(cf._gamma_factor(num, den)[1] - ref) < 5e-13 * abs(ref), (num, den)
+
+
 def test_gamma_and_sine_factors_match_mpmath():
     with mpmath.workdps(60):
         for x in FACTOR_ARGS:
