@@ -6,6 +6,7 @@ from fractions import Fraction as Q
 from hccycles import closedforms as cf
 from hccycles import diagrams as dg
 from hccycles import rootsystem as rs
+from hccycles.claims import _worse
 from hccycles.series import SpectralParam
 
 # The z -> 1 limit of the cycle integral factors as a(w) * F_w(1).
@@ -18,7 +19,7 @@ for n in (1, 2, 3):
     for w in dg.all_permutations(n + 1):
         lhs = cf.limit_value(w, sp)
         rhs = cf.a_w(w, sp) * cf.F_w_at_1(w, sp)
-        worst = max(worst, abs(lhs - rhs) / abs(rhs))
+        worst = _worse(worst, abs(lhs - rhs) / abs(rhs))
     print(f"rank {n}: max |limit - a*F| / |a*F| over all w = {worst:.2e}")
 
 # Rank-1 Opdam value against a pure-quadrature Gauss summation (no Gamma).

@@ -190,8 +190,8 @@ def cmd_integrate(args) -> int:
         for w, c in zip(ws, cycles):
             try:
                 a = cf.a_w(w, sp)
-            except cf.PoleError as exc:
-                a, pole = None, exc
+            except (cf.PoleError, OverflowError) as exc:  # a pole, or a Gamma past the float range
+                a, a_error = None, exc
             # Integrals and ratios to the leading power at rr = r, r/2, r/4, ...,
             # in one batch: the JSON record, the Richardson estimate and the
             # CSV rows share them, so each z is integrated once.
@@ -209,7 +209,7 @@ def cmd_integrate(args) -> int:
                 },
             }
             if a is None:
-                rec["a_w"] = {"error": str(pole)}
+                rec["a_w"] = {"error": str(a_error)}
             else:
                 est = cy._richardson(ratios[0], ratios[1])
                 rec["a_w"] = {"re": a.real, "im": a.imag}

@@ -40,6 +40,12 @@ exactly first, so a factor next to a pole or a zero keeps its relative
 accuracy.  `_multiply` multiplies the constant, each Gamma to its power,
 each sine and the phase in that order, reading each factor by its key
 only when it gets there, and stops at the first Gamma factor at a pole.
+A pole of positive power raises PoleError.  A pole of power <= 0 is a
+zero of 1/Gamma, and the product is 0 unless a later Gamma factor of
+positive power is at a pole, which then raises PoleError: the later
+arguments are tested exactly, as (num, den), and none is evaluated.  So
+F_w(1) raises at every positive integer k, where each rho factor
+1/Gamma(1 - k d) is a zero and Gamma(1 - k d - k) a pole.
 `GammaProduct.eval` lets it read `_ExactFactors`, which applies the rules
 to the exact arguments on each read; a(w), F_w(1) and the limit let it
 read the factor table, which applies them once per argument and caches
@@ -136,13 +142,18 @@ class GammaProduct:
 class _ExactFactors:
     """The factors of a GammaProduct by key (kind, exact argument), as
     `_FactorTable` holds them, each evaluated by its kind's rule when it is
-    read."""
+    read; `exact(key)` gives the argument as (num, den) without evaluating
+    it."""
 
     def __getitem__(self, key):
+        return _FACTOR_RULES[key[0]](*self.exact(key))
+
+    @staticmethod
+    def exact(key) -> tuple[int, int]:
         kind, arg = key
         if not isinstance(arg, (int, Q)):
             raise TypeError(f"{kind.capitalize()} argument {arg!r} is not an int or a Fraction")
-        return _FACTOR_RULES[kind](arg.numerator, arg.denominator)
+        return arg.numerator, arg.denominator
 
 
 def _gamma_factor(num: int, den: int) -> tuple:
@@ -154,11 +165,20 @@ def _gamma_factor(num: int, den: int) -> tuple:
     `_sin_factor`, so an x next to a pole keeps its exact distance from it.
     Raises OverflowError where Gamma(x) or Gamma(1 - x) exceeds the float
     range, past about 171.6."""
-    if num <= 0 and num % den == 0:
+    if _at_pole(num, den):
         return True, None, num, den
     if num > 0:
         return False, math.gamma(num / den), num, den
     return False, math.pi / (_sin_factor(num, den) * math.gamma((den - num) / den)), num, den
+
+
+def _at_pole(num: int, den: int) -> bool:
+    """Whether num / den (den > 0) is a nonpositive integer, a pole of Gamma."""
+    return num <= 0 and num % den == 0
+
+
+def _pole_error(num: int, den: int, tag: str) -> PoleError:
+    return PoleError(f"Gamma argument {num // den} is a nonpositive integer{tag and f' ({tag})'}")
 
 
 def _sin_factor(num: int, den: int) -> float:
@@ -188,19 +208,27 @@ def _multiply(const, gammas, sins, phase, factors) -> complex:
 
     gammas holds (key, power, tag), sins (key, tag) and phase a key, and
     `factors[key]` is the factor's value, for a Gamma its `_gamma_factor`
-    tuple; each is read only when the loop reaches it.  The first Gamma
-    factor at a pole decides: a positive power raises PoleError, and a
-    power <= 0 makes the product 0, since 1/Gamma is entire.  A factor next
-    to a pole but not at it is evaluated.  The Gamma and sine factors are
-    real and the phase complex, so the product is complex.
+    tuple; each is read only when the loop reaches it.  A Gamma factor at a
+    pole with a positive power raises PoleError.  One with a power <= 0 is
+    a zero of 1/Gamma, which is entire, so the product is 0 unless a later
+    Gamma factor of positive power is at a pole: the later Gamma factors'
+    exact arguments, `factors.exact(key)` as (num, den), are then tested
+    without being evaluated, and the first such pole raises PoleError, as
+    0 times a pole has no value.  A factor next to a pole but not at it is
+    evaluated.  The Gamma and sine factors are real and the phase complex,
+    so the product is complex.
     """
     val = complex(const)
-    for key, power, tag in gammas:
+    for i, (key, power, tag) in enumerate(gammas):
         pole, g, num, den = factors[key]
-        if pole:
-            if power > 0:
-                raise PoleError(f"Gamma argument {num // den} is a nonpositive integer{tag and f' ({tag})'}")
+        if pole and power <= 0:
+            for later, later_power, later_tag in gammas[i + 1:]:
+                num, den = factors.exact(later)
+                if later_power > 0 and _at_pole(num, den):
+                    raise _pole_error(num, den, later_tag)
             return 0j
+        if pole:
+            raise _pole_error(num, den, tag)
         val *= g ** power
     for key, _ in sins:
         val *= factors[key]
@@ -261,6 +289,10 @@ class _FactorTable(dict):
         """D x for the argument x that spec (i, j, c, ck) names."""
         i, j, c, ck = spec
         return self.lam[i] - self.lam[j] + c * self.den + ck * self.k
+
+    def exact(self, key) -> tuple[int, int]:
+        """The argument of a "gamma" or "sin" key as (num, den), not evaluated."""
+        return self.num(key[1]), self.den
 
     def arg(self, spec: tuple[int, int, int, int]) -> Q:
         """The exact argument x that spec (i, j, c, ck) names."""

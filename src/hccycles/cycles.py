@@ -70,10 +70,11 @@ log-modulus is summed before it is exponentiated: no weight over- or
 underflows where the integrand itself does not.
 
 What depends on an axis's nodes alone, and not on z, lambda or k, is one
-per-axis node record: x, the bump f, e^{2 pi i tau}(1 - f) and its log
+per-axis node record: x, e^{2 pi i tau}(1 - f) and its log
 log1p(-f) + 2 pi i tau, the log of the vanishing base
 1 - e^{2 pi i tau}(1 - f), and the Jacobian factor
-e^{2 pi i tau}(2 pi i (1 - f) - f').
+e^{2 pi i tau}(2 pi i (1 - f) - f'), with f the bump at tau, which the
+record does not keep.
 `integrate` takes its rule's record, and the rule weights times the
 Jacobian factors, from a small cache keyed by (scheme, points per axis,
 bump), so the bump is evaluated once per rule and not once per call; the
@@ -86,9 +87,12 @@ their regrouping by axis for quadrature.  The z-free part of each axis's
 log is built once per call.  Pointwise evaluation and `t_values` build
 records from their own tau (`_tau_nodes`).  There is one walk that builds
 t, from the top row down (`_t_values`), for quadrature and pointwise
-evaluation alike.  The pointwise path takes each factor's log t at its
-base point from that point's chain (`_log_t`), not from the plan, and
-`omega_w_eval` sums the factor logs as one complex sum in factor order.
+evaluation alike.  It reads one step array e^{2 pi i tau}(1 - f) per
+axis: the record's whole array, reshaped onto a free axis of the block, or
+one node of an axis the block holds fixed.  The pointwise path takes
+each factor's log t at its base point from that point's chain
+(`_log_t`), not from the plan, and `omega_w_eval` sums the factor logs
+as one complex sum in factor order.
 
 Several z of one diagram and rule are integrated in one call of
 `_integrate`, which `integrate` calls with one cycle: the Richardson radii
@@ -238,7 +242,7 @@ class CyclePath:
 
     def t_values(self, tau) -> dict[Point, np.ndarray]:
         """All t-points from per-axis tau arrays, e.g. a (naxes, M) batch."""
-        return _t_values(self, _tau_nodes(self, tau))
+        return _t_values(self, [nd.step for nd in _tau_nodes(self, tau)])
 
 
 class _Slot(NamedTuple):
@@ -337,13 +341,13 @@ def cycle_point(c: CyclePath, tau: Sequence[float]) -> dict[Point, complex]:
 
 class _Nodes(NamedTuple):
     """Everything about one axis's tau array that depends on neither z,
-    lambda nor k: the bump f, the factor e^{2 pi i tau}(1 - f) of
-    t = e^{2 pi i tau}(1 - f) t_tar and its log, the log of the vanishing
-    base 1 - e^{2 pi i tau}(1 - f) (log-modulus plus i times the principal
-    argument), and the Jacobian factor e^{2 pi i tau}(2 pi i (1 - f) - f')."""
+    lambda nor k, with f the bump at tau: the factor e^{2 pi i tau}(1 - f)
+    of t = e^{2 pi i tau}(1 - f) t_tar and its log, the log of the
+    vanishing base 1 - e^{2 pi i tau}(1 - f) (log-modulus plus i times the
+    principal argument), and the Jacobian factor
+    e^{2 pi i tau}(2 pi i (1 - f) - f')."""
 
     x: np.ndarray
-    f: np.ndarray
     lstep: np.ndarray  # log1p(-f) + 2 pi i tau
     step: np.ndarray  # e^{2 pi i tau}(1 - f)
     lvan: np.ndarray
@@ -363,14 +367,7 @@ class _Nodes(NamedTuple):
             lvan.real = 0.5 * np.log(g.real**2 + g.imag**2)
         lvan.imag = np.arctan2(g.imag, g.real)
         rot = np.exp(2j * np.pi * x)
-        return cls(x, f, lstep, rot * (1.0 - f), lvan, rot * (2j * np.pi * (1.0 - f) - bump.deriv(x)))
-
-    def at(self, i: int) -> "_Nodes":
-        """The record of node i alone, for an axis a block holds fixed."""
-        return _Nodes._make(v[i] for v in self)
-
-    def reshape(self, shape) -> "_Nodes":
-        return _Nodes._make(v.reshape(shape) for v in self)
+        return cls(x, lstep, rot * (1.0 - f), lvan, rot * (2j * np.pi * (1.0 - f) - bump.deriv(x)))
 
 
 @functools.lru_cache(maxsize=8)
@@ -394,14 +391,16 @@ def _tau_nodes(c: CyclePath, tau) -> list[_Nodes]:
     return [_Nodes.of(a, c.bump) for a in np.asarray(tau, dtype=float)]
 
 
-def _t_values(c: CyclePath, nodes: Sequence[_Nodes], t=None, points=None) -> dict[Point, np.ndarray]:
+def _t_values(c: CyclePath, steps: Sequence[np.ndarray], t=None, points=None) -> dict[Point, np.ndarray]:
     """t at every point of `points` (all of c's when not given), each carrying
     only its chain's axes, added in place to `t` (c's z at the top row when
-    not given), which must hold every target; `t` is returned."""
+    not given), which must hold every target; `t` is returned.  `steps[a]`
+    is axis a's e^{2 pi i tau}(1 - f), the record's `step`: the whole array,
+    reshaped onto the axis, or one node of an axis a block holds fixed."""
     if t is None:
         t = _top_t([c])
     for p in reversed(c.points if points is None else points):  # rows top-down, so every target comes first
-        t[p] = nodes[c.axis[p]].step * t[c.diagram.target(p)]
+        t[p] = steps[c.axis[p]] * t[c.diagram.target(p)]
     return t
 
 
@@ -490,7 +489,7 @@ def _factor_logs(c: CyclePath, sp: SpectralParam, nodes: Sequence[_Nodes]):
     """The z-only log, the factors, their (log-modulus, argument) arrays and
     the t values (`_t_values`) at c's z; `nodes[a]` is axis a's record."""
     const, factors = omega_factor_list(c, sp)
-    t = _t_values(c, nodes)
+    t = _t_values(c, [nd.step for nd in nodes])
     return const, factors, _logs(c, factors, nodes, t), t
 
 
@@ -723,25 +722,18 @@ def _axis_logs(c: CyclePath, plan: _Plan, base, nodes: Sequence[_Nodes], cycles:
     return out
 
 
-def _multi_sum(factors: Sequence[Factor], t, inv: dict):
+def _multi_sum(factors: Sequence[Factor], t):
     """Sum of expo * log(1 - t_small/t_big) over the differences `factors`
     as a real log-modulus and argument (0.0 each for none), the ratio taken
-    as t_small (1/t_big) with 1/t_big from, or put into, `inv`.  Terms are
-    added smallest broadcast shape first (ties in list order), each partial
-    sum at the broadcast shape of its terms so far."""
+    as t_small (1/t_big).  Terms are added smallest broadcast shape first
+    (ties in list order), each partial sum at the broadcast shape of its
+    terms so far."""
     mod = arg = 0.0
     for f in sorted(factors, key=lambda f: np.broadcast(t[f.pts[0]], t[f.pts[1]]).size):
         big, small = f.pts
-        if big not in inv:  # 1/t_big, formed once at t_big's shape
-            inv[big] = 1.0 / t[big]
-        wv = 1.0 - t[small] * inv[big]
-        la, aa = f.expo * np.log(np.abs(wv)), f.expo * np.arctan2(wv.imag, wv.real)
-        if np.ndim(mod) and np.shape(mod) == np.broadcast(mod, la).shape:
-            mod += la
-            arg += aa
-        else:
-            mod = mod + la
-            arg = arg + aa
+        wv = 1.0 - t[small] * (1.0 / t[big])
+        mod = mod + f.expo * np.log(np.abs(wv))
+        arg = arg + f.expo * np.arctan2(wv.imag, wv.real)
     return mod, arg
 
 
@@ -818,9 +810,9 @@ def _integrate(cycles: Sequence[CyclePath], sp: SpectralParam, quad: QuadratureS
     while lead and split and _lowest_axis(c, plan.multi[split - 1]) < lead:
         split -= 1
     head, tail = plan.multi[:split], plan.multi[split:]
-    free_nodes = [nodes.reshape((-1,) + (1,) * (free - 1 - a)) for a in range(free - 1)] + [nodes]
+    free_steps = [nodes.step.reshape((-1,) + (1,) * (free - 1 - a)) for a in range(free - 1)] + [nodes.step]
     # the head reads no fixed axis, so any node stands in for those
-    head_nodes = [nodes.at(0) for _ in range(lead)] + free_nodes
+    head_steps = [nodes.step[0]] * lead + free_steps
     flat_nodes = [nodes] * naxes
     # the block spans the free axes that a multi-axis difference reads
     read = {a for f in plan.multi for q in f.pts for a in c.chain[q]}
@@ -850,18 +842,17 @@ def _integrate(cycles: Sequence[CyclePath], sp: SpectralParam, quad: QuadratureS
             shifts = [v.real + sum(float(top[b, 0]) for top in tops) for b, v in enumerate(consts[start:start + nb])]
             rots = [cmath.exp(1j * v.imag) for v in consts[start:start + nb]]
             fixed = [[(lg[b].real, w[b]) for lg, w in zip(logs[:lead], weights)] for b in range(nb)]
-            t = _t_values(c, head_nodes, _top_t(batch, (nb,) + (1,) * free), c.points[lead:]) if plan.multi else {}
-            inv: dict = {}
-            head_mod, head_arg = _multi_sum(head, t, inv)
+            t = _t_values(c, head_steps, _top_t(batch, (nb,) + (1,) * free), c.points[lead:]) if plan.multi else {}
+            head_mod, head_arg = _multi_sum(head, t)
 
             def block_logs(idx, out=None):
                 """The block's multi-axis log sum at fixed nodes `idx`, at its
                 broadcast shape, into `out` (a new array when None)."""
                 tail_mod = tail_arg = 0.0
                 if tail:
-                    block_nodes = [nodes.at(i) for i in idx] + free_nodes
+                    block_steps = [nodes.step[i] for i in idx] + free_steps
                     # the points on fixed axes, overwritten per block; the rest are the head's
-                    tail_mod, tail_arg = _multi_sum(tail, _t_values(c, block_nodes, t, c.points[:lead]), dict(inv))
+                    tail_mod, tail_arg = _multi_sum(tail, _t_values(c, block_steps, t, c.points[:lead]))
                 if out is None:
                     out = np.empty((nb,) + vshape, dtype=complex)
                 np.add(head_mod, tail_mod, out=out.real)
@@ -885,10 +876,9 @@ def _integrate(cycles: Sequence[CyclePath], sp: SpectralParam, quad: QuadratureS
                     scale = rot * _exp(shift) * math.prod(w[i] for (_, w), i in zip(fx, idx))
                     term = scale * p
                     if b not in errors and (vanish or neg or not cmath.isfinite(term)):
+                        factored = None if cmath.isfinite(term) else (vals[b], scale, [w[b] for w in weights])
                         node = _first_bad(block_logs(idx)[b], consts[start + b].real, [lg[b] for lg in logs],
-                                          nodes.jac, idx)
-                        if node is None and not cmath.isfinite(term):
-                            node = _first_nonfinite(vals[b], scale, [w[b] for w in weights], idx)
+                                          nodes.jac, idx, factored)
                         if node is not None:
                             errors[b] = f"non-finite integrand at tau = {[float(x[i]) for i in node]}"
                     acc[b] += term
@@ -897,7 +887,7 @@ def _integrate(cycles: Sequence[CyclePath], sp: SpectralParam, quad: QuadratureS
             if errors:
                 raise ArithmeticError(errors[min(errors)])
             out += acc
-            del vals, t, inv, head_mod, head_arg  # a chunk's arrays are freed before the next's
+            del vals, t, head_mod, head_arg  # a chunk's arrays are freed before the next's
     return out
 
 
@@ -909,13 +899,19 @@ def _exp(v: float) -> float:
         return math.inf
 
 
-def _first_bad(logsum: np.ndarray, const: float, logs, jac: np.ndarray, idx: tuple[int, ...]):
+def _first_bad(logsum: np.ndarray, const: float, logs, jac: np.ndarray, idx: tuple[int, ...], factored=None):
     """The first node of a block in C order, as a full index, where the
-    integrand times the Jacobian, summed in log space, has a log-modulus of
-    -inf (a base vanishes) or beyond the float range, or a non-finite
-    argument; None if there is none.  `logsum` is the block's multi-axis log
-    sum, `const` the real part of const, `logs` each axis's log, `jac` the
-    rule's Jacobian factors and `idx` the fixed axes' nodes."""
+    integrand is not finite or a factor base vanishes; None if there is none.
+
+    It first tests the integrand times the Jacobian summed in log space:
+    a log-modulus of -inf (a base vanishes) or beyond the float range, or a
+    non-finite argument.  `logsum` is the block's multi-axis log sum,
+    `const` the real part of const, `logs` each axis's log, `jac` the
+    rule's Jacobian factors and `idx` the fixed axes' nodes.  Failing such
+    a node, and only where the block's factored sum is not finite, it tests
+    the factored product: `factored` is then the exponentiated block, the
+    block's constant factor and each axis's weights, and the first node
+    where their product is not finite is named."""
     mod, arg = logsum.real + const, logsum.imag
     for a, lg in enumerate(logs):
         if a < len(idx):
@@ -926,17 +922,12 @@ def _first_bad(logsum: np.ndarray, const: float, logs, jac: np.ndarray, idx: tup
             mod = mod + (lg.real + np.log(np.abs(jac))).reshape(shape)
             arg = arg + lg.imag.reshape(shape)
     bad = ~((mod > -math.inf) & (mod < _LOG_MAX) & np.isfinite(arg))
-    return (*idx, *np.argwhere(bad)[0]) if bad.any() else None
-
-
-def _first_nonfinite(vals: np.ndarray, scale: complex, weights, idx: tuple[int, ...]):
-    """The first node of a block in C order, as a full index, where the
-    exponentiated block `vals` times `scale` times the weights of the free
-    axes is not finite, or None."""
-    prod = vals * scale
-    for a in range(len(idx), len(weights)):
-        prod = prod * weights[a].reshape((-1,) + (1,) * (len(weights) - 1 - a))
-    bad = ~np.isfinite(prod)
+    if not bad.any() and factored is not None:
+        vals, scale, weights = factored
+        prod = vals * scale
+        for a in range(len(idx), len(weights)):
+            prod = prod * weights[a].reshape((-1,) + (1,) * (len(weights) - 1 - a))
+        bad = ~np.isfinite(prod)
     return (*idx, *np.argwhere(bad)[0]) if bad.any() else None
 
 

@@ -26,6 +26,7 @@ import cmath
 import functools
 import json
 import math
+import re
 from dataclasses import dataclass, field
 from fractions import Fraction as Q
 from typing import Iterator, Mapping, Sequence
@@ -181,26 +182,51 @@ class CoeffTable:
 
     @classmethod
     def from_json(cls, text: str) -> "CoeffTable":
+        """The table `to_json` writes.  The text comes from outside, so
+        anything else raises ValueError: it must be an object with "mu" (at
+        least two coordinates, rank >= 1), "k" and "entries", a list of
+        objects with "offset" and "value"; mu's coordinates, k and the
+        values must be exact (`_json_rational`), and the offsets every
+        tuple of rank nonnegative integers of height <= the deepest, each
+        once."""
         raw = json.loads(text)
-        n = len(raw["mu"]) - 1
+        if not isinstance(raw, dict) or not {"mu", "k", "entries"} <= raw.keys():
+            raise ValueError('a coefficient table is an object with "mu", "k" and "entries"')
+        if not isinstance(raw["mu"], list) or len(raw["mu"]) < 2:
+            raise ValueError(f"mu {raw['mu']!r} is not a list of at least 2 coordinates")
+        if not isinstance(raw["entries"], list) or not all(
+                isinstance(e, dict) and {"offset", "value"} <= e.keys() for e in raw["entries"]):
+            raise ValueError('entries is not a list of objects with "offset" and "value"')
+        mu = tuple(_json_rational(c, "mu coordinate") for c in raw["mu"])
+        k = _json_rational(raw["k"], "k")
+        n = len(mu) - 1
         entries = {}
-        for e in raw["entries"]:  # offsets come from outside: one nonnegative integer per rank, each once
+        for e in raw["entries"]:  # one nonnegative integer per rank, each offset once
             off = e["offset"]
-            if len(off) != n or not all(type(c) is int and c >= 0 for c in off):
+            if not isinstance(off, list) or len(off) != n or not all(type(c) is int and c >= 0 for c in off):
                 raise ValueError(f"offset {off} is not {n} nonnegative integers")
             if tuple(off) in entries:
                 raise ValueError(f"offset {off} is repeated")
-            entries[tuple(off)] = Q(e["value"])
+            entries[tuple(off)] = _json_rational(e["value"], "value")
         depth = max((sum(off) for off in entries), default=0)
         # distinct offsets of height <= depth are all of them exactly when there are C(depth + n, n)
         if len(entries) != math.comb(depth + n, n):
             raise ValueError(f"the offsets are not every {n}-tuple of height <= {depth}")
-        return cls(
-            mu=rs.vec(raw["mu"]),
-            k=Q(raw["k"]),
-            depth=depth,
-            entries=entries,
-        )
+        return cls(mu=mu, k=k, depth=depth, entries=entries)
+
+
+_RATIONAL = re.compile(r"-?[0-9]+(/0*[1-9][0-9]*)?")  # str of a Fraction, or with a nonzero denominator
+
+
+def _json_rational(v, what: str) -> Q:
+    """The exact rational of a JSON value: an int that is not a bool, or a
+    string "num" or "num/den" with den nonzero, as `CoeffTable.as_dict`
+    writes it; anything else, a float included, raises ValueError."""
+    if type(v) is int:
+        return Q(v)
+    if isinstance(v, str) and _RATIONAL.fullmatch(v):
+        return Q(v)
+    raise ValueError(f"{what} {v!r} is not an integer or a rational string")
 
 
 def _validate_mu(mu: Sequence, sp: SpectralParam) -> tuple[Q, ...]:

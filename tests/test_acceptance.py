@@ -17,7 +17,8 @@ from hccycles import cycles as cy
 from hccycles import diagrams as dg
 from hccycles import rootsystem as rs
 from hccycles import series as se
-from hccycles.claims import SUITES, _chk_limit, _chk_multiparam, _chk_opdam, _chk_order, _chk_poincare, random_generic
+from hccycles.claims import (SUITES, _chk_limit, _chk_multiparam, _chk_opdam, _chk_order, _chk_poincare, _worse,
+                             random_generic)
 from hccycles.polynomial import vandermonde
 
 # Criteria 3 and 10 keep their own named tests; every other registry entry
@@ -176,6 +177,6 @@ def test_criterion_12_opdam_value():
             got = cf.F_w_at_1(w, sp)
             m = float(rs.inner(rs.weyl_apply(w, sp.lam), rs.root(1, 1, 2)))
             ref = ss.hyp2f1(float(sp.k), float(sp.k) + m, 1.0 + m, 1.0)
-            worst = max(worst, abs(got - ref) / abs(ref))
+            worst = _worse(worst, abs(got - ref) / abs(ref))
     assert worst <= 1e-10
     _report(12, f"F_w(1) matches the scipy 2F1 oracle to {worst:.2e} at 20 parameter points")

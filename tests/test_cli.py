@@ -1,4 +1,5 @@
 import json
+import math
 import subprocess
 import sys
 
@@ -132,6 +133,18 @@ def test_integrate_integrates_each_z_once(monkeypatch, tmp_path, capsys, csv, ca
     assert len(set(seen)) == calls
     assert sum(points == 65 for _, points in seen) == 1
     assert "leading_coefficient_estimate" in json.loads(capsys.readouterr().out)["results"][0]
+
+
+def test_integrate_keeps_results_when_a_w_overflows(capsys):
+    # a(w) needs Gamma(181.2), past the float range, but every integral is
+    # finite: the overflow is recorded in a_w, as a pole is, and the run
+    # goes on instead of dropping every result
+    assert main(["integrate", "--n", "1", "--lambda", "901/10,-901/10"]) == 0
+    results = json.loads(capsys.readouterr().out)["results"]
+    assert [rec["w"] for rec in results] == [[1, 2], [2, 1]]
+    for rec in results:
+        assert rec["a_w"] == {"error": "math range error"}
+        assert all(math.isfinite(rec[key][part]) for key in ("integral", "ratio_to_leading_power") for part in ("re", "im"))
 
 
 def test_verify_determinism_and_exit():

@@ -411,6 +411,30 @@ def test_coefftable_json_rejects_incomplete_tables(offsets, message):
         se.CoeffTable.from_json(text)
 
 
+_TABLE = {"mu": ["1/5", "-1/5"], "k": "3/2", "entries": [{"offset": [0], "value": "1"}]}
+
+
+@pytest.mark.parametrize("doc", [
+    {**_TABLE, "entries": [{"offset": [0], "value": "1/0"}]},
+    {**_TABLE, "k": "1/0"},
+    {**_TABLE, "entries": [{"offset": [0], "value": None}]},
+    {"mu": _TABLE["mu"], "k": "3/2"},
+    [_TABLE],
+    {**_TABLE, "entries": [{"offset": [0], "value": True}]},
+    {**_TABLE, "entries": [{"offset": [0], "value": 0.1}]},
+    {"mu": ["0"], "k": "3/2", "entries": [{"offset": [], "value": "1"}]},
+], ids=["value-1/0", "k-1/0", "value-null", "no-entries", "list", "value-true", "value-float", "rank-0"])
+def test_coefftable_json_rejects_malformed_documents(doc):
+    # the JSON comes from outside: each of these raised ZeroDivisionError,
+    # TypeError or KeyError, or loaded (true as 1, 0.1 as its binary float,
+    # a rank-0 table that residual_L then refused); values, mu and k are
+    # rational strings, as as_dict writes them, or ints that are not bools
+    with pytest.raises(ValueError):
+        se.CoeffTable.from_json(json.dumps(doc))
+    good = se.CoeffTable.from_json(json.dumps({"mu": ["1/5", "-1/5"], "k": 2, "entries": [{"offset": [0], "value": 1}]}))
+    assert (good.k, good.entries) == (2, {(0,): 1})
+
+
 def test_symbol_table_identity_and_first_order():
     for n in (1, 2):
         k = Q(5, 7)
