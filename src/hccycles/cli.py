@@ -193,9 +193,10 @@ def cmd_integrate(args) -> int:
             except (cf.PoleError, OverflowError) as exc:  # a pole, or a Gamma past the float range
                 a, a_error = None, exc
             # Integrals and ratios to the leading power at rr = r, r/2, r/4, ...,
-            # in one batch: the JSON record, the Richardson estimate and the
-            # CSV rows share them, so each z is integrated once.
-            count = max(args.csv_steps if args.csv_out else 1, 1 if a is None else 2)
+            # in one batch: the JSON record, the Richardson estimate (which
+            # needs no a(w)) and the CSV rows share them, so each z is
+            # integrated once.
+            count = max(args.csv_steps if args.csv_out else 1, 2)
             rrs = [r / 2.0**j for j in range(count)]
             (value, *_), ratios = cy._ratios(w, sp, quad, args.scale, rrs)
             value2 = cy.integrate(c, sp, quad2)
@@ -208,12 +209,12 @@ def cmd_integrate(args) -> int:
                     "relative_change": abs(value2 - value) / abs(value2),
                 },
             }
+            est = cy._richardson(ratios[0], ratios[1])
+            rec["leading_coefficient_estimate"] = {"re": est.real, "im": est.imag}
             if a is None:
                 rec["a_w"] = {"error": str(a_error)}
             else:
-                est = cy._richardson(ratios[0], ratios[1])
                 rec["a_w"] = {"re": a.real, "im": a.imag}
-                rec["leading_coefficient_estimate"] = {"re": est.real, "im": est.imag}
                 rec["relative_deviation"] = abs(est - a) / abs(a)
             if k == 1:
                 mell = cy.mellin_value_at_unit_coupling(w, z, sp)

@@ -55,19 +55,31 @@ Jacobian factor and the exp of every one-axis term on that axis.  At
 rank 1 and at k = 1 there are no multi-axis differences; at rank 2 they
 are 2 of 12 factors, at rank 3 9 of 30.
 
-Only the multi-axis differences are evaluated per node.  Their logs are
-summed as a real log-modulus and a real argument, smallest broadcast shape
-first, each partial sum at the broadcast shape of its terms, and the block
-is exponentiated once and contracted with the W_a of its free axes, last
-axis first.  The differences are listed in descending order of the lowest
-axis they read (`_geometry`), so those that read no fixed leading axis
-form a prefix: their sum is the same in every block and is built once per
-`integrate` call, and each block adds the rest, rebuilding the t values of
-the points on the fixed axes alone.  exp(const), the W_a of the fixed
-axes at their nodes and the scales that keep each free axis's W_a at most
-its rule weight times its Jacobian factor are one factor per block, whose
-log-modulus is summed before it is exponentiated: no weight over- or
-underflows where the integrand itself does not.
+Only the multi-axis differences are evaluated per node.  Each one's log is
+taken at the broadcast shape of its two points, as two contiguous real
+arrays, log|1 - t_small/t_big| and its arctan2 (`_multi_sum`); the logs
+are summed into a real log-modulus and a real argument at the block's
+shape, smallest term first.  The block is exponentiated once with real
+kernels alone, e^{mod} (1 + i t)/(1 - i t) with t = tan(arg/2)
+(`_exp_block`): numpy's complex exp costs 30-40 times its real exp per
+element (numpy 2.4.6 on an AVX-512 Xeon).  The block is then contracted
+with the W_a of its free axes, last axis first.  Where the plan has no
+multi-axis difference (rank 1, k = 1) every block is the constant 1, and
+only the contraction runs.  The differences are listed in descending order
+of the lowest axis they read (`_geometry`), so those that read no fixed
+leading axis form a prefix, the head: their sum is the same in every block
+and is built once per `integrate` call, and each block adds the rest, the
+tail, rebuilding the t values of the points on the fixed axes alone
+(without a tail, every block has the head's values).  exp(const), the W_a
+of the fixed axes at their nodes and the scales that keep each free axis's
+W_a at most its rule weight times its Jacobian factor are one factor per
+block, whose log-modulus is summed before it is exponentiated: no weight
+over- or underflows where the integrand itself does not.
+
+Every block-sized array is a view of one module-level float64 workspace,
+grown and never shrunk (`_workspace`): 6 rows of the block's size, 8 where
+the head is kept beside a tail, so at most 8 MiB at `_BLOCK_NODES`, and a
+warm call allocates no block-sized array.
 
 What depends on an axis's nodes alone, and not on z, lambda or k, is one
 per-axis node record: x, e^{2 pi i tau}(1 - f) and its log
@@ -104,10 +116,11 @@ where it has no one-axis difference) and the weights.  The batch is cut
 into chunks of at most `_BLOCK_NODES` // (nodes per block) cycles, so a
 chunk's arrays are no larger than one block of one cycle, and each cycle
 is blocked as it is alone: at rank 2 with 41 points per axis a block is
-the whole grid, and a chunk holds one cycle.
-Each node of each cycle sees the operations it sees alone, in the same
-order and on arrays, so each result has the bits of its own `integrate`
-call.
+the whole grid, and a chunk holds one cycle.  A chunk's block arrays are
+views of the workspace at the chunk's size, which never exceeds one block
+of one cycle.  Each node of each cycle sees the operations it sees alone,
+in the same order and on contiguous arrays, so each result has the bits
+of its own `integrate` call.
 """
 
 from __future__ import annotations
@@ -722,19 +735,71 @@ def _axis_logs(c: CyclePath, plan: _Plan, base, nodes: Sequence[_Nodes], cycles:
     return out
 
 
-def _multi_sum(factors: Sequence[Factor], t):
+# The workspace of `_integrate`'s block arrays (see the module docstring),
+# grown and never shrunk, so a warm call faults in no fresh pages; at most
+# 8 * `_BLOCK_NODES` floats, 8 MiB.  One buffer serves every call: the
+# library starts no threads, and `_integrate` does not call itself.
+_WORK = np.empty(0)
+
+
+def _workspace(units: int, size: int) -> np.ndarray:
+    """`units` C-contiguous rows of `size` floats from the workspace: two
+    adjacent rows view as `size` complex numbers."""
+    global _WORK
+    if _WORK.size < units * size:
+        _WORK = np.empty(units * size)
+    return _WORK[:units * size].reshape(units, size)
+
+
+def _multi_sum(factors: Sequence[Factor], t, shape: tuple[int, ...], units: np.ndarray):
     """Sum of expo * log(1 - t_small/t_big) over the differences `factors`
-    as a real log-modulus and argument (0.0 each for none), the ratio taken
-    as t_small (1/t_big).  Terms are added smallest broadcast shape first
-    (ties in list order), each partial sum at the broadcast shape of its
-    terms so far."""
-    mod = arg = 0.0
-    for f in sorted(factors, key=lambda f: np.broadcast(t[f.pts[0]], t[f.pts[1]]).size):
+    as a real log-modulus and a real argument at `shape`, the broadcast shape
+    of every term (zeros for none), the ratio taken as t_small (1/t_big).
+
+    The sums are views of units[0] and units[1]; units[2:6] are scratch, and
+    every row of `units` holds at least prod(shape) floats.  Each term is
+    computed at its own broadcast shape: the complex ratio in units[2:4]
+    (adjacent rows view as complex), its log-modulus in units[4], and the
+    contiguous copies of its real and imaginary parts that arctan2 reads in
+    units[4] and units[5].  Terms are added smallest broadcast shape first
+    (ties in list order)."""
+    size = math.prod(shape)
+    mod, arg = (u[:size].reshape(shape) for u in units[:2])
+    if not factors:
+        mod.fill(0.0)
+        arg.fill(0.0)
+    for i, f in enumerate(sorted(factors, key=lambda f: np.broadcast(t[f.pts[0]], t[f.pts[1]]).size)):
         big, small = f.pts
-        wv = 1.0 - t[small] * (1.0 / t[big])
-        mod = mod + f.expo * np.log(np.abs(wv))
-        arg = arg + f.expo * np.arctan2(wv.imag, wv.real)
+        fshape = np.broadcast_shapes(np.shape(t[big]), np.shape(t[small]))
+        n = math.prod(fshape)
+        wv = units[2:4].reshape(-1)[:2 * n].view(complex).reshape(fshape)
+        lg, re, im = (u[:n].reshape(fshape) for u in (units[2], units[4], units[5]))
+        np.subtract(1.0, np.multiply(t[small], 1.0 / t[big], out=wv), out=wv)
+        np.multiply(f.expo, np.log(np.abs(wv, out=re), out=re), out=re)
+        np.add(mod if i else 0.0, re, out=mod)
+        np.copyto(re, wv.real)
+        np.copyto(im, wv.imag)
+        np.multiply(f.expo, np.arctan2(im, re, out=lg), out=lg)  # wv is spent: lg takes its first row
+        np.add(arg if i else 0.0, lg, out=arg)
     return mod, arg
+
+
+def _exp_block(mod: np.ndarray, arg: np.ndarray, s: np.ndarray, d: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """e^{mod + i arg} into the complex array `out` from real kernels alone:
+    e^{i arg} = (1 + i t)/(1 - i t) with t = tan(arg/2), so the real part is
+    (1 - t^2) d and the imaginary part 2 t d, d = e^mod / (1 + t^2).
+
+    |tan| of a double stays below 1.7e16, so t^2 does not overflow.  As with
+    np.exp, mod = -inf gives 0 (for a finite arg), and a non-finite mod or
+    arg gives a non-finite value.  `mod` and `arg` are overwritten; `s` and
+    `d` are scratch of their shape."""
+    t = np.tan(np.multiply(arg, 0.5, out=arg), out=arg)
+    np.multiply(t, t, out=s)
+    np.add(s, 1.0, out=d)
+    np.divide(np.exp(mod, out=mod), d, out=d)
+    np.multiply(np.subtract(1.0, s, out=s), d, out=out.real)
+    np.multiply(np.multiply(t, 2.0, out=t), d, out=out.imag)
+    return out
 
 
 def integrate(c: CyclePath, sp: SpectralParam, quad: QuadratureSpec | None = None) -> complex:
@@ -843,31 +908,46 @@ def _integrate(cycles: Sequence[CyclePath], sp: SpectralParam, quad: QuadratureS
             rots = [cmath.exp(1j * v.imag) for v in consts[start:start + nb]]
             fixed = [[(lg[b].real, w[b]) for lg, w in zip(logs[:lead], weights)] for b in range(nb)]
             t = _t_values(c, head_steps, _top_t(batch, (nb,) + (1,) * free), c.points[lead:]) if plan.multi else {}
-            head_mod, head_arg = _multi_sum(head, t)
+            shape = (nb,) + vshape
+            size = math.prod(shape)
+            if plan.multi:
+                ws = _workspace(8 if head and tail else 6, size)
+                if head and tail:  # the head's sums stay in ws[0:2] through the blocks
+                    head_mod, head_arg = _multi_sum(head, t, shape, ws)
 
-            def block_logs(idx, out=None):
-                """The block's multi-axis log sum at fixed nodes `idx`, at its
-                broadcast shape, into `out` (a new array when None)."""
-                tail_mod = tail_arg = 0.0
-                if tail:
-                    block_steps = [nodes.step[i] for i in idx] + free_steps
-                    # the points on fixed axes, overwritten per block; the rest are the head's
-                    tail_mod, tail_arg = _multi_sum(tail, _t_values(c, block_steps, t, c.points[:lead]))
-                if out is None:
-                    out = np.empty((nb,) + vshape, dtype=complex)
-                np.add(head_mod, tail_mod, out=out.real)
-                np.add(head_arg, tail_arg, out=out.imag)
-                return out
+            def block_logs(idx, units):
+                """The block's multi-axis log sum at fixed nodes `idx` and its
+                broadcast shape, as views of units[-6] and units[-5], with
+                units[-4:] as scratch."""
+                if not tail:
+                    return _multi_sum(head, t, shape, units[-6:])
+                block_steps = [nodes.step[i] for i in idx] + free_steps
+                # the points on fixed axes, overwritten per block; the rest are the head's
+                mod, arg = _multi_sum(tail, _t_values(c, block_steps, t, c.points[:lead]), shape, units[-6:])
+                if head:
+                    np.add(head_mod, mod, out=mod)
+                    np.add(head_arg, arg, out=arg)
+                return mod, arg
 
-            vals = None  # every block's integrand in turn, but for the weights and the constant factor
+            def block_values(idx):
+                """The block's exponentiated log sum, a complex view of
+                ws[-2:], and whether a base vanishes in it: a base that
+                vanishes with positive exponent makes the log-modulus -inf
+                and the integrand 0, but the node is on the singular locus."""
+                mod, arg = block_logs(idx, ws)
+                vanish = not mod.min() > -math.inf
+                cells = (u.reshape(shape) for u in ws[-4:-2])
+                return _exp_block(mod, arg, *cells, ws[-2:].reshape(-1).view(complex).reshape(shape)), vanish
+
+            if not plan.multi:  # no multi-axis difference: every block is 1
+                vals, vanish = np.ones(shape, dtype=complex), False
+            elif not tail:  # every block has the head's values
+                vals, vanish = block_values(())
             acc = [0.0 + 0.0j] * nb
             errors = {}
             for idx in itertools.product(range(npts), repeat=lead):
-                vals = block_logs(idx, vals)
-                # a base that vanishes with positive exponent makes the log-modulus
-                # -inf and the integrand 0, but the node is on the singular locus
-                vanish = not vals.real.min() > -math.inf
-                np.exp(vals, out=vals)
+                if tail:
+                    vals, vanish = block_values(idx)
                 part = vals
                 for w in reversed(weights[lead:]):  # a block axis of size 1 sums the weights
                     part = np.einsum("b...j,bj->b...", part, w)
@@ -877,7 +957,9 @@ def _integrate(cycles: Sequence[CyclePath], sp: SpectralParam, quad: QuadratureS
                     term = scale * p
                     if b not in errors and (vanish or neg or not cmath.isfinite(term)):
                         factored = None if cmath.isfinite(term) else (vals[b], scale, [w[b] for w in weights])
-                        node = _first_bad(block_logs(idx)[b], consts[start + b].real, [lg[b] for lg in logs],
+                        # the log sum again, on fresh arrays: the workspace holds vals
+                        mod, arg = block_logs(idx, np.empty((6, size)))
+                        node = _first_bad(mod[b], arg[b], consts[start + b].real, [lg[b] for lg in logs],
                                           nodes.jac, idx, factored)
                         if node is not None:
                             errors[b] = f"non-finite integrand at tau = {[float(x[i]) for i in node]}"
@@ -887,7 +969,6 @@ def _integrate(cycles: Sequence[CyclePath], sp: SpectralParam, quad: QuadratureS
             if errors:
                 raise ArithmeticError(errors[min(errors)])
             out += acc
-            del vals, t, head_mod, head_arg  # a chunk's arrays are freed before the next's
     return out
 
 
@@ -899,20 +980,21 @@ def _exp(v: float) -> float:
         return math.inf
 
 
-def _first_bad(logsum: np.ndarray, const: float, logs, jac: np.ndarray, idx: tuple[int, ...], factored=None):
+def _first_bad(mod: np.ndarray, arg: np.ndarray, const: float, logs, jac: np.ndarray, idx: tuple[int, ...],
+               factored=None):
     """The first node of a block in C order, as a full index, where the
     integrand is not finite or a factor base vanishes; None if there is none.
 
     It first tests the integrand times the Jacobian summed in log space:
     a log-modulus of -inf (a base vanishes) or beyond the float range, or a
-    non-finite argument.  `logsum` is the block's multi-axis log sum,
-    `const` the real part of const, `logs` each axis's log, `jac` the
+    non-finite argument.  `mod` and `arg` are the block's multi-axis log
+    sum, `const` the real part of const, `logs` each axis's log, `jac` the
     rule's Jacobian factors and `idx` the fixed axes' nodes.  Failing such
     a node, and only where the block's factored sum is not finite, it tests
     the factored product: `factored` is then the exponentiated block, the
     block's constant factor and each axis's weights, and the first node
     where their product is not finite is named."""
-    mod, arg = logsum.real + const, logsum.imag
+    mod = mod + const
     for a, lg in enumerate(logs):
         if a < len(idx):
             mod = mod + (lg.real[idx[a]] + np.log(abs(jac[idx[a]])))

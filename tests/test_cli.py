@@ -138,13 +138,27 @@ def test_integrate_integrates_each_z_once(monkeypatch, tmp_path, capsys, csv, ca
 def test_integrate_keeps_results_when_a_w_overflows(capsys):
     # a(w) needs Gamma(181.2), past the float range, but every integral is
     # finite: the overflow is recorded in a_w, as a pole is, and the run
-    # goes on instead of dropping every result
+    # goes on instead of dropping every result.  The Richardson estimate
+    # needs the integrals at r and r/2 alone, not a(w): it is recorded with
+    # the bits of `leading_coeff_estimate`, and only the deviation from a(w)
+    # is left out
+    from fractions import Fraction as Q
+
+    from hccycles import cycles as cy
+    from hccycles import rootsystem as rs
+    from hccycles.series import SpectralParam
+
     assert main(["integrate", "--n", "1", "--lambda", "901/10,-901/10"]) == 0
     results = json.loads(capsys.readouterr().out)["results"]
     assert [rec["w"] for rec in results] == [[1, 2], [2, 1]]
+    sp = SpectralParam(rs.vec([Q(901, 10), Q(-901, 10)]), Q(3, 2))
+    quad = cy.QuadratureSpec(points_per_axis=121)
     for rec in results:
         assert rec["a_w"] == {"error": "math range error"}
         assert all(math.isfinite(rec[key][part]) for key in ("integral", "ratio_to_leading_power") for part in ("re", "im"))
+        est = cy.leading_coeff_estimate(dg.Permutation(tuple(rec["w"])), sp, 1e-3, quad)
+        assert rec["leading_coefficient_estimate"] == {"re": est.real, "im": est.imag}
+        assert "relative_deviation" not in rec
 
 
 def test_verify_determinism_and_exit():

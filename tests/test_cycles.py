@@ -5,6 +5,7 @@ import itertools
 import json
 import math
 import random
+import tracemalloc
 from collections import Counter
 from fractions import Fraction as Q
 
@@ -653,10 +654,10 @@ def test_leading_axis_blocks(lead, monkeypatch):
     evaluated, built = Counter(), Counter()
     multi_sum, axis_logs, t_values = cy._multi_sum, cy._axis_logs, cy._t_values
 
-    def counting_multi_sum(factors, t):
+    def counting_multi_sum(factors, t, *args):
         for f in factors:
             evaluated[f] += np.size(t[top])  # one per z
-        return multi_sum(factors, t)
+        return multi_sum(factors, t, *args)
 
     def counting_axis_logs(c, plan, base, nodes, cycles):
         for f in itertools.chain(*plan.single):
@@ -693,49 +694,93 @@ def test_leading_axis_blocks(lead, monkeypatch):
 # agrees with `_flat_index_integrate`'s long-double sum to 1.5e-15 at rank
 # 1, 1.1e-14 at rank 2 and 1.7e-14 at rank 3.  The values were re-recorded
 # when the one-axis factors moved into the weights (the summands are the
-# same, grouped and rounded otherwise).  The last bits follow numpy's
-# float64 kernels for exp, sin, log and arctan2 and its einsum loops, which
-# may differ between builds and CPUs (these are x86-64 with AVX-512).
+# same, grouped and rounded otherwise), and again when the block was
+# exponentiated from tan(arg/2) (ranks 2 and 3).  The last bits follow
+# numpy's float64 kernels for exp, tan, log and arctan2 and its einsum
+# loops, which differ between SIMD dispatch targets, builds and CPUs.  So
+# each row holds one pair per dispatch target, keyed by whether numpy's
+# X86_V4 (AVX-512) kernels are active (`_x86_v4`): True as numpy 2.4.6
+# dispatches on an x86-64 Xeon with AVX-512, False on the same host and
+# numpy with NPY_DISABLE_CPU_FEATURES="X86_V4 AVX512_ICL AVX512_SPR".  A
+# key with no pair fails the test and names the key.
 #
-# The second pair of each row is the case's anchor: its bits as pinned
+# The last pair of each row is the case's anchor: its bits as pinned
 # before that fold, which a re-recording leaves alone.  The test id is built
 # from the row index, the rule and the anchor, so a re-recording keeps it.
 # The anchor also bounds what a re-recording may absorb: today's value lies
-# within 1e-12 relative of it.  Both are rounding of one quadrature sum; at
-# rank 3, P = 8, the earlier kernel lay up to 3.1e-13 and this one up to
-# 1.1e-13 from its long-double evaluation.
+# within 1e-12 relative of it on every target.  Both are rounding of one
+# quadrature sum; at rank 3, P = 8, the earlier kernel lay up to 3.1e-13
+# and this one up to 1.1e-13 from its long-double evaluation.
 GOLDEN = [
     ((1, 2), "tanh-sinh", 121, 0.1,
-     ("0x1.01d51edcd1148p-8", "-0x1.4f197473520ebp-10"), ("0x1.01d51edcd1149p-8", "-0x1.4f197473520eep-10")),
+     {True: ("0x1.01d51edcd1148p-8", "-0x1.4f197473520ebp-10"),
+      False: ("0x1.01d51edcd1148p-8", "-0x1.4f197473520edp-10")},
+     ("0x1.01d51edcd1149p-8", "-0x1.4f197473520eep-10")),
     ((2, 1), "tanh-sinh", 121, 0.1,
-     ("-0x1.102af4a0e6f60p-5", "-0x1.a2d2bb5bea29fp-4"), ("-0x1.102af4a0e6f5dp-5", "-0x1.a2d2bb5bea29ap-4")),
+     {True: ("-0x1.102af4a0e6f60p-5", "-0x1.a2d2bb5bea29fp-4"),
+      False: ("-0x1.102af4a0e6f60p-5", "-0x1.a2d2bb5bea29fp-4")},
+     ("-0x1.102af4a0e6f5dp-5", "-0x1.a2d2bb5bea29ap-4")),
     ((1, 2), "tanh-sinh", 241, 0.1,
-     ("0x1.01d51edcd116fp-8", "-0x1.4f1974735211bp-10"), ("0x1.01d51edcd1170p-8", "-0x1.4f1974735211dp-10")),
+     {True: ("0x1.01d51edcd116fp-8", "-0x1.4f1974735211bp-10"),
+      False: ("0x1.01d51edcd116ep-8", "-0x1.4f1974735211ap-10")},
+     ("0x1.01d51edcd1170p-8", "-0x1.4f1974735211dp-10")),
     ((2, 1), "tanh-sinh", 241, 0.1,
-     ("-0x1.102af4a0e6f83p-5", "-0x1.a2d2bb5bea2ddp-4"), ("-0x1.102af4a0e6f81p-5", "-0x1.a2d2bb5bea2d4p-4")),
+     {True: ("-0x1.102af4a0e6f83p-5", "-0x1.a2d2bb5bea2ddp-4"),
+      False: ("-0x1.102af4a0e6f86p-5", "-0x1.a2d2bb5bea2ddp-4")},
+     ("-0x1.102af4a0e6f81p-5", "-0x1.a2d2bb5bea2d4p-4")),
     ((1, 2, 3), "tanh-sinh", 25, 0.1,
-     ("0x1.c382ae87565c4p-18", "0x1.44700fd2bc630p-22"), ("0x1.c382ae87565e7p-18", "0x1.44700fd2bc607p-22")),
+     {True: ("0x1.c382ae87565c4p-18", "0x1.44700fd2bc62dp-22"),
+      False: ("0x1.c382ae87565c5p-18", "0x1.44700fd2bc62ap-22")},
+     ("0x1.c382ae87565e7p-18", "0x1.44700fd2bc607p-22")),
     ((1, 3, 2), "tanh-sinh", 25, 0.1,
-     ("0x1.022d2bf6cbbe0p-19", "-0x1.674bed050c18cp-15"), ("0x1.022d2bf6cbcbfp-19", "-0x1.674bed050c193p-15")),
+     {True: ("0x1.022d2bf6cbbc3p-19", "-0x1.674bed050c18cp-15"),
+      False: ("0x1.022d2bf6cbbc2p-19", "-0x1.674bed050c18fp-15")},
+     ("0x1.022d2bf6cbcbfp-19", "-0x1.674bed050c193p-15")),
     ((2, 1, 3), "tanh-sinh", 25, 0.1,
-     ("0x1.13cdabd3906a8p-21", "-0x1.7fd3d6bd0931cp-17"), ("0x1.13cdabd390643p-21", "-0x1.7fd3d6bd0931cp-17")),
+     {True: ("0x1.13cdabd3906a1p-21", "-0x1.7fd3d6bd0931cp-17"),
+      False: ("0x1.13cdabd3906abp-21", "-0x1.7fd3d6bd0931dp-17")},
+     ("0x1.13cdabd390643p-21", "-0x1.7fd3d6bd0931cp-17")),
     ((2, 3, 1), "tanh-sinh", 25, 0.1,
-     ("-0x1.a5c302f34337bp-14", "-0x1.2f0fbd4fe2868p-18"), ("-0x1.a5c302f34338ap-14", "-0x1.2f0fbd4fe2b20p-18")),
+     {True: ("-0x1.a5c302f34337bp-14", "-0x1.2f0fbd4fe2867p-18"),
+      False: ("-0x1.a5c302f34337fp-14", "-0x1.2f0fbd4fe2862p-18")},
+     ("-0x1.a5c302f34338ap-14", "-0x1.2f0fbd4fe2b20p-18")),
     ((3, 1, 2), "tanh-sinh", 25, 0.1,
-     ("-0x1.87d86578e40a5p-12", "-0x1.19908f03eb672p-16"), ("-0x1.87d86578e40fdp-12", "-0x1.19908f03eb7d2p-16")),
+     {True: ("-0x1.87d86578e40a4p-12", "-0x1.19908f03eb682p-16"),
+      False: ("-0x1.87d86578e40a8p-12", "-0x1.19908f03eb65bp-16")},
+     ("-0x1.87d86578e40fdp-12", "-0x1.19908f03eb7d2p-16")),
     ((3, 2, 1), "tanh-sinh", 25, 0.1,
-     ("-0x1.d9fab500a9898p-16", "0x1.49cfc1e2011fbp-11"), ("-0x1.d9fab500aa066p-16", "0x1.49cfc1e20124ep-11")),
+     {True: ("-0x1.d9fab500a98b1p-16", "0x1.49cfc1e2011fbp-11"),
+      False: ("-0x1.d9fab500a985ap-16", "0x1.49cfc1e2011fep-11")},
+     ("-0x1.d9fab500aa066p-16", "0x1.49cfc1e20124ep-11")),
     ((2, 4, 1, 3), "tanh-sinh", 8, 0.1,
-     ("-0x1.86ccd9988f84bp-45", "0x1.a26c44520ec46p-43"), ("-0x1.86ccd9988f923p-45", "0x1.a26c44520e911p-43")),
+     {True: ("-0x1.86ccd9988f85cp-45", "0x1.a26c44520ec2fp-43"),
+      False: ("-0x1.86ccd9988f84bp-45", "0x1.a26c44520ec2cp-43")},
+     ("-0x1.86ccd9988f923p-45", "0x1.a26c44520e911p-43")),
     ((1, 2), "gauss-legendre", 41, 0.1,
-     ("0x1.01d55a70f9664p-8", "-0x1.4f19c1e239df5p-10"), ("0x1.01d55a70f9668p-8", "-0x1.4f19c1e239df8p-10")),
+     {True: ("0x1.01d55a70f9664p-8", "-0x1.4f19c1e239df5p-10"),
+      False: ("0x1.01d55a70f9664p-8", "-0x1.4f19c1e239df5p-10")},
+     ("0x1.01d55a70f9668p-8", "-0x1.4f19c1e239df8p-10")),
     ((2, 1), "tanh-sinh", 161, 0.05,
-     ("-0x1.102af4a0e6f6dp-5", "-0x1.a2d2bb5bea2a3p-4"), ("-0x1.102af4a0e6f66p-5", "-0x1.a2d2bb5bea2a2p-4")),
+     {True: ("-0x1.102af4a0e6f6dp-5", "-0x1.a2d2bb5bea2a3p-4"),
+      False: ("-0x1.102af4a0e6f6ep-5", "-0x1.a2d2bb5bea2a4p-4")},
+     ("-0x1.102af4a0e6f66p-5", "-0x1.a2d2bb5bea2a2p-4")),
     # rank 2 with a fixed axis: 61^3 nodes exceed a block, so blocks fix
     # axis 0; recorded before the t walk took step arrays, and its own anchor
     ((2, 3, 1), "tanh-sinh", 61, 0.1,
-     ("-0x1.a4fafc3279beap-14", "-0x1.2e8002252798bp-18"), ("-0x1.a4fafc3279beap-14", "-0x1.2e8002252798bp-18")),
+     {True: ("-0x1.a4fafc3279beap-14", "-0x1.2e80022527984p-18"),
+      False: ("-0x1.a4fafc3279be9p-14", "-0x1.2e80022527964p-18")},
+     ("-0x1.a4fafc3279beap-14", "-0x1.2e8002252798bp-18")),
 ]
+
+
+def _x86_v4():
+    """Whether numpy dispatches its X86_V4 (AVX-512) kernels, the key of the
+    golden bit pairs; None where numpy reports no such target."""
+    try:
+        from numpy._core._multiarray_umath import __cpu_features__
+    except ImportError:  # numpy < 2
+        from numpy.core._multiarray_umath import __cpu_features__
+    return __cpu_features__.get("X86_V4")
 
 
 @pytest.mark.parametrize("w, scheme, points, eps, bits, anchor", GOLDEN,
@@ -748,9 +793,69 @@ def test_integrate_golden_bits(w, scheme, points, eps, bits, anchor):
         c = cy.cycle_for_w(dg.Permutation(w), z, eps)
         quad = cy.QuadratureSpec(scheme=scheme, points_per_axis=points, epsilon=eps)
     val = cy.integrate(c, sp, quad)
-    assert (val.real.hex(), val.imag.hex()) == bits
+    key = _x86_v4()
+    if key not in bits:
+        pytest.fail(f"no golden bits recorded for X86_V4 dispatch {key!r}")
+    assert (val.real.hex(), val.imag.hex()) == bits[key]
     pinned = complex(*map(float.fromhex, anchor))
     assert abs(val - pinned) <= 1e-12 * abs(pinned)
+
+
+def test_block_arrays_reuse_one_workspace():
+    # after a warm-up call, a block's arrays are views of one workspace: the
+    # tracemalloc peak of a rank-2, 41-point `leading_coeff_estimate` (each
+    # block is the whole 41^3 grid, 1.1 MB as one complex array) and of a
+    # rank-3, 8-point `integrate_for_w` (blocks of 8^5 nodes) stays under
+    # 512 KB
+    w3 = dg.Permutation((2, 4, 1, 3))
+    c3, sp_3, quad_3, _ = _rank3_case(w3.images)
+    calls = [
+        lambda: cy.leading_coeff_estimate(dg.Permutation((2, 3, 1)), sp2(), 0.05, cy.QuadratureSpec(points_per_axis=41)),
+        lambda: cy.integrate_for_w(w3, c3.z, sp_3, quad_3),
+    ]
+    for call in calls:
+        call()
+        tracemalloc.start()
+        try:
+            call()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 512 * 1024
+
+
+def _exp_block(mod, arg):
+    """`cycles._exp_block` on copies of `mod` and `arg`."""
+    mod, arg = np.array(mod, dtype=float), np.array(arg, dtype=float)
+    return cy._exp_block(mod, arg, np.empty_like(mod), np.empty_like(mod), np.empty(mod.shape, dtype=complex))
+
+
+def test_block_exponent_matches_exp():
+    # e^{mod + i arg} from tan(arg/2) and real exp, against np.exp of the
+    # complex input and against mpmath at 40 digits, to 1e-15 relative: for
+    # |arg| up to 1e3 (a bound on the sum of |expo| pi/2 over the multi-axis
+    # differences), within 1e-9 of +-pi and at +-0
+    rng = np.random.default_rng(23)
+    near_pi = np.concatenate([math.pi + rng.uniform(-1e-9, 1e-9, 500), -math.pi + rng.uniform(-1e-9, 1e-9, 500)])
+    arg = np.concatenate([rng.uniform(-1e3, 1e3, 3000), rng.uniform(-20.0, 20.0, 3000), near_pi,
+                          [0.0, -0.0, math.pi, -math.pi, 1e3, -1e3]])
+    mod = rng.uniform(-40.0, 40.0, arg.size)
+    got = _exp_block(mod, arg)
+    want = np.exp(mod + 1j * arg)
+    assert np.all(np.abs(got - want) <= 1e-15 * np.abs(want))
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(40):
+        for i in [*range(0, arg.size, 7), *range(arg.size - 6, arg.size)]:
+            exact = mpmath.exp(mpmath.mpc(mod[i], arg[i]))
+            assert abs(mpmath.mpc(got[i]) - exact) <= 1e-15 * abs(exact), (mod[i], arg[i])
+    # -inf gives exactly 0 and 0 + 0i exactly 1; +inf or a NaN in either
+    # part gives a non-finite value
+    assert np.all(_exp_block(np.full(5, -np.inf), [0.0, -0.0, 1.0, -3.0, math.pi]) == 0)
+    one = _exp_block(np.zeros(2), [0.0, -0.0])
+    assert np.all(one.real == 1.0) and np.all(one.imag == 0.0)
+    with np.errstate(invalid="ignore"):
+        bad = _exp_block([np.inf, np.inf, np.nan, 0.0, 0.0, 1.0], [0.0, 2.0, 0.0, np.nan, np.inf, -np.inf])
+    assert not np.isfinite(bad).any()
 
 
 def test_node_record_cached(monkeypatch):
@@ -802,7 +907,8 @@ def _plan_log(c, sp, tau):
     total = cy._z_log(c, *float_view(sp), plan.zexp)
     for lg in cy._axis_logs(c, plan, cy._axis_base(plan, nodes), nodes, [c]):
         total += complex(lg.flat[0])
-    mod, arg = cy._multi_sum(plan.multi, t)  # 0.0 each at rank 1
+    shape = np.broadcast_shapes(*(np.shape(t[q]) for f in plan.multi for q in f.pts))
+    mod, arg = cy._multi_sum(plan.multi, t, shape, np.empty((6, math.prod(shape))))  # 0.0 each at rank 1
     return total + complex(np.sum(mod), np.sum(arg))
 
 
