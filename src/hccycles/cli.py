@@ -178,12 +178,12 @@ def cmd_integrate(args) -> int:
     r = args.z_ratio
     z = [args.scale * r ** (n - i) for i in range(n + 1)]
     try:
-        quad = cy.QuadratureSpec(scheme=args.scheme, points_per_axis=args.points, epsilon=args.epsilon)
+        quad = cy.QuadratureSpec(points_per_axis=args.points, epsilon=args.epsilon)
         bump = cy.BumpFn(quad.epsilon)
         cycles = [cy.CyclePath(dg.Diagram.from_permutation(w), z, bump) for w in ws]
     except ValueError as exc:
         raise SystemExit(f"usage error: {exc}")
-    quad2 = cy.QuadratureSpec(scheme=args.scheme, points_per_axis=2 * args.points - 1, epsilon=args.epsilon)
+    quad2 = cy.QuadratureSpec(points_per_axis=2 * args.points - 1, epsilon=args.epsilon)
     results = []
     csv_rows = []
     try:
@@ -300,7 +300,6 @@ def build_parser() -> argparse.ArgumentParser:
     g.add_argument("--scale", type=float, default=1.0)
     g.add_argument("--points", type=int, default=121)
     g.add_argument("--epsilon", type=float, default=0.1)
-    g.add_argument("--scheme", choices=["tanh-sinh", "gauss-legendre"], default="tanh-sinh")
     g.add_argument("--out", default=None)
     g.add_argument("--csv-out", default=None, help="leading-asymptotic convergence trace")
     g.add_argument("--csv-steps", type=int, default=5)

@@ -146,7 +146,7 @@ class _ExactFactors:
     it."""
 
     def __getitem__(self, key):
-        return _FACTOR_RULES[key[0]](*self.exact(key))
+        return _FACTOR_BY_KIND[key[0]](*self.exact(key))
 
     @staticmethod
     def exact(key) -> tuple[int, int]:
@@ -200,7 +200,7 @@ def _phase_factor(num: int, den: int) -> complex:
     return cmath.exp(1j * math.pi * complex(num / den))
 
 
-_FACTOR_RULES = {"gamma": _gamma_factor, "sin": _sin_factor, "phase": _phase_factor}
+_FACTOR_BY_KIND = {"gamma": _gamma_factor, "sin": _sin_factor, "phase": _phase_factor}
 
 
 def _multiply(const, gammas, sins, phase, factors) -> complex:
@@ -305,7 +305,7 @@ class _FactorTable(dict):
         elif kind == "phase":
             value = _phase_factor(_phase_num(self.sp, spec), 2 * self.den)
         else:
-            value = _FACTOR_RULES[kind](self.num(spec), self.den)
+            value = _FACTOR_BY_KIND[kind](self.num(spec), self.den)
         self[key] = value
         return value
 

@@ -33,9 +33,10 @@ numerical continuation is needed on the quadrature path; a step-by-step
 tracker (`phase_continuation`) is provided anyway and is tested against the
 closed form.
 
-Quadrature is a tensor product of one-dimensional rules per tau-axis;
-tanh-sinh by default (the integrand has algebraic endpoint behavior
-tau^{k-1} for non-integer k), Gauss-Legendre optionally.  The integrand is
+Quadrature is a tensor product of one tanh-sinh rule per tau-axis
+(`tanh_sinh_rule_with_complement`): each loop starts and ends at its branch
+point, where the integrand behaves like tau^{k-1}, algebraic for
+non-integer k, so the integral converges for k > 0 only.  The integrand is
 broadcast over per-axis tau arrays, so each factor carries only the axes of
 its chain; blocks of the grid fix its leading axes and are summed in C
 order, so results are deterministic for a fixed spec.
@@ -88,9 +89,9 @@ log1p(-f) + 2 pi i tau, the log of the vanishing base
 e^{2 pi i tau}(2 pi i (1 - f) - f'), with f the bump at tau, which the
 record does not keep.
 `integrate` takes its rule's record, and the rule weights times the
-Jacobian factors, from a small cache keyed by (scheme, points per axis,
-bump), so the bump is evaluated once per rule and not once per call; the
-cached arrays are read-only.  Two more records are cached.  `_geometry`
+Jacobian factors, from a small cache keyed by (points per axis, bump), so
+the bump is evaluated once per rule and not once per call; the cached
+arrays are read-only.  Two more records are cached.  `_geometry`
 holds what depends on the diagram alone: points, axes, chains, collapse
 anchors and the factor slots, the t-factors without their exponents.
 `_plan` holds what depends on the diagram and float (lambda, k): the
@@ -183,13 +184,14 @@ class BumpFn:
 
 @dataclass(frozen=True)
 class QuadratureSpec:
-    scheme: str = "tanh-sinh"
+    """The tanh-sinh rule's points per axis and the bump height."""
+
     points_per_axis: int = 65
     epsilon: float = 0.1
 
     def __post_init__(self):
-        if self.scheme not in _RULES:
-            raise ValueError(f"unknown scheme {self.scheme!r}")
+        if not isinstance(self.points_per_axis, int):
+            raise ValueError(f"points per axis must be an int, got {self.points_per_axis!r}")
         if self.points_per_axis < 8:
             raise ValueError("need at least 8 points per axis")
         BumpFn(self.epsilon)  # the bump's range check
@@ -384,14 +386,15 @@ class _Nodes(NamedTuple):
 
 
 @functools.lru_cache(maxsize=8)
-def _quad_nodes(scheme: str, npoints: int, bump: BumpFn) -> tuple[_Nodes, np.ndarray]:
-    """The read-only node record of one rule and its weights times the
-    Jacobian factors, built once.
+def _quad_nodes(npoints: int, bump: BumpFn) -> tuple[_Nodes, np.ndarray]:
+    """The read-only node record of the `npoints`-point tanh-sinh rule and
+    its weights times the Jacobian factors, built once.  The rule's
+    complements are not read.
 
     Keyed on the cycle's bump, not on a spec's epsilon: the two may differ
     by rounding, and the record must be the cycle's.
     """
-    x, wts = _RULES[scheme](npoints)
+    x, _, wts = tanh_sinh_rule_with_complement(npoints)
     nodes = _Nodes.of(x, bump)
     wj = wts * nodes.jac
     for v in (*nodes, wj):
@@ -603,7 +606,11 @@ def anchor_arguments(c: CyclePath, sp: SpectralParam, eta: float = 1e-3) -> tupl
 def tanh_sinh_rule_with_complement(
     npoints: int, cutoff: float = 3.2
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Nodes x, complements 1-x (cancellation-free), and weights on (0, 1)."""
+    """The tanh-sinh rule on (0, 1), double-exponential in the trapezoid
+    variable: nodes x, complements 1-x (cancellation-free), and weights.
+    The one quadrature rule: `integrate` reads x and the weights, the Beta
+    oracle (`closedforms.gauss_value_by_beta_quadrature`) the complements
+    too."""
     u = np.linspace(-cutoff, cutoff, npoints)
     h = u[1] - u[0]
     y = np.pi * np.sinh(u)
@@ -612,19 +619,6 @@ def tanh_sinh_rule_with_complement(
     w = h * np.pi * np.cosh(u) * x * xm
     return x, xm, w
 
-
-def tanh_sinh_rule(npoints: int, cutoff: float = 3.2) -> tuple[np.ndarray, np.ndarray]:
-    """Nodes and weights on (0, 1); double-exponential in the trapezoid variable."""
-    x, _, w = tanh_sinh_rule_with_complement(npoints, cutoff)
-    return x, w
-
-
-def gauss_legendre_rule(npoints: int) -> tuple[np.ndarray, np.ndarray]:
-    x, w = np.polynomial.legendre.leggauss(npoints)
-    return 0.5 * (x + 1.0), 0.5 * w
-
-
-_RULES = {"tanh-sinh": tanh_sinh_rule, "gauss-legendre": gauss_legendre_rule}
 
 
 class _Plan(NamedTuple):
@@ -833,6 +827,10 @@ def integrate(c: CyclePath, sp: SpectralParam, quad: QuadratureSpec | None = Non
     beyond the float range, or, failing such a node, where the factored
     evaluation is not finite.  `_integrate` takes several z of one diagram
     in one call, with these bits at each.
+
+    Raises ValueError unless k > 0: each loop starts and ends at its branch
+    point, where the integrand behaves like tau^{k-1}, so the integral
+    diverges for k <= 0.
     """
     return _integrate([c], sp, quad)[0]
 
@@ -854,10 +852,12 @@ def _integrate(cycles: Sequence[CyclePath], sp: SpectralParam, quad: QuadratureS
     c = cycles[0]
     if len(cycles) > 1 and any(o.diagram != c.diagram or o.bump != c.bump for o in cycles):
         raise ValueError("a batch of cycles must share one diagram and bump")
+    if sp.k <= 0:
+        raise ValueError(f"the cycle integral diverges at k = {sp.k}: it needs k > 0")
     quad = quad or QuadratureSpec(epsilon=c.bump.epsilon)
     if abs(quad.epsilon - c.bump.epsilon) > 1e-12:
         raise ValueError("quadrature epsilon disagrees with the cycle's bump height")
-    nodes, wj = _quad_nodes(quad.scheme, quad.points_per_axis, c.bump)
+    nodes, wj = _quad_nodes(quad.points_per_axis, c.bump)
     x = nodes.x
     npts = len(x)
     naxes = c.naxes

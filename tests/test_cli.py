@@ -95,6 +95,19 @@ def test_integrate_k1_check():
     assert all(r["k=1 closed-form check"] == "pass" for r in doc["results"])
 
 
+def test_integrate_divergent_coupling(capsys):
+    # k <= 0: the integral diverges, reported as an error record with exit 1
+    assert main(["integrate", "--k", "0", "--w", "id", "--points", "33"]) == 1
+    assert json.loads(capsys.readouterr().out) == {"error": "the cycle integral diverges at k = 0: it needs k > 0"}
+
+
+def test_integrate_has_one_rule():
+    # tanh-sinh is the one rule: there is no option to choose another
+    with pytest.raises(SystemExit) as exc:
+        main(["integrate", "--scheme", "tanh-sinh"])
+    assert exc.value.code == 2
+
+
 def test_integrate_bad_lambda():
     out = run_cli(["integrate", "--lambda", "1,1"])
     assert out.returncode == 2

@@ -58,8 +58,15 @@ def test_quadrature_spec_validation():
         cy.QuadratureSpec(points_per_axis=4)
     with pytest.raises(ValueError):
         cy.QuadratureSpec(epsilon=0.3)
-    with pytest.raises(ValueError):
-        cy.QuadratureSpec(scheme="simpson")
+    with pytest.raises(TypeError):  # tanh-sinh is the one rule
+        cy.QuadratureSpec(scheme="tanh-sinh")
+
+
+def test_quadrature_spec_points_must_be_int():
+    # refused when the spec is built, not inside the rule's np.linspace
+    for points in (40.0, "41", None, 41.5):
+        with pytest.raises(ValueError, match=f"points per axis must be an int, got {points!r}"):
+            cy.QuadratureSpec(points_per_axis=points)
 
 
 def test_bump_height_one_range():
@@ -74,13 +81,24 @@ def test_bump_height_one_range():
 
 
 def test_rules_integrate_smooth():
-    for rule in (cy.tanh_sinh_rule, cy.gauss_legendre_rule):
-        x, w = rule(80)
-        assert abs(np.sum(w * x**3) - 0.25) < 1e-12
+    x, _, w = cy.tanh_sinh_rule_with_complement(80)
+    assert abs(np.sum(w * x**3) - 0.25) < 1e-12
     # tanh-sinh handles an endpoint singularity (cutoff widened so the
     # truncated tail exp(-pi sinh(c)/2) is below the tolerance)
-    x, w = cy.tanh_sinh_rule(140, cutoff=4.3)
+    x, _, w = cy.tanh_sinh_rule_with_complement(140, cutoff=4.3)
     assert abs(np.sum(w / np.sqrt(x)) - 2.0) < 1e-12
+
+
+def test_rule_complements():
+    # every caller receives 1 - x free of cancellation: positive everywhere,
+    # also at the last node, where x rounds to 1.0 at the default cutoff and
+    # the complement equals the first node
+    for npoints in (33, 121, 241):
+        x, xm, _ = cy.tanh_sinh_rule_with_complement(npoints)
+        assert np.all(xm > 0)
+        assert np.all(np.abs((x + xm) - 1.0) <= 2.3e-16)
+        assert x[-1] == 1.0 and 1.0 - x[-1] == 0.0
+        assert xm[-1] == x[0] == 1.9588692246858778e-17
 
 
 def test_cycle_validation():
@@ -520,15 +538,6 @@ def test_integrate_self_convergence_and_epsilon_independence():
     assert abs(ia - ib) < 1e-6 * abs(ib)
 
 
-def test_gauss_legendre_agrees_at_k2():
-    # integer k: integrand smooth, both schemes converge to the same value
-    sp = sp1(Q(3, 10), Q(2))
-    z = [1e-2, 1.0]
-    its = cy.integrate_for_w(W_ID, z, sp, cy.QuadratureSpec(points_per_axis=121))
-    igl = cy.integrate_for_w(W_ID, z, sp, cy.QuadratureSpec(scheme="gauss-legendre", points_per_axis=121))
-    assert abs(its - igl) < 1e-9 * abs(its)
-
-
 def test_series_integral_consistency():
     sp = sp1()
     z = [1e-2, 1.0]
@@ -579,7 +588,7 @@ def _flat_index_integrate(c, sp, quad=None, block=1 << 17, long_double=False):
     quad = quad or cy.QuadratureSpec(epsilon=c.bump.epsilon)
     if abs(quad.epsilon - c.bump.epsilon) > 1e-12:
         raise ValueError("quadrature epsilon disagrees with the cycle's bump height")
-    x, wts = cy._RULES[quad.scheme](quad.points_per_axis)
+    x, _, wts = cy.tanh_sinh_rule_with_complement(quad.points_per_axis)
     real, cplx = (np.longdouble, np.clongdouble) if long_double else (float, complex)
     two_pi_i = cplx(8j * np.arctan(real(1)))  # 2 pi i at the working precision
     naxes = c.naxes
@@ -706,71 +715,69 @@ def test_leading_axis_blocks(lead, monkeypatch):
 #
 # The last pair of each row is the case's anchor: its bits as pinned
 # before that fold, which a re-recording leaves alone.  The test id is built
-# from the row index, the rule and the anchor, so a re-recording keeps it.
+# from the row number, the rule and the anchor, so a re-recording keeps it.
+# A row keeps its number, which its id carries, when another row goes:
+# there is no row 11.
 # The anchor also bounds what a re-recording may absorb: today's value lies
 # within 1e-12 relative of it on every target.  Both are rounding of one
 # quadrature sum; at rank 3, P = 8, the earlier kernel lay up to 3.1e-13
 # and this one up to 1.1e-13 from its long-double evaluation.
-GOLDEN = [
-    ((1, 2), "tanh-sinh", 121, 0.1,
-     {True: ("0x1.01d51edcd1148p-8", "-0x1.4f197473520ebp-10"),
-      False: ("0x1.01d51edcd1148p-8", "-0x1.4f197473520edp-10")},
-     ("0x1.01d51edcd1149p-8", "-0x1.4f197473520eep-10")),
-    ((2, 1), "tanh-sinh", 121, 0.1,
-     {True: ("-0x1.102af4a0e6f60p-5", "-0x1.a2d2bb5bea29fp-4"),
-      False: ("-0x1.102af4a0e6f60p-5", "-0x1.a2d2bb5bea29fp-4")},
-     ("-0x1.102af4a0e6f5dp-5", "-0x1.a2d2bb5bea29ap-4")),
-    ((1, 2), "tanh-sinh", 241, 0.1,
-     {True: ("0x1.01d51edcd116fp-8", "-0x1.4f1974735211bp-10"),
-      False: ("0x1.01d51edcd116ep-8", "-0x1.4f1974735211ap-10")},
-     ("0x1.01d51edcd1170p-8", "-0x1.4f1974735211dp-10")),
-    ((2, 1), "tanh-sinh", 241, 0.1,
-     {True: ("-0x1.102af4a0e6f83p-5", "-0x1.a2d2bb5bea2ddp-4"),
-      False: ("-0x1.102af4a0e6f86p-5", "-0x1.a2d2bb5bea2ddp-4")},
-     ("-0x1.102af4a0e6f81p-5", "-0x1.a2d2bb5bea2d4p-4")),
-    ((1, 2, 3), "tanh-sinh", 25, 0.1,
-     {True: ("0x1.c382ae87565c4p-18", "0x1.44700fd2bc62dp-22"),
-      False: ("0x1.c382ae87565c5p-18", "0x1.44700fd2bc62ap-22")},
-     ("0x1.c382ae87565e7p-18", "0x1.44700fd2bc607p-22")),
-    ((1, 3, 2), "tanh-sinh", 25, 0.1,
-     {True: ("0x1.022d2bf6cbbc3p-19", "-0x1.674bed050c18cp-15"),
-      False: ("0x1.022d2bf6cbbc2p-19", "-0x1.674bed050c18fp-15")},
-     ("0x1.022d2bf6cbcbfp-19", "-0x1.674bed050c193p-15")),
-    ((2, 1, 3), "tanh-sinh", 25, 0.1,
-     {True: ("0x1.13cdabd3906a1p-21", "-0x1.7fd3d6bd0931cp-17"),
-      False: ("0x1.13cdabd3906abp-21", "-0x1.7fd3d6bd0931dp-17")},
-     ("0x1.13cdabd390643p-21", "-0x1.7fd3d6bd0931cp-17")),
-    ((2, 3, 1), "tanh-sinh", 25, 0.1,
-     {True: ("-0x1.a5c302f34337bp-14", "-0x1.2f0fbd4fe2867p-18"),
-      False: ("-0x1.a5c302f34337fp-14", "-0x1.2f0fbd4fe2862p-18")},
-     ("-0x1.a5c302f34338ap-14", "-0x1.2f0fbd4fe2b20p-18")),
-    ((3, 1, 2), "tanh-sinh", 25, 0.1,
-     {True: ("-0x1.87d86578e40a4p-12", "-0x1.19908f03eb682p-16"),
-      False: ("-0x1.87d86578e40a8p-12", "-0x1.19908f03eb65bp-16")},
-     ("-0x1.87d86578e40fdp-12", "-0x1.19908f03eb7d2p-16")),
-    ((3, 2, 1), "tanh-sinh", 25, 0.1,
-     {True: ("-0x1.d9fab500a98b1p-16", "0x1.49cfc1e2011fbp-11"),
-      False: ("-0x1.d9fab500a985ap-16", "0x1.49cfc1e2011fep-11")},
-     ("-0x1.d9fab500aa066p-16", "0x1.49cfc1e20124ep-11")),
-    ((2, 4, 1, 3), "tanh-sinh", 8, 0.1,
-     {True: ("-0x1.86ccd9988f85cp-45", "0x1.a26c44520ec2fp-43"),
-      False: ("-0x1.86ccd9988f84bp-45", "0x1.a26c44520ec2cp-43")},
-     ("-0x1.86ccd9988f923p-45", "0x1.a26c44520e911p-43")),
-    ((1, 2), "gauss-legendre", 41, 0.1,
-     {True: ("0x1.01d55a70f9664p-8", "-0x1.4f19c1e239df5p-10"),
-      False: ("0x1.01d55a70f9664p-8", "-0x1.4f19c1e239df5p-10")},
-     ("0x1.01d55a70f9668p-8", "-0x1.4f19c1e239df8p-10")),
-    ((2, 1), "tanh-sinh", 161, 0.05,
-     {True: ("-0x1.102af4a0e6f6dp-5", "-0x1.a2d2bb5bea2a3p-4"),
-      False: ("-0x1.102af4a0e6f6ep-5", "-0x1.a2d2bb5bea2a4p-4")},
-     ("-0x1.102af4a0e6f66p-5", "-0x1.a2d2bb5bea2a2p-4")),
+GOLDEN = {
+    0: ((1, 2), 121, 0.1,
+        {True: ("0x1.01d51edcd1148p-8", "-0x1.4f197473520ebp-10"),
+         False: ("0x1.01d51edcd1148p-8", "-0x1.4f197473520edp-10")},
+        ("0x1.01d51edcd1149p-8", "-0x1.4f197473520eep-10")),
+    1: ((2, 1), 121, 0.1,
+        {True: ("-0x1.102af4a0e6f60p-5", "-0x1.a2d2bb5bea29fp-4"),
+         False: ("-0x1.102af4a0e6f60p-5", "-0x1.a2d2bb5bea29fp-4")},
+        ("-0x1.102af4a0e6f5dp-5", "-0x1.a2d2bb5bea29ap-4")),
+    2: ((1, 2), 241, 0.1,
+        {True: ("0x1.01d51edcd116fp-8", "-0x1.4f1974735211bp-10"),
+         False: ("0x1.01d51edcd116ep-8", "-0x1.4f1974735211ap-10")},
+        ("0x1.01d51edcd1170p-8", "-0x1.4f1974735211dp-10")),
+    3: ((2, 1), 241, 0.1,
+        {True: ("-0x1.102af4a0e6f83p-5", "-0x1.a2d2bb5bea2ddp-4"),
+         False: ("-0x1.102af4a0e6f86p-5", "-0x1.a2d2bb5bea2ddp-4")},
+        ("-0x1.102af4a0e6f81p-5", "-0x1.a2d2bb5bea2d4p-4")),
+    4: ((1, 2, 3), 25, 0.1,
+        {True: ("0x1.c382ae87565c4p-18", "0x1.44700fd2bc62dp-22"),
+         False: ("0x1.c382ae87565c5p-18", "0x1.44700fd2bc62ap-22")},
+        ("0x1.c382ae87565e7p-18", "0x1.44700fd2bc607p-22")),
+    5: ((1, 3, 2), 25, 0.1,
+        {True: ("0x1.022d2bf6cbbc3p-19", "-0x1.674bed050c18cp-15"),
+         False: ("0x1.022d2bf6cbbc2p-19", "-0x1.674bed050c18fp-15")},
+        ("0x1.022d2bf6cbcbfp-19", "-0x1.674bed050c193p-15")),
+    6: ((2, 1, 3), 25, 0.1,
+        {True: ("0x1.13cdabd3906a1p-21", "-0x1.7fd3d6bd0931cp-17"),
+         False: ("0x1.13cdabd3906abp-21", "-0x1.7fd3d6bd0931dp-17")},
+        ("0x1.13cdabd390643p-21", "-0x1.7fd3d6bd0931cp-17")),
+    7: ((2, 3, 1), 25, 0.1,
+        {True: ("-0x1.a5c302f34337bp-14", "-0x1.2f0fbd4fe2867p-18"),
+         False: ("-0x1.a5c302f34337fp-14", "-0x1.2f0fbd4fe2862p-18")},
+        ("-0x1.a5c302f34338ap-14", "-0x1.2f0fbd4fe2b20p-18")),
+    8: ((3, 1, 2), 25, 0.1,
+        {True: ("-0x1.87d86578e40a4p-12", "-0x1.19908f03eb682p-16"),
+         False: ("-0x1.87d86578e40a8p-12", "-0x1.19908f03eb65bp-16")},
+        ("-0x1.87d86578e40fdp-12", "-0x1.19908f03eb7d2p-16")),
+    9: ((3, 2, 1), 25, 0.1,
+        {True: ("-0x1.d9fab500a98b1p-16", "0x1.49cfc1e2011fbp-11"),
+         False: ("-0x1.d9fab500a985ap-16", "0x1.49cfc1e2011fep-11")},
+        ("-0x1.d9fab500aa066p-16", "0x1.49cfc1e20124ep-11")),
+    10: ((2, 4, 1, 3), 8, 0.1,
+        {True: ("-0x1.86ccd9988f85cp-45", "0x1.a26c44520ec2fp-43"),
+         False: ("-0x1.86ccd9988f84bp-45", "0x1.a26c44520ec2cp-43")},
+        ("-0x1.86ccd9988f923p-45", "0x1.a26c44520e911p-43")),
+    12: ((2, 1), 161, 0.05,
+        {True: ("-0x1.102af4a0e6f6dp-5", "-0x1.a2d2bb5bea2a3p-4"),
+         False: ("-0x1.102af4a0e6f6ep-5", "-0x1.a2d2bb5bea2a4p-4")},
+        ("-0x1.102af4a0e6f66p-5", "-0x1.a2d2bb5bea2a2p-4")),
     # rank 2 with a fixed axis: 61^3 nodes exceed a block, so blocks fix
     # axis 0; recorded before the t walk took step arrays, and its own anchor
-    ((2, 3, 1), "tanh-sinh", 61, 0.1,
-     {True: ("-0x1.a4fafc3279beap-14", "-0x1.2e80022527984p-18"),
-      False: ("-0x1.a4fafc3279be9p-14", "-0x1.2e80022527964p-18")},
-     ("-0x1.a4fafc3279beap-14", "-0x1.2e8002252798bp-18")),
-]
+    13: ((2, 3, 1), 61, 0.1,
+        {True: ("-0x1.a4fafc3279beap-14", "-0x1.2e80022527984p-18"),
+         False: ("-0x1.a4fafc3279be9p-14", "-0x1.2e80022527964p-18")},
+        ("-0x1.a4fafc3279beap-14", "-0x1.2e8002252798bp-18")),
+}
 
 
 def _x86_v4():
@@ -783,15 +790,15 @@ def _x86_v4():
     return __cpu_features__.get("X86_V4")
 
 
-@pytest.mark.parametrize("w, scheme, points, eps, bits, anchor", GOLDEN,
-                         ids=[f"w{i}-{g[1]}-{g[2]}-{g[3]}-" + "-".join(g[5]) for i, g in enumerate(GOLDEN)])
-def test_integrate_golden_bits(w, scheme, points, eps, bits, anchor):
+@pytest.mark.parametrize("w, points, eps, bits, anchor", GOLDEN.values(),
+                         ids=[f"w{i}-tanh-sinh-{g[1]}-{g[2]}-" + "-".join(g[4]) for i, g in GOLDEN.items()])
+def test_integrate_golden_bits(w, points, eps, bits, anchor):
     if len(w) == 4:
         c, sp, quad, _ = _rank3_case(w)  # 8^6 nodes: blocks fix the leading axis
     else:
         z, sp = ([1e-3, 1.0], sp1()) if len(w) == 2 else ([1e-4, 1e-2, 1.0], sp2())
         c = cy.cycle_for_w(dg.Permutation(w), z, eps)
-        quad = cy.QuadratureSpec(scheme=scheme, points_per_axis=points, epsilon=eps)
+        quad = cy.QuadratureSpec(points_per_axis=points, epsilon=eps)
     val = cy.integrate(c, sp, quad)
     key = _x86_v4()
     if key not in bits:
@@ -879,7 +886,7 @@ def test_axis_weights_cached():
     # another z or on another rule builds none, and the plan is immutable
     w = dg.Permutation((2, 3, 1))
     cycles = [cy.cycle_for_w(w, z, 0.1) for z in ([1e-4, 1e-2, 1.0], [4e-4, 2e-2, 1.0])]
-    quads = [cy.QuadratureSpec(points_per_axis=25), cy.QuadratureSpec(scheme="gauss-legendre", points_per_axis=9)]
+    quads = [cy.QuadratureSpec(points_per_axis=25), cy.QuadratureSpec(points_per_axis=9)]
     cy._plan.cache_clear()
     first = [cy.integrate(c, sp2(), q) for c in cycles for q in quads]
     assert cy._plan.cache_info().misses == 1
@@ -935,33 +942,40 @@ def test_plan_matches_pointwise():
 
 
 def test_node_records_read_only_and_distinct():
-    nodes, wts = cy._quad_nodes("tanh-sinh", 33, cy.BumpFn(0.1))
+    nodes, wts = cy._quad_nodes(33, cy.BumpFn(0.1))
     for arr in (*nodes, wts):
         with pytest.raises(ValueError):
             arr[0] = 0.0
     others = [
-        cy._quad_nodes("tanh-sinh", 33, cy.BumpFn(0.05))[0],
-        cy._quad_nodes("gauss-legendre", 33, cy.BumpFn(0.1))[0],
+        cy._quad_nodes(33, cy.BumpFn(0.05))[0],
+        cy._quad_nodes(41, cy.BumpFn(0.1))[0],
     ]
     for other in others:
         assert other is not nodes and not np.array_equal(other.step, nodes.step)
     assert np.array_equal(others[0].x, nodes.x) and not np.array_equal(others[1].x, nodes.x)
-    assert cy._quad_nodes("tanh-sinh", 33, cy.BumpFn(0.1))[0] is nodes
+    assert cy._quad_nodes(33, cy.BumpFn(0.1))[0] is nodes
 
 
 def test_nonfinite_guard(monkeypatch):
-    # a wildly negative coupling overflows the endpoint factors
+    # a wildly negative coupling is refused before any node: the integral
+    # diverges for k <= 0
     sp = sp1(Q(3, 10), Q(-800))
     c = cy.cycle_for_w(W_ID, [1e-2, 1.0], 0.1)
-    with pytest.raises(ArithmeticError):
+    with pytest.raises(ValueError, match="diverges"):
         cy.integrate(c, sp, cy.QuadratureSpec(points_per_axis=33))
+    # rank 1: a large lambda difference overflows the monomial next to the
+    # loop's start, and the first node is named
+    c1 = cy.cycle_for_w(W_S, [1e-2, 1.0], 0.1)
+    with pytest.raises(ArithmeticError) as err:
+        cy.integrate(c1, sp1(Q(400), Q(3, 2)), cy.QuadratureSpec(points_per_axis=33))
+    assert str(err.value) == "non-finite integrand at tau = [1.9588692246858778e-17]"
     # rank 2: large lambda differences overflow the monomials inside the cube
     # while the vanishing factors keep the faces finite; the message names the
     # first bad node in C order, the same in every blocking
     sp_2 = SpectralParam(rs.vec([Q(-100), Q(-300), Q(400)]), Q(20))
     c2 = cy.cycle_for_w(dg.Permutation((2, 3, 1)), [1e-4, 1e-2, 1.0], 0.1)
     quad = cy.QuadratureSpec(points_per_axis=9)
-    x, _ = cy.tanh_sinh_rule(9)
+    x = cy.tanh_sinh_rule_with_complement(9)[0]
     with pytest.raises(ArithmeticError) as ref:
         _flat_index_integrate(c2, sp_2, quad)
     for lead in (0, 1, 2):
@@ -1054,7 +1068,7 @@ def test_zero_base_inside_cube(monkeypatch):
     c = cy.cycle_for_w(dg.Permutation((2, 3, 1)), [1e-4, 1e-2, 1.0], 0.1)
     quad = cy.QuadratureSpec(points_per_axis=9)
     assert cmath.isfinite(cy.integrate(c, sp, quad))
-    nodes, wts = cy._quad_nodes(quad.scheme, quad.points_per_axis, c.bump)
+    nodes, wts = cy._quad_nodes(quad.points_per_axis, c.bump)
     lvan = nodes.lvan.copy()
     lvan[4] = complex(-math.inf, lvan[4].imag)
     monkeypatch.setattr(cy, "_quad_nodes", lambda *args: (nodes._replace(lvan=lvan), wts))
@@ -1101,6 +1115,23 @@ def test_input_errors(call, message):
         call()
 
 
+def test_divergent_coupling_raises():
+    # each loop starts and ends at its branch point, where the integrand
+    # behaves like tau^(k-1): for k <= 0 the integral diverges, and every
+    # quadrature path refuses it before any node; pointwise evaluation is
+    # defined there
+    quad = cy.QuadratureSpec(points_per_axis=33)
+    for k in (Q(0), Q(-1, 2)):
+        sp = sp1(Q(3, 10), k)
+        calls = (lambda: cy.integrate(cy.cycle_for_w(W_ID, [1e-2, 1.0]), sp, quad),
+                 lambda: cy.leading_coeff_estimate(W_ID, sp, 1e-2, quad),
+                 lambda: cy.fd_eigenvalue(W_ID, [1e-2, 1.0], sp, quad))
+        for call in calls:
+            with pytest.raises(ValueError, match=f"the cycle integral diverges at k = {k}: it needs k > 0"):
+                call()
+        assert math.isfinite(cy.omega_w_eval(cy.cycle_for_w(W_ID, [1e-2, 1.0]), sp, [0.5]).log_magnitude)
+
+
 def test_integrate_epsilon_mismatch_guard():
     sp = sp1()
     c = cy.cycle_for_w(W_ID, [1e-2, 1.0], 0.05)
@@ -1123,4 +1154,4 @@ def test_result_json_schema(capsys):
 def test_result_spec_keys(capsys):
     assert main(["integrate", "--w", "id", "--points", "33"]) == 0
     spec = json.loads(capsys.readouterr().out)["spec"]
-    assert spec == {"scheme": "tanh-sinh", "points_per_axis": 33, "epsilon": 0.1}
+    assert spec == {"points_per_axis": 33, "epsilon": 0.1}
