@@ -12,14 +12,27 @@ Subpackages:
   cli         -- the `hc` command-line front door
 """
 
-from . import closedforms, cycles, diagrams, polynomial, rootsystem, series
+import importlib
+
+from . import closedforms, diagrams, polynomial, rootsystem, series
 from .closedforms import F_w_at_1, a_w, limit_value
-from .cycles import BumpFn, CyclePath, QuadratureSpec, integrate, integrate_for_w, leading_coeff_estimate
 from .diagrams import Diagram, GZPattern, Permutation, gz_pattern
 from .polynomial import Poly
 from .series import CoeffTable, ResonanceError, SpectralParam, freudenthal_table, gamma_L, phi_eval
 
 __version__ = "0.1.0"
+
+# `cycles` is the one module that needs numpy, so it loads on first use
+# (PEP 562): the exact layers import without numpy.
+_CYCLES_NAMES = {"BumpFn", "CyclePath", "QuadratureSpec", "integrate", "integrate_for_w", "leading_coeff_estimate"}
+
+
+def __getattr__(name):
+    if name == "cycles" or name in _CYCLES_NAMES:
+        cycles = importlib.import_module(".cycles", __name__)
+        return cycles if name == "cycles" else getattr(cycles, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 __all__ = [
     "BumpFn",

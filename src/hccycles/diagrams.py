@@ -301,9 +301,9 @@ def multiparam_product(n: int) -> Poly:
 
 def specialize_to_single_q(p: Poly) -> tuple[int, ...]:
     """Set every q_j = q in a multiparametric polynomial with integer coefficients."""
-    if any(c.denominator != 1 for c in p.terms.values()):
+    if p.den != 1:
         raise ValueError("coefficients must be integers")
-    return _coeff_tuple((sum(e), int(c)) for e, c in p.terms.items())
+    return _coeff_tuple((sum(e), c) for e, c in p.num.items())
 
 
 # -- partial order of marks (componentwise) ----------------------------------

@@ -1,18 +1,25 @@
-"""Sparse multivariate polynomials with exact Fraction coefficients.
+"""Sparse multivariate polynomials with exact rational coefficients.
 
-Terms are stored as ``{exponent_tuple: Fraction}`` with zero coefficients
-dropped, so equality of dictionaries is equality of polynomials.  A fixed
-number of variables is part of the value; mixing arities is an error.
+A polynomial holds integer numerators over one positive denominator:
+``num`` maps each exponent tuple to a nonzero int, and ``den`` is a
+positive int with ``gcd(den, *num.values()) == 1``.  Equal polynomials
+therefore have equal ``den`` and equal ``num`` dicts.  The ring operations
+work on these ints and reduce once per result, by one gcd over the
+numerators, where ``Fraction`` coefficients would take a gcd on every
+``+`` and ``*``.  ``terms`` gives the ``{exponent_tuple: Fraction}`` view,
+in the order of ``num``.  A fixed number of variables is part of the
+value; mixing arities is an error.
 
-``Poly(nvars, terms)`` is the one place where terms combine: ``terms`` is a
-mapping or any iterable of ``(exponents, coefficient)`` pairs, the
-coefficients of a repeated exponent vector are added and zero sums are
-dropped.  It checks each exponent vector and coefficient it is given, then
-hands the terms to the private ``_combine``, which holds the merging loop.
-Sums, products, scalar multiples, substitutions, derivatives and the
-quotient terms of ``divide_by_linear`` are derived from terms already
-checked, so they call ``_combine`` directly, unchecked, over a generator of
-terms; the brute-force sums of ``diagrams`` go through ``Poly``.
+``Poly(nvars, terms)`` takes a mapping or any iterable of ``(exponents,
+coefficient)`` pairs with int or Fraction coefficients.  It checks each
+exponent vector and coefficient, brings the coefficients over their least
+common denominator and hands the numerators to the private ``_combine``,
+the one merge: the numerators of a repeated exponent vector are added and
+zero sums are dropped.  Sums, products, scalar multiples, substitutions,
+derivatives and the quotient terms of ``divide_by_linear`` are derived from
+terms already checked, so they call ``_combine`` directly, unchecked, over
+a generator of (exponents, numerator) pairs and the result's denominator;
+the brute-force sums of ``diagrams`` go through ``Poly``.
 
 Used for the multiparametric q-polynomials of the diagram identities, for
 operator symbols p_mu(lambda_1..lambda_{n+1}), and for the Vandermonde
@@ -23,25 +30,27 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import chain, product
-from math import comb, prod
+from math import comb, gcd, lcm, prod
 from operator import add
+from types import MappingProxyType
 from typing import Iterable, Mapping, Sequence, Union
 
 Scalar = Union[int, Fraction]
 
 
-def _coerce(c: Scalar) -> Fraction:
-    if isinstance(c, Fraction):
+def _coerce(c: Scalar) -> Scalar:
+    """c itself, an int or a Fraction: both carry a numerator and a denominator."""
+    if isinstance(c, (int, Fraction)):
         return c
-    if isinstance(c, int):
-        return Fraction(c)
     raise TypeError(f"expected int or Fraction, got {type(c).__name__}")
 
 
 class Poly:
-    """Polynomial in ``nvars`` variables over the rationals."""
+    """Polynomial in ``nvars`` variables over the rationals: the numerators
+    ``num`` over the denominator ``den``, in lowest terms.  Treat both as
+    read-only."""
 
-    __slots__ = ("nvars", "terms")
+    __slots__ = ("nvars", "num", "den")
 
     def __init__(
         self, nvars: int, terms: Mapping[tuple, Scalar] | Iterable[tuple[Sequence[int], Scalar]] | None = None
@@ -62,8 +71,8 @@ class Poly:
                 raise ValueError(f"bad exponent vector {exps} for {nvars} variables")
             return exps, _coerce(term[1])
 
-        self.nvars = nvars
-        self.terms = _combine(nvars, map(checked, terms or ())).terms
+        out = _over_lcm(nvars, list(map(checked, terms or ())))
+        self.nvars, self.num, self.den = nvars, out.num, out.den
 
     # -- constructors ------------------------------------------------------
 
@@ -71,22 +80,36 @@ class Poly:
     def zero(cls, nvars: int) -> "Poly":
         return cls(nvars)
 
+    # These build their own exponent vectors, so only the coefficients are checked.
+
     @classmethod
     def const(cls, nvars: int, c: Scalar) -> "Poly":
-        return cls(nvars, {(0,) * nvars: c})
+        if nvars < 0:
+            raise ValueError("nvars must be nonnegative")
+        return _over_lcm(nvars, [((0,) * nvars, _coerce(c))])
 
     @classmethod
     def var(cls, nvars: int, i: int) -> "Poly":
         """The variable x_i (0-based)."""
         if not 0 <= i < nvars:
             raise ValueError(f"variable index {i} out of range")
-        return cls(nvars, {_unit(nvars, i, 1): 1})
+        return _combine(nvars, [(_unit(nvars, i, 1), 1)], 1)
 
     @classmethod
     def linear(cls, coeffs: Sequence[Scalar], const: Scalar = 0) -> "Poly":
         """c_0*x_0 + ... + c_{m-1}*x_{m-1} + const."""
         n = len(coeffs)
-        return cls(n, chain([((0,) * n, const)], ((_unit(n, i, 1), c) for i, c in enumerate(coeffs))))
+        return _over_lcm(n, [((0,) * n, _coerce(const)),
+                             *((_unit(n, i, 1), _coerce(c)) for i, c in enumerate(coeffs))])
+
+    # -- the Fraction view ---------------------------------------------------
+
+    @property
+    def terms(self) -> Mapping[tuple, Fraction]:
+        """``{exponents: coefficient}`` with Fraction coefficients, in the
+        order of ``num``; a read-only view built on each call."""
+        den = self.den
+        return MappingProxyType({e: Fraction(c, den) for e, c in self.num.items()})
 
     # -- ring operations ---------------------------------------------------
 
@@ -98,12 +121,13 @@ class Poly:
         if not isinstance(other, Poly):
             other = Poly.const(self.nvars, other)
         self._check(other)
-        return _combine(self.nvars, chain(self.terms.items(), other.terms.items()))
+        den = lcm(self.den, other.den)
+        return _combine(self.nvars, chain(_scaled(self, den), _scaled(other, den)), den)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return _combine(self.nvars, ((e, -c) for e, c in self.terms.items()))
+        return _combine(self.nvars, ((e, -c) for e, c in self.num.items()), self.den)
 
     def __sub__(self, other):
         if not isinstance(other, Poly):
@@ -116,15 +140,17 @@ class Poly:
     def __mul__(self, other):
         if not isinstance(other, Poly):
             c = _coerce(other)
-            return _combine(self.nvars, ((e, c * v) for e, v in self.terms.items()))
+            m = c.numerator
+            return _combine(self.nvars, ((e, m * v) for e, v in self.num.items()), self.den * c.denominator)
         self._check(other)
         return _combine(
             self.nvars,
             (
                 (tuple(map(add, e1, e2)), c1 * c2)
-                for e1, c1 in self.terms.items()
-                for e2, c2 in other.terms.items()
+                for e1, c1 in self.num.items()
+                for e2, c2 in other.num.items()
             ),
+            self.den * other.den,
         )
 
     __rmul__ = __mul__
@@ -144,7 +170,8 @@ class Poly:
     def __eq__(self, other):
         if isinstance(other, (int, Fraction)):
             other = Poly.const(self.nvars, other)
-        return isinstance(other, Poly) and self.nvars == other.nvars and self.terms == other.terms
+        return (isinstance(other, Poly) and self.nvars == other.nvars
+                and self.den == other.den and self.num == other.num)
 
     def __hash__(self):
         return hash((self.nvars, frozenset(self.terms.items())))
@@ -153,27 +180,27 @@ class Poly:
 
     @property
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self.num
 
     def degree(self) -> int:
         """Total degree; -1 for the zero polynomial."""
-        return max((sum(e) for e in self.terms), default=-1)
+        return max((sum(e) for e in self.num), default=-1)
 
     def coeff(self, exps: Sequence[int]) -> Fraction:
-        return self.terms.get(tuple(exps), Fraction(0))
+        return Fraction(self.num.get(tuple(exps), 0), self.den)
 
     def __call__(self, values: Sequence[Scalar]) -> Fraction:
         if len(values) != self.nvars:
             raise ValueError("wrong number of values")
         vals = [_coerce(v) for v in values]
         total = Fraction(0)
-        for e, c in self.terms.items():
+        for e, c in self.num.items():
             t = c
             for v, p in zip(vals, e):
                 if p:
                     t *= v ** p
             total += t
-        return total
+        return total / self.den
 
     # -- substitutions -----------------------------------------------------
 
@@ -182,15 +209,22 @@ class Poly:
         if len(deltas) != self.nvars:
             raise ValueError("wrong number of shifts")
         ds = [_coerce(d) for d in deltas]
-        # Expand each monomial prod (x_i + d_i)^{e_i} by binomials: the term
-        # x^js, 0 <= js_i <= e_i, gets prod_i C(e_i, js_i) d_i^(e_i - js_i).
+        # With d_i = p_i / L over the common denominator L, the term x^js,
+        # 0 <= js_i <= e_i, of prod (x_i + d_i)^{e_i} gets
+        # prod_i C(e_i, js_i) p_i^(e_i - js_i) / L^s, s = sum_i (e_i - js_i);
+        # over L^top, top the total degree, its numerator takes L^(top - s).
+        scale = lcm(*(d.denominator for d in ds))
+        ps = [d.numerator * (scale // d.denominator) for d in ds]
+        top = max(self.degree(), 0)
         return _combine(
             self.nvars,
             (
-                (js, c * prod(comb(p, j) * d ** (p - j) for p, j, d in zip(e, js, ds)))
-                for e, c in self.terms.items()
-                for js in product(*(range(p + 1) if d else (p,) for p, d in zip(e, ds)))
+                (js, c * prod([comb(p, j) * d ** (p - j) for p, j, d in zip(e, js, ps) if p != j])
+                 * (scale ** (top - sum(e) + sum(js)) if scale != 1 else 1))
+                for e, c in self.num.items()
+                for js in product(*[range(p + 1) if d else (p,) for p, d in zip(e, ps)])
             ),
+            self.den * scale ** top,
         )
 
     def permute_vars(self, images: Sequence[int]) -> "Poly":
@@ -199,7 +233,7 @@ class Poly:
             raise ValueError("images must be a permutation of the variables")
         # The exponent of x_i moves to x_{images[i]}, so new slot j reads old slot inv[j].
         inv = sorted(range(self.nvars), key=images.__getitem__)
-        return _combine(self.nvars, ((tuple(e[i] for i in inv), c) for e, c in self.terms.items()))
+        return _combine(self.nvars, ((tuple(e[i] for i in inv), c) for e, c in self.num.items()), self.den)
 
     def is_symmetric(self) -> bool:
         """Invariance under every transposition of adjacent variables."""
@@ -215,7 +249,8 @@ class Poly:
             raise ValueError(f"variable index {i} out of range")
         return _combine(
             self.nvars,
-            ((e[:i] + (e[i] - 1,) + e[i + 1 :], c * e[i]) for e, c in self.terms.items() if e[i]),
+            ((e[:i] + (e[i] - 1,) + e[i + 1 :], c * e[i]) for e, c in self.num.items() if e[i]),
+            self.den,
         )
 
     def divide_by_linear(self, linear: "Poly") -> tuple["Poly", "Poly"]:
@@ -227,23 +262,25 @@ class Poly:
         self._check(linear)
         if linear.degree() != 1:
             raise ValueError("divisor must have total degree 1")
-        pivot = min(e.index(1) for e in linear.terms if sum(e) == 1)
-        lead = linear.terms[_unit(self.nvars, pivot, 1)]
+        pivot = min(e.index(1) for e in linear.num if sum(e) == 1)
+        lead = linear.num[_unit(self.nvars, pivot, 1)]
+        # a term c / den of the remainder gives c * linear.den / (den * lead)
+        scale = linear.den if lead > 0 else -linear.den
 
         quotient = Poly.zero(self.nvars)
         rem = self
         while True:
-            top = {e: c for e, c in rem.terms.items() if e[pivot] > 0}
+            top = {e: c for e, c in rem.num.items() if e[pivot] > 0}
             if not top:
                 break
             d = max(e[pivot] for e in top)
-            qterms: dict[tuple, Fraction] = {}
+            qterms: dict[tuple, int] = {}
             for e, c in top.items():
                 if e[pivot] == d:
                     ne = list(e)
                     ne[pivot] -= 1
-                    qterms[tuple(ne)] = c / lead
-            q = _combine(self.nvars, qterms.items())
+                    qterms[tuple(ne)] = c * scale
+            q = _combine(self.nvars, qterms.items(), rem.den * abs(lead))
             quotient = quotient + q
             rem = rem - q * linear
         return quotient, rem
@@ -253,33 +290,52 @@ class Poly:
     def __repr__(self):
         if self.is_zero:
             return "0"
+        terms = self.terms
         bits = []
-        for e in sorted(self.terms, key=lambda t: (sum(t), t)):
-            c = self.terms[e]
+        for e in sorted(terms, key=lambda t: (sum(t), t)):
+            c = terms[e]
             mono = "*".join(f"x{i}^{p}" if p > 1 else f"x{i}" for i, p in enumerate(e) if p)
             bits.append(f"{c}" if not mono else f"{c}*{mono}")
         return " + ".join(bits)
 
 
-def _combine(nvars: int, pairs: Iterable[tuple[tuple[int, ...], Fraction]]) -> Poly:
-    """The polynomial with these terms, unchecked: every exponent tuple has
-    ``nvars`` nonnegative ints and every coefficient is a Fraction.
+def _scaled(p: Poly, den: int) -> Iterable[tuple[tuple[int, ...], int]]:
+    """The (exponents, numerator) pairs of p over den, a multiple of p.den."""
+    s = den // p.den
+    return p.num.items() if s == 1 else ((e, c * s) for e, c in p.num.items())
 
-    Coefficients of a repeated exponent tuple are added.  A term whose sum
+
+def _over_lcm(nvars: int, pairs: list[tuple[tuple[int, ...], Scalar]]) -> Poly:
+    """The polynomial of these (exponents, int or Fraction) pairs, unchecked, over
+    the least common multiple of their denominators."""
+    den = lcm(*(c.denominator for _, c in pairs))
+    return _combine(nvars, ((e, c.numerator * (den // c.denominator)) for e, c in pairs), den)
+
+
+def _combine(nvars: int, pairs: Iterable[tuple[tuple[int, ...], int]], den: int) -> Poly:
+    """The polynomial sum of numerator / den over these terms, unchecked:
+    every exponent tuple has ``nvars`` nonnegative ints, every numerator is
+    an int and den is a positive int.
+
+    Numerators of a repeated exponent tuple are added.  A term whose sum
     reaches zero is removed and, if it comes back, is re-inserted at the end,
-    so the dict order of the result follows the pairs' order.
+    so the dict order of the result follows the pairs' order.  The result
+    is then reduced to lowest terms by one gcd.
     """
-    terms: dict[tuple, Fraction] = {}
+    num: dict[tuple, int] = {}
     for exps, c in pairs:
-        if exps in terms:
-            c = terms[exps] + c
+        if exps in num:
+            c += num[exps]
         if c:
-            terms[exps] = c
+            num[exps] = c
         else:
-            terms.pop(exps, None)
+            num.pop(exps, None)
+    g = gcd(den, *num.values())
+    if g != 1:
+        num = {e: c // g for e, c in num.items()}
+        den //= g
     out = object.__new__(Poly)
-    out.nvars = nvars
-    out.terms = terms
+    out.nvars, out.num, out.den = nvars, num, den
     return out
 
 

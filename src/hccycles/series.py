@@ -11,6 +11,13 @@ in exact rational arithmetic, normalized by G_mu = 1.  Exponent offsets
 nu - mu are stored in simple-root coordinates (nonnegative integers); the
 coordinate sum is the grading ("depth").
 
+The recurrence runs on integers over one denominator D, the lcm of 2k's and
+mu's denominators: mu, w.lambda, the gaps mu_a - mu_b, k and every bracket
+are integers over D.  Each entry's right-hand side is summed as integers
+over the lcm of its lower entries' denominators and reduced once, into one
+Fraction per entry.  `residual_L` reads the same integer form and builds a
+Fraction only for a nonzero coefficient.
+
 Roots are 0-based index pairs (a, b) for e_a - e_b, so every pairing is a
 coordinate difference: (nu - j alpha, alpha) = nu_a - nu_b - 2j, and the
 offset of alpha covers simple-root coordinates a..b-1.
@@ -140,11 +147,6 @@ def _lowered(offset: Offset, a: int, b: int) -> Iterator[tuple[int, Offset]]:
         yield j, head + tuple(c - j for c in mid) + tail
 
 
-def _bracket(wlam: Sequence[Q], beta: Sequence[int]) -> Q:
-    """(w.lambda + beta, w.lambda + beta) - (w.lambda, w.lambda) = 2(w.lambda, beta) + (beta, beta)."""
-    return 2 * sum((x * c for x, c in zip(wlam, beta) if c), Q(0)) + sum(c * c for c in beta)
-
-
 # -- Freudenthal-type coefficient tables --------------------------------------
 
 
@@ -237,8 +239,39 @@ def _validate_mu(mu: Sequence, sp: SpectralParam) -> tuple[Q, ...]:
     return mu
 
 
+def _integer_recurrence(mu: Sequence[Q], k: Q):
+    """The recurrence at mu on integers over one denominator D, the lcm of
+    2k's and mu's denominators (as in `exact_view`): (D, D k, row).
+
+    D k is even, so D (mu - rho) is integral.  row(offset) gives, at
+    nu = mu + beta, the bracket times D and the right-hand side's terms:
+    (D {(nu-rho, nu-rho) - (mu-rho, mu-rho)}, [(D (nu - j alpha, alpha),
+    offset - j alpha), ...]), the terms in the order of the root pairs and
+    then j.  `freudenthal_table` and `residual_L` both read this one form.
+    """
+    n = len(mu) - 1
+    den = math.lcm(2 * k.denominator, *(m.denominator for m in mu))
+    dk = k.numerator * (den // k.denominator)
+    dmu = [m.numerator * (den // m.denominator) for m in mu]
+    dwlam = [m - dk // 2 * (n - 2 * a) for a, m in enumerate(dmu)]
+    gaps = [(a, b, dmu[a] - dmu[b]) for a, b in rs.positive_root_pairs(n)]
+
+    def row(offset: Offset) -> tuple[int, list[tuple[int, Offset]]]:
+        beta = offset_vector(n, offset)
+        bracket = sum((2 * x + den * c) * c for x, c in zip(dwlam, beta) if c)
+        terms = [(gap + den * (beta[a] - beta[b] - 2 * j), lower)
+                 for a, b, gap in gaps for j, lower in _lowered(offset, a, b)]
+        return bracket, terms
+
+    return den, dk, row
+
+
 def freudenthal_table(mu: Sequence, sp: SpectralParam, depth: int) -> CoeffTable:
     """Solve the recurrence for G_nu, nu = mu + (height <= depth) offsets.
+
+    Each entry's right-hand side is summed as integers over the lcm of its
+    lower entries' denominators (`_integer_recurrence`) and reduced once,
+    into one Fraction per entry.
 
     Raises ResonanceError if lambda pairs integrally with a root (the
     asymptotic exponents of two solutions then collide) or if a recurrence
@@ -248,8 +281,7 @@ def freudenthal_table(mu: Sequence, sp: SpectralParam, depth: int) -> CoeffTable
         raise ValueError(f"depth must be >= 0, got {depth}")
     mu = _validate_mu(mu, sp)
     n = sp.rank
-    pairs = rs.positive_root_pairs(n)
-    for a, b in pairs:
+    for a, b in rs.positive_root_pairs(n):
         pairing = sp.lam[a] - sp.lam[b]
         if pairing.denominator == 1:
             alpha = rs.root(n, a + 1, b + 1)
@@ -261,27 +293,22 @@ def freudenthal_table(mu: Sequence, sp: SpectralParam, depth: int) -> CoeffTable
                 nu=nu,
             )
 
-    wlam = rs.sub(mu, sp.rho)
-    gaps = [(a, b, mu[a] - mu[b]) for a, b in pairs]
+    den, dk, row = _integer_recurrence(mu, sp.k)
     table: dict[Offset, Q] = {(0,) * n: Q(1)}
-
     for h in range(1, depth + 1):
         for offset in sorted(offsets_of_height(n, h)):
-            beta = offset_vector(n, offset)
-            bracket = _bracket(wlam, beta)
+            bracket, terms = row(offset)
             if bracket == 0:
-                nu = rs.add(mu, beta)
+                nu = rs.add(mu, offset_vector(n, offset))
                 raise ResonanceError(
                     "resonant spectral parameter: recurrence bracket vanishes "
                     f"at nu = {tuple(map(str, nu))}",
                     nu=nu,
                 )
-            rhs = Q(0)
-            for a, b, gap in gaps:
-                nu_ab = gap + beta[a] - beta[b]
-                for j, lower in _lowered(offset, a, b):
-                    rhs += (nu_ab - 2 * j) * table[lower]
-            table[offset] = 2 * sp.k * rhs / bracket
+            lows = [(f, table[lower]) for f, lower in terms]
+            m = math.lcm(*(x.denominator for _, x in lows))
+            # G_nu = 2k sum (F / D) G_lower / (bracket / D)
+            table[offset] = Q(2 * dk * sum(f * x.numerator * (m // x.denominator) for f, x in lows), den * bracket * m)
 
     return CoeffTable(mu=mu, k=sp.k, depth=depth, entries=table)
 
@@ -298,22 +325,23 @@ def residual_L(table: CoeffTable) -> Q:
     L is applied through its expansion
     L = sum d_i^2 - 2 sum (rho,e_i) d_i - 2k sum_{i<j} sum_m e^{m(u_i-u_j)}(d_i-d_j),
     coefficient by coefficient in the e^{nu(u)} basis; exact zero expected.
+    At nu = mu + beta the coefficient is bracket G_nu minus the recurrence's
+    right-hand side, summed as integers over D^2 and the lcm of the entries'
+    denominators (`_integer_recurrence`); only a nonzero one becomes a
+    Fraction.
     """
-    n = table.rank
-    two_k = 2 * table.k
-    wlam = table.wlam
-    gaps = [(a, b, table.mu[a] - table.mu[b]) for a, b in rs.positive_root_pairs(n)]
-
+    den, dk, row = _integer_recurrence(table.mu, table.k)
+    entries = table.entries
     worst = Q(0)
-    for offset, g in table.entries.items():
-        beta = offset_vector(n, offset)
-        # (nu, nu) - 2 (rho, nu) - eigenvalue at nu = mu + beta is the bracket
-        acc = _bracket(wlam, beta) * g
-        for a, b, gap in gaps:
-            nu_ab = gap + beta[a] - beta[b]
-            for m, lower in _lowered(offset, a, b):
-                acc -= two_k * (nu_ab - 2 * m) * table.entries[lower]
-        worst = max(worst, abs(acc))
+    for offset, g in entries.items():
+        bracket, terms = row(offset)
+        lows = [(f, entries[lower]) for f, lower in terms]
+        m = math.lcm(g.denominator, *(x.denominator for _, x in lows))
+        # D^2 m (bracket / D) G_nu - D^2 m 2k sum (F / D) G_lower
+        acc = (den * bracket * g.numerator * (m // g.denominator)
+               - 2 * dk * sum(f * x.numerator * (m // x.denominator) for f, x in lows))
+        if acc:
+            worst = max(worst, Q(abs(acc), den * den * m))
     return worst
 
 
@@ -391,6 +419,20 @@ def a1_hypergeometric_coefficients(sp: SpectralParam, w, depth: int) -> list[Q]:
 # -- commuting-operator symbols ------------------------------------------------
 
 
+def _integer_roots(n: int) -> list[tuple[tuple[int, int], tuple[int, ...]]]:
+    """((a, b), e_a - e_b) for every positive root, with int coordinates, so
+    that the shifts and linear forms built from it take no Fraction
+    arithmetic."""
+    return [((a, b), tuple((i == a) - (i == b) for i in range(n + 1))) for a, b in rs.positive_root_pairs(n)]
+
+
+def _symbol_bracket(n: int, k: Q, m: Sequence[int]) -> Poly:
+    """(2 lambda - 2 rho + m, m) as a linear form in lambda: the bracket of
+    the series recurrence at w.lambda = lambda - rho, with
+    (m - 2 rho, m) = sum m_i^2 - k sum (n - 2i) m_i."""
+    return Poly.linear([2 * c for c in m], sum(c * c for c in m) - k * sum((n - 2 * i) * c for i, c in enumerate(m)))
+
+
 def commuting_symbol_table(
     sigma: Poly, n: int, k: Q, depth: int
 ) -> dict[Offset, Poly]:
@@ -404,6 +446,8 @@ def commuting_symbol_table(
 
     by exact polynomial division; a nonzero remainder is a hard error.
     """
+    if depth < 0:
+        raise ValueError(f"depth must be >= 0, got {depth}")
     k = Q(k)
     nvars = n + 1
     if sigma.nvars != nvars:
@@ -411,15 +455,13 @@ def commuting_symbol_table(
     if not sigma.is_symmetric():
         raise ValueError("sigma must be a symmetric polynomial")
 
-    neg_rho = [-r for r in rs.rho(n, k)]
-    roots = list(zip(rs.positive_root_pairs(n), rs.positive_roots(n)))
+    roots = _integer_roots(n)
 
-    table: dict[Offset, Poly] = {(0,) * n: sigma.shift(neg_rho)}
+    table: dict[Offset, Poly] = {(0,) * n: sigma.shift([-r for r in rs.rho(n, k)])}
     for h in range(1, depth + 1):
         for offset in sorted(offsets_of_height(n, h)):
             m = offset_vector(n, offset)
-            # (m - 2 rho, m) is the bracket of the series recurrence at w.lambda = -rho
-            bracket = Poly.linear([2 * c for c in m], _bracket(neg_rho, m))
+            bracket = _symbol_bracket(n, k, m)
             if bracket.is_zero:
                 raise ArithmeticError(f"vanishing symbol bracket at offset {offset}")
             rhs = Poly.zero(nvars)
@@ -444,14 +486,13 @@ def symbol_recurrence_residuals(table: Mapping[Offset, Poly], n: int, k: Q) -> d
     """bracket*p_mu - rhs recomputed from the table; all zero iff it commutes with L."""
     k = Q(k)
     nvars = n + 1
-    neg_rho = [-r for r in rs.rho(n, k)]
-    roots = list(zip(rs.positive_root_pairs(n), rs.positive_roots(n)))
+    roots = _integer_roots(n)
     out: dict[Offset, Poly] = {}
     for offset, p in table.items():
         if sum(offset) == 0:
             continue
         m = offset_vector(n, offset)
-        bracket = Poly.linear([2 * c for c in m], _bracket(neg_rho, m))
+        bracket = _symbol_bracket(n, k, m)
         rhs = Poly.zero(nvars)
         for (a, b), alpha in roots:
             lin2 = Poly.linear(alpha, 0)
@@ -512,6 +553,8 @@ def operator_commutator(
 def l_operator_symbols(n: int, k: Q, depth: int) -> dict[Offset, Poly]:
     """Direct expansion of L: p_0 = sum x_i^2 - 2 sum rho_i x_i,
     p_{m(e_i-e_j)} = -2k (x_i - x_j)."""
+    if depth < 0:
+        raise ValueError(f"depth must be >= 0, got {depth}")
     k = Q(k)
     nvars = n + 1
     rho = rs.rho(n, k)

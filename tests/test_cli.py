@@ -295,3 +295,25 @@ def test_main_entry_inprocess(capsys):
     assert rc == 0
     doc = json.loads(capsys.readouterr().out)
     assert doc["sum"] == [1, 1]
+
+
+def test_exact_layers_import_without_numpy():
+    # numpy loads with `cycles` only, on first use: not for the exact layers,
+    # nor for the parser; every public name still resolves
+    code = (
+        "import sys\n"
+        "import hccycles.diagrams, hccycles.series, hccycles.polynomial, hccycles.cli\n"
+        "hccycles.cli.build_parser()\n"
+        "assert 'numpy' not in sys.modules, 'numpy loaded'\n"
+        "import hccycles\n"
+        "missing = [name for name in hccycles.__all__ if getattr(hccycles, name, None) is None]\n"
+        "assert not missing, missing\n"
+        "assert 'numpy' in sys.modules and hccycles.integrate is hccycles.cycles.integrate\n"
+    )
+    subprocess.run([sys.executable, "-c", code], check=True)
+
+
+def test_parser_names_every_verify_suite():
+    from hccycles import cli
+
+    assert cli.VERIFY_SUITES == tuple(SUITES)

@@ -1,5 +1,8 @@
+import itertools
+import math
 import random
 from fractions import Fraction as Q
+from operator import add
 
 import pytest
 
@@ -243,3 +246,114 @@ def _poly_sequence():
 def test_term_order_golden():
     got = [[(e, str(c)) for e, c in p.terms.items()] for p in _poly_sequence()]
     assert got == _POLY_SEQUENCE_GOLDEN
+
+
+# -- the representation: integer numerators over one denominator ---------------
+# A Fraction-dict reference of the ring operations, as Poly computed them
+# before it held integers over one denominator: the terms, one gcd per
+# coefficient operation, merged with the same drop-and-reinsert order rule.
+
+
+def _ref_combine(pairs):
+    terms = {}
+    for e, c in pairs:
+        if e in terms:
+            c = terms[e] + c
+        if c:
+            terms[e] = c
+        else:
+            terms.pop(e, None)
+    return terms
+
+
+def _ref_add(a, b):
+    return _ref_combine([*a.items(), *b.items()])
+
+
+def _ref_mul(a, b):
+    return _ref_combine((tuple(map(add, e1, e2)), c1 * c2) for e1, c1 in a.items() for e2, c2 in b.items())
+
+
+def _ref_shift(a, ds):
+    return _ref_combine(
+        (js, c * math.prod(math.comb(p, j) * Q(d) ** (p - j) for p, j, d in zip(e, js, ds)))
+        for e, c in a.items()
+        for js in itertools.product(*(range(p + 1) if d else (p,) for p, d in zip(e, ds))))
+
+
+def _ref_divide(a, lin):
+    nv = len(next(iter(lin)))
+    pivot = min(e.index(1) for e in lin if sum(e) == 1)
+    lead = lin[tuple(int(i == pivot) for i in range(nv))]
+    quotient, rem = {}, a
+    while True:
+        top = {e: c for e, c in rem.items() if e[pivot] > 0}
+        if not top:
+            return quotient, rem
+        d = max(e[pivot] for e in top)
+        q = _ref_combine((e[:pivot] + (d - 1,) + e[pivot + 1:], c / lead) for e, c in top.items() if e[pivot] == d)
+        quotient = _ref_add(quotient, q)
+        rem = _ref_add(rem, {e: -c for e, c in _ref_mul(q, lin).items()})
+
+
+def _assert_lowest_terms(p, ref=None):
+    assert type(p.den) is int and p.den > 0
+    assert all(type(c) is int and c != 0 for c in p.num.values())
+    assert math.gcd(p.den, *p.num.values()) == 1
+    assert all(type(c) is Q for c in p.terms.values())
+    if ref is not None:
+        assert list(p.terms.items()) == list(ref.items())
+
+
+def test_poly_sequence_in_lowest_terms():
+    for p in _poly_sequence():
+        _assert_lowest_terms(p)
+
+
+def test_ring_operations_match_fraction_reference():
+    rng = random.Random(8)
+    for _ in range(60):
+        nv = rng.randint(1, 3)
+        a, b = rand_poly(rng, nv), rand_poly(rng, nv, nterms=3)
+        ra, rb = dict(a.terms), dict(b.terms)
+        _assert_lowest_terms(a + b, _ref_add(ra, rb))
+        _assert_lowest_terms(a * b, _ref_mul(ra, rb))
+        _assert_lowest_terms(a - a, {})
+        c = Q(rng.randint(-5, 5), rng.randint(1, 6))
+        _assert_lowest_terms(a * c, _ref_combine((e, v * c) for e, v in ra.items()))
+        for ds in ([rng.randint(-3, 3) for _ in range(nv)], [Q(rng.randint(-4, 4), rng.randint(1, 5)) for _ in range(nv)]):
+            _assert_lowest_terms(a.shift(ds), _ref_shift(ra, ds))
+        lin = Poly.linear([Q(rng.randint(-3, 3), rng.randint(1, 4)) for _ in range(nv - 1)] + [Q(rng.choice((-3, -2, 2, 5)), 3)],
+                          Q(rng.randint(-3, 3), 2))
+        quo, rem = (a * b).divide_by_linear(lin)
+        ref_quo, ref_rem = _ref_divide(_ref_mul(ra, rb), dict(lin.terms))
+        _assert_lowest_terms(quo, ref_quo)
+        _assert_lowest_terms(rem, ref_rem)
+
+
+def test_equal_constants_and_hashes():
+    a, b = Poly.const(2, Q(6, 4)), Poly.const(2, Q(3, 2))
+    assert a == b == Q(3, 2) and hash(a) == hash(b)
+    assert (a.num, a.den) == ({(0, 0): 3}, 2)
+    assert Poly.const(2, 4) == 4 and Poly.zero(2) == 0 and Poly.zero(2).den == 1
+    p = 3 * Poly.var(2, 0) + Q(1, 2)
+    assert hash(p) == hash((2, frozenset({(1, 0): Q(3), (0, 0): Q(1, 2)}.items())))
+    assert p.coeff((1, 0)) == 3 and p.coeff((0, 1)) == 0 and p((Q(1, 3), 7)) == Q(3, 2)
+    assert repr(p) == "1/2 + 3*x0"
+
+
+def test_terms_is_read_only():
+    p = Poly.var(1, 0)
+    with pytest.raises(TypeError):
+        p.terms[(0,)] = 1
+    with pytest.raises(AttributeError):
+        p.terms = {}
+    assert p.terms == {(1,): 1}
+
+
+def test_float_inputs_raise():
+    x = Poly.var(2, 0)
+    for bad in (lambda: Poly.const(2, 0.5), lambda: Poly.linear([1, 0.5]), lambda: Poly.linear([1, 1], 0.5),
+                lambda: x.shift([0.5, 0]), lambda: x((0.5, 1)), lambda: x - 0.5, lambda: x * 1.5):
+        with pytest.raises(TypeError):
+            bad()

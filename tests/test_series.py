@@ -1,5 +1,6 @@
 import cmath
 import json
+import math
 import random
 from fractions import Fraction as Q
 
@@ -139,6 +140,142 @@ def _reference_residual_L(table):
                 m += 1
         worst = max(worst, abs(acc))
     return worst
+
+
+# -- Fraction reference ------------------------------------------------------------
+# The recurrence and its residual on index pairs in Fraction arithmetic, one
+# gcd per operation, as the library computed them before it moved to integers
+# over one denominator; the library must give equal tables, in the same
+# order, the same ResonanceError and the same residual.
+
+
+def _bracket(wlam, beta):
+    return 2 * sum((x * c for x, c in zip(wlam, beta) if c), Q(0)) + sum(c * c for c in beta)
+
+
+def _fraction_freudenthal_table(mu, sp, depth):
+    mu = se._validate_mu(mu, sp)
+    n = sp.rank
+    pairs = rs.positive_root_pairs(n)
+    for a, b in pairs:
+        pairing = sp.lam[a] - sp.lam[b]
+        if pairing.denominator == 1:
+            alpha = rs.root(n, a + 1, b + 1)
+            nu = rs.add(mu, rs.scale(abs(int(pairing)), alpha))
+            raise se.ResonanceError(
+                "resonant spectral parameter: (lambda, coroot of "
+                f"{tuple(map(str, alpha))}) = {pairing} is an integer; "
+                f"exponents collide at nu = {tuple(map(str, nu))}",
+                nu=nu,
+            )
+    wlam = rs.sub(mu, sp.rho)
+    gaps = [(a, b, mu[a] - mu[b]) for a, b in pairs]
+    table = {(0,) * n: Q(1)}
+    for h in range(1, depth + 1):
+        for offset in sorted(se.offsets_of_height(n, h)):
+            beta = se.offset_vector(n, offset)
+            bracket = _bracket(wlam, beta)
+            if bracket == 0:
+                nu = rs.add(mu, beta)
+                raise se.ResonanceError(
+                    "resonant spectral parameter: recurrence bracket vanishes "
+                    f"at nu = {tuple(map(str, nu))}",
+                    nu=nu,
+                )
+            rhs = Q(0)
+            for a, b, gap in gaps:
+                nu_ab = gap + beta[a] - beta[b]
+                for j, lower in se._lowered(offset, a, b):
+                    rhs += (nu_ab - 2 * j) * table[lower]
+            table[offset] = 2 * sp.k * rhs / bracket
+    return se.CoeffTable(mu=mu, k=sp.k, depth=depth, entries=table)
+
+
+def _fraction_residual_L(table):
+    n = table.rank
+    two_k = 2 * table.k
+    wlam = table.wlam
+    gaps = [(a, b, table.mu[a] - table.mu[b]) for a, b in rs.positive_root_pairs(n)]
+    worst = Q(0)
+    for offset, g in table.entries.items():
+        beta = se.offset_vector(n, offset)
+        acc = _bracket(wlam, beta) * g
+        for a, b, gap in gaps:
+            nu_ab = gap + beta[a] - beta[b]
+            for m, lower in se._lowered(offset, a, b):
+                acc -= two_k * (nu_ab - 2 * m) * table.entries[lower]
+        worst = max(worst, abs(acc))
+    return worst
+
+
+def _outcome(build, *args):
+    """The table's entries as a list (values and order), or the
+    ResonanceError's message and nu."""
+    try:
+        return list(build(*args).entries.items())
+    except se.ResonanceError as exc:
+        return str(exc), exc.nu
+
+
+@pytest.mark.parametrize("n, depth, ks", [
+    (1, 40, (None, Q(0), Q(-5, 3), Q(2))),
+    (2, 12, (None, Q(-1, 2), Q(1))),
+    (3, 6, (None, Q(-2, 5), Q(3))),
+])
+def test_integer_recurrence_matches_fraction_reference(n, depth, ks):
+    # seeded generic draws, with k > 0, k <= 0 and integer k; every w
+    rng = random.Random(100 + n)
+    raised = 0
+    for k in ks:
+        sp = random_generic(rng, n)
+        if k is not None:
+            sp = se.SpectralParam(sp.lam, k)
+        for w in dg.all_permutations(n + 1):
+            mu = rs.add(rs.weyl_apply(w, sp.lam), sp.rho)
+            want = _outcome(_fraction_freudenthal_table, mu, sp, depth)
+            try:
+                t = se.freudenthal_table(mu, sp, depth)
+            except se.ResonanceError as exc:
+                assert (str(exc), exc.nu) == want
+                raised += 1
+                continue
+            assert list(t.entries.items()) == want
+            assert all(type(g) is Q for g in t.entries.values())
+            assert se.residual_L(t) == 0
+    assert raised < len(ks) * math.factorial(n + 1)
+
+
+def test_integer_recurrence_resonance_matches_fraction_reference():
+    # draws with small denominators: integer pairings and vanishing
+    # brackets both occur, and must raise the same ResonanceError
+    rng = random.Random(21)
+    kinds = set()
+    for n, depth in ((1, 8), (2, 5), (3, 4)):
+        for _ in range(12):
+            lam = [Q(rng.randint(-6, 6), rng.choice((1, 2, 3))) for _ in range(n)]
+            lam.append(-sum(lam))
+            sp = se.SpectralParam(rs.vec(lam), Q(rng.randint(-4, 8), rng.choice((1, 2, 3))))
+            for w in dg.all_permutations(n + 1):
+                mu = rs.add(rs.weyl_apply(w, sp.lam), sp.rho)
+                got = _outcome(se.freudenthal_table, mu, sp, depth)
+                assert got == _outcome(_fraction_freudenthal_table, mu, sp, depth)
+                if isinstance(got, tuple):
+                    kinds.add("coroot" if "coroot" in got[0] else "bracket")
+    assert kinds == {"coroot", "bracket"}
+
+
+def test_integer_residual_matches_fraction_reference_on_corrupted_tables():
+    rng = random.Random(5)
+    for n, depth in ((1, 10), (2, 5), (3, 4)):
+        sp = random_generic(rng, n)
+        for w in list(dg.all_permutations(n + 1))[:3]:
+            t = se.freudenthal_table_for_w(w, sp, depth)
+            offsets = list(t.entries)
+            for off, delta in ((offsets[-1], Q(1, 1000)), (offsets[len(offsets) // 2], Q(-7, 3)),
+                               (offsets[1], -t.entries[offsets[1]])):
+                bad = se.CoeffTable(t.mu, t.k, t.depth, {**t.entries, off: t.entries[off] + delta})
+                got = se.residual_L(bad)
+                assert type(got) is Q and got == _fraction_residual_L(bad) != 0
 
 
 def test_offset_vector_is_prefix_difference():
@@ -459,6 +596,17 @@ def test_symbol_table_reproduces_L():
         for off, p in L.items():
             if sum(off) > 0:
                 assert tab[off] == p
+
+
+def test_symbol_tables_reject_negative_depth():
+    # both used to return the depth-0 table
+    p2 = se.elementary_power_sum(3, 2)
+    with pytest.raises(ValueError, match="depth must be >= 0, got -1"):
+        se.commuting_symbol_table(p2, 2, Q(2, 3), -1)
+    with pytest.raises(ValueError, match="depth must be >= 0, got -2"):
+        se.l_operator_symbols(2, Q(2, 3), -2)
+    assert list(se.commuting_symbol_table(p2, 2, Q(2, 3), 0)) == [(0, 0)]
+    assert list(se.l_operator_symbols(2, Q(2, 3), 0)) == [(0, 0)]
 
 
 def test_symbol_table_requires_symmetric():
