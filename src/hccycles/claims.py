@@ -22,10 +22,11 @@ from .polynomial import Poly
 
 
 def random_generic(rng: random.Random, n: int, kmin: Q, kden: int) -> se.SpectralParam:
-    """A generic (lambda, k) at rank n: lambda_i in (-30..30)/41 + 1/53 for
-    i <= n, k = kmin + (1..24)/kden, redrawn until no coroot pairing is an integer."""
+    """A generic (lambda, k) at rank n: lambda_i = a/41 + 1/53 with a in
+    -30..30, built as the one Fraction (53 a + 41)/2173, for i <= n,
+    k = kmin + (1..24)/kden, redrawn until no coroot pairing is an integer."""
     while True:
-        lam = [Q(rng.randint(-30, 30), 41) + Q(1, 53) for _ in range(n)]
+        lam = [Q(53 * rng.randint(-30, 30) + 41, 2173) for _ in range(n)]
         lam.append(-sum(lam))
         k = kmin + Q(rng.randint(1, 24), kden)
         sp = se.SpectralParam(rs.vec(lam), k)

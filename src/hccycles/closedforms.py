@@ -19,41 +19,50 @@ over one even denominator D (`series.exact_view`), so each argument is
 an integer numerator over D, formed by integer additions.  Its exact pole
 test is an integer test, and each float taken of it is one correctly
 rounded integer division.  A Fraction is built only for the symbolic
-product.  The table is keyed by (i, j, c, c_k) and holds, for each key,
-the evaluated Gamma or sine factor, so all w of one (lambda, k) share them
-and the rho factors are evaluated once per table.  It fills lazily: each
-factor is built and evaluated on first use, and a one-off a(w) pays for
-its own factors only.  Tables are memoized per `SpectralParam` by an
-lru_cache of 4 entries.  Each closed form lists its factors once, as table
-keys per w (`_a_w_factors`, `_F_w_factors`, `_limit_factors`); the
-symbolic `a_w_product` is built from the same keys.
+product.
+
+Each factor a closed form reads at rank n is a slot, a small int: the
+registry `_slots(n)` lists every (kind, spec, power) of that rank in a
+fixed order, with spec (i, j, c, c_k) for a Gamma or sine argument and
+l(w) for a phase, so a rebuilt registry names the same slots.  Each
+closed form at w compiles once, lru-bounded, to a tuple of slots per
+factor kind (`_a_w_factors`, `_F_w_factors`, `_limit_factors`, which list
+the factors once); the tags ride beside them for the error path, and the
+symbolic `a_w_product` is built from the same slots.  The factor table
+holds one value per slot, for a Gamma slot its pole flag and
+Gamma(x)^power, so all w of one (lambda, k) share them and each power
+is taken once per table.  It fills lazily: each slot is evaluated on
+first read, and a one-off a(w) pays for its own factors only.  Tables
+are memoized per `SpectralParam` by an lru_cache of 4 entries, behind a
+check of the last parameter by identity that skips its hash.
 
 One rule per factor kind and one loop evaluate every product.  Each rule
 takes an exact argument as a numerator and a positive denominator, and
 is the one place where that argument becomes a float: `_gamma_factor`
 gives a Gamma factor's exact pole test and its real value, `_sin_factor`
-gives the real sin(pi x) and `_phase_factor` gives e^{i pi x}.  The
-Gamma and sine rules take a float only of x >= 0, of 1 - x, or of the
-exact distance from x to the nearest integer: a negative Gamma argument
-goes through the reflection formula and a sine argument is reduced
-exactly first, so a factor next to a pole or a zero keeps its relative
-accuracy.  `_multiply` multiplies the constant, each Gamma to its power,
-each sine and the phase in that order, reading each factor by its key
-only when it gets there, and stops at the first Gamma factor at a pole.
-A pole of positive power raises PoleError.  A pole of power <= 0 is a
-zero of 1/Gamma, and the product is 0 unless a later Gamma factor of
-positive power is at a pole, which then raises PoleError: the later
-arguments are tested exactly, as (num, den), and none is evaluated.  So
-F_w(1) raises at every positive integer k, where each rho factor
-1/Gamma(1 - k d) is a zero and Gamma(1 - k d - k) a pole.
-`GammaProduct.eval` lets it read `_ExactFactors`, which applies the rules
-to the exact arguments on each read; a(w), F_w(1) and the limit let it
-read the factor table, which applies them once per argument and caches
-the result.  So the two routes give the same bits, PoleErrors and zeros.
-The table's "limit" entry, the w-independent factors of the limit, is
-built from the table's own sine and Gamma entries of m k.  A failure comes
-only from the function whose factor fails: at k = 1/2, a(w) is finite
-while F_w(1) and the limit raise.
+gives the real sin(pi x) and `_phase_factor` gives e^{i pi x}; `_factor`
+takes a Gamma value to its power.  The Gamma and sine rules take a float
+only of x >= 0, of 1 - x, or of the exact distance from x to the nearest
+integer: a negative Gamma argument goes through the reflection formula
+and a sine argument is reduced exactly first, so a factor next to a pole
+or a zero keeps its relative accuracy.  `_multiply` multiplies the
+constant, each Gamma to its power, each sine and the phase in that
+order, reading each factor by its key (a slot, or an exact key) only
+when it gets there, and stops at the first Gamma factor at a pole.  A
+pole of positive power raises PoleError.  A pole of power <= 0 is a zero
+of 1/Gamma, and the product is 0 unless a later Gamma factor of positive
+power is at a pole, which then raises PoleError: the later arguments are
+tested exactly, as (num, den, power), and none is evaluated.  So F_w(1)
+raises at every positive integer k, where each rho factor 1/Gamma(1 - k d)
+is a zero and Gamma(1 - k d - k) a pole.  `GammaProduct.eval` lets it
+read `_ExactFactors`, which applies `_factor` to the exact arguments on
+each read; a(w), F_w(1) and the limit let it read the factor table, which
+applies `_factor` once per slot and caches the result.  So the two routes
+give the same bits, PoleErrors and zeros.  The table's limit slot, the
+w-independent factors of the limit, is built from the table's own sine
+and Gamma slots of m k.  A failure comes only from the function whose
+factor fails: at k = 1/2, a(w) is finite while F_w(1) and the limit
+raise.
 
 Gamma is `math.gamma`, real and good to a few ulps up to its overflow
 at about 171.6.  No exactness is claimed for any analytic value here; all
@@ -134,31 +143,36 @@ class GammaProduct:
         return out
 
     def eval(self) -> complex:
-        gammas = [(("gamma", arg), power, tag) for arg, power, tag in self.gammas]
-        sins = [(("sin", arg), tag) for arg, tag in self.sins]
-        return _multiply(self.const, gammas, sins, ("phase", self.exp_pi_i), _ExactFactors())
+        return _multiply(_Product(
+            self.const,
+            tuple(("gamma", arg, power) for arg, power, _ in self.gammas),
+            tuple(("sin", arg, 1) for arg, _ in self.sins),
+            ("phase", self.exp_pi_i, 1),
+            tuple(tag for _, _, tag in self.gammas),
+            tuple(tag for _, tag in self.sins),
+        ), _ExactFactors())
 
 
 class _ExactFactors:
-    """The factors of a GammaProduct by key (kind, exact argument), as
-    `_FactorTable` holds them, each evaluated by its kind's rule when it is
-    read; `exact(key)` gives the argument as (num, den) without evaluating
-    it."""
+    """The factors of a GammaProduct by key (kind, exact argument, power),
+    read as `_FactorTable` reads its slots: each is evaluated by `_factor`
+    when it is read, and `exact(key)` gives (num, den, power) without
+    evaluating it."""
 
     def __getitem__(self, key):
-        return _FACTOR_BY_KIND[key[0]](*self.exact(key))
+        return _factor(key[0], *self.exact(key))
 
     @staticmethod
-    def exact(key) -> tuple[int, int]:
-        kind, arg = key
+    def exact(key) -> tuple[int, int, int]:
+        kind, arg, power = key
         if not isinstance(arg, (int, Q)):
             raise TypeError(f"{kind.capitalize()} argument {arg!r} is not an int or a Fraction")
-        return arg.numerator, arg.denominator
+        return arg.numerator, arg.denominator, power
 
 
 def _gamma_factor(num: int, den: int) -> tuple:
     """Gamma at the exact argument x = num / den (den > 0), as
-    (pole, value, num, den): pole is whether x is a nonpositive integer,
+    (pole, value): pole is whether x is a nonpositive integer,
     exactly when num <= 0 and den divides num, and value is Gamma(x) unless
     pole, else None.  For x > 0 it is `math.gamma` of the float of x; for
     x < 0 it is pi / (sin(pi x) Gamma(1 - x)), with the sine from
@@ -166,10 +180,10 @@ def _gamma_factor(num: int, den: int) -> tuple:
     Raises OverflowError where Gamma(x) or Gamma(1 - x) exceeds the float
     range, past about 171.6."""
     if _at_pole(num, den):
-        return True, None, num, den
+        return True, None
     if num > 0:
-        return False, math.gamma(num / den), num, den
-    return False, math.pi / (_sin_factor(num, den) * math.gamma((den - num) / den)), num, den
+        return False, math.gamma(num / den)
+    return False, math.pi / (_sin_factor(num, den) * math.gamma((den - num) / den))
 
 
 def _at_pole(num: int, den: int) -> bool:
@@ -200,39 +214,71 @@ def _phase_factor(num: int, den: int) -> complex:
     return cmath.exp(1j * math.pi * complex(num / den))
 
 
-_FACTOR_BY_KIND = {"gamma": _gamma_factor, "sin": _sin_factor, "phase": _phase_factor}
+def _factor(kind: str, num: int, den: int, power: int):
+    """The value `_multiply` reads of one factor at the exact argument
+    x = num / den: for kind "gamma" (pole, Gamma(x) ** power), with None
+    for the power at a pole, and for "sin" and "phase" `_sin_factor` and
+    `_phase_factor`, which have no power."""
+    if kind == "gamma":
+        pole, g = _gamma_factor(num, den)
+        return pole, (None if pole else g ** power)
+    return _sin_factor(num, den) if kind == "sin" else _phase_factor(num, den)
 
 
-def _multiply(const, gammas, sins, phase, factors) -> complex:
+class _Product(NamedTuple):
+    """One product as the keys `_multiply` reads, in GammaProduct order: the
+    constant, the Gamma keys, the sine keys, the phase key, and the tags of
+    the Gamma and of the sine factors.  A key is a slot of `_slots(n)` for
+    the factor table, or (kind, exact argument, power) for `_ExactFactors`."""
+
+    const: float
+    gammas: tuple
+    sins: tuple
+    phase: object
+    tags: tuple
+    sin_tags: tuple
+
+
+def _multiply(prod: _Product, factors) -> complex:
     """const * prod Gamma^power * prod sin * phase, multiplied in that order.
 
-    gammas holds (key, power, tag), sins (key, tag) and phase a key, and
-    `factors[key]` is the factor's value, for a Gamma its `_gamma_factor`
-    tuple; each is read only when the loop reaches it.  A Gamma factor at a
-    pole with a positive power raises PoleError.  One with a power <= 0 is
-    a zero of 1/Gamma, which is entire, so the product is 0 unless a later
-    Gamma factor of positive power is at a pole: the later Gamma factors'
-    exact arguments, `factors.exact(key)` as (num, den), are then tested
-    without being evaluated, and the first such pole raises PoleError, as
-    0 times a pole has no value.  A factor next to a pole but not at it is
-    evaluated.  The Gamma and sine factors are real and the phase complex,
-    so the product is complex.
+    `factors[key]` is the factor's value, for a Gamma (pole, Gamma(x) **
+    power) as `_factor` gives it; each is read only when the loop reaches
+    it.  The first Gamma factor at a pole ends the loop (`_from_pole`).
+    The Gamma and sine factors are real and the phase complex, so the
+    product is complex.
     """
+    const, gammas, sins, phase, tags, _ = prod
     val = complex(const)
-    for i, (key, power, tag) in enumerate(gammas):
-        pole, g, num, den = factors[key]
-        if pole and power <= 0:
-            for later, later_power, later_tag in gammas[i + 1:]:
-                num, den = factors.exact(later)
-                if later_power > 0 and _at_pole(num, den):
-                    raise _pole_error(num, den, later_tag)
-            return 0j
+    for key in gammas:
+        pole, g = factors[key]
         if pole:
-            raise _pole_error(num, den, tag)
-        val *= g ** power
-    for key, _ in sins:
+            return _from_pole(gammas, tags, gammas.index(key), factors)
+        val *= g
+    for key in sins:
         val *= factors[key]
     return val * factors[phase]
+
+
+def _from_pole(gammas: tuple, tags: tuple, i: int, factors) -> complex:
+    """The product whose Gamma factor gammas[i] is the first at a pole.
+
+    With a positive power it raises PoleError.  With a power <= 0 it is a
+    zero of 1/Gamma, which is entire, so the product is 0 unless a later
+    Gamma factor of positive power is at a pole: the later factors' exact
+    arguments, `factors.exact(key)` as (num, den, power), are then tested
+    without being evaluated, and the first such pole raises PoleError, as 0
+    times a pole has no value.  A factor next to a pole but not at it is
+    evaluated.
+    """
+    num, den, power = factors.exact(gammas[i])
+    if power > 0:
+        raise _pole_error(num, den, tags[i])
+    for key, tag in zip(gammas[i + 1:], tags[i + 1:]):
+        num, den, power = factors.exact(key)
+        if power > 0 and _at_pole(num, den):
+            raise _pole_error(num, den, tag)
+    return 0j
 
 
 @functools.lru_cache(maxsize=16)
@@ -244,95 +290,152 @@ def _root_tags(n: int) -> dict[tuple[int, int], str]:
     }
 
 
-def _phase_num(sp: SpectralParam, length: int | None) -> int:
-    """2 D p, where e^{i pi p} is the phase of a(w) and of the limit,
-    e^{-2 pi i (lambda, delta)} e^{-pi i (k-1) l(w)} i^N with l(w) = length,
-    and D is `exact_view(sp)`'s denominator; 0 (no phase) for length None.
+_LIMIT_SLOT = 0  # the w-independent factors of the limit, slot 0 at every rank
 
-    delta_i = n/2 - i (0-based i), and lambda sums to zero, so
-    -2 (lambda, delta) = 2 sum_i i lambda_i.
-    """
-    if length is None:
-        return 0
-    n = sp.rank
-    den, lam, k = exact_view(sp)
-    return 4 * sum(i * x for i, x in enumerate(lam)) - 2 * (k - den) * length + den * (n * (n + 1) // 2)
+
+class _Slots(NamedTuple):
+    """The factor slots of one rank: (kind, spec, power) per slot, and the
+    slot of each."""
+
+    entries: tuple
+    index: dict
+
+
+@functools.lru_cache(maxsize=16)
+def _slots(n: int) -> _Slots:
+    """Every factor the closed forms read at rank n, as (kind, spec, power)
+    in a fixed order, so a slot names the same factor however often the
+    registry is rebuilt.  For "gamma" and "sin" the spec (i, j, c, ck)
+    names the argument lambda_i - lambda_j + c + ck k.  Per ordered pair
+    i != j: a(w)'s Gamma(x), 1/Gamma(x + k) and sin(pi x), F_w(1)'s
+    Gamma(x + 1) and 1/Gamma(x + 1 - k), and the limit's sin(pi (x + k)).
+    Per d = 1..n, F_w(1)'s rho factors 1/Gamma(1 - k d) and
+    Gamma(1 - k d - k); per m = 1..n+1, sin(m pi k) and Gamma(m k) of the
+    limit; a(w)'s Gamma(k)^N.  "phase" has the spec l(w) = 0..N, or None
+    for no phase, and "limit" is the `_LIMIT_SLOT`.  The sines and phases
+    have power 1."""
+    N = n * (n + 1) // 2
+    entries = [("limit", None, 1), ("gamma", (0, 0, 0, 1), N)]
+    entries += [("phase", length, 1) for length in (None, *range(N + 1))]
+    for m in range(1, n + 2):
+        entries += [("sin", (0, 0, 0, m), 1), ("gamma", (0, 0, 0, m), 1)]
+    for d in range(1, n + 1):
+        entries += [("gamma", (0, 0, 1, -d), -1), ("gamma", (0, 0, 1, -d - 1), 1)]
+    for i in range(n + 1):
+        for j in range(n + 1):
+            if i != j:
+                entries += [
+                    ("gamma", (i, j, 0, 0), 1), ("gamma", (i, j, 0, 1), -1), ("sin", (i, j, 0, 0), 1),
+                    ("gamma", (i, j, 1, 0), 1), ("gamma", (i, j, 1, -1), -1), ("sin", (i, j, 0, 1), 1),
+                ]
+    entries = tuple(dict.fromkeys(entries))  # at rank 1 Gamma(k)^N is Gamma(k)
+    return _Slots(entries, {entry: slot for slot, entry in enumerate(entries)})
 
 
 class _FactorTable(dict):
-    """The factors of the closed forms at one (lambda, k), keyed by
-    (kind, spec) and built on first use.
+    """The factors of the closed forms at one (lambda, k), one value per
+    slot of `_slots(n)`, each filled on first read.
 
-    For kind "gamma" and "sin" the spec (i, j, c, ck) names the argument
-    x = lambda_i - lambda_j + c + ck k.  Every such x is an integer numerator
-    over the one denominator D of `exact_view(sp)` (`num`), and the entry is
-    its kind's rule at (num, D): `_gamma_factor`, the tuple that `_multiply`
-    reads, or `_sin_factor`.  "phase" holds `_phase_factor` at
-    (_phase_num(sp, spec), 2 D).  "limit" holds the w-independent factors of
-    `limit_value`, read from the sine and Gamma entries of m k (spec
-    (0, 0, 0, m), m = 1..n+1): sin(pi k)^{n+1} / prod_m sin(m pi k),
-    Gamma(k)^{(n+1)(n+2)/2} and prod_m Gamma(m k).  It raises
-    ZeroDivisionError at the first m whose sine is exactly 0, that is where
-    m k is an integer, before it reads a Gamma entry; so no Gamma entry it
-    reads is at a pole.  The exact Fraction x (`arg`) is built only for the
+    Every argument x of a "gamma" or "sin" slot is an integer numerator
+    over the one denominator D of `exact_view(sp)` (`num`), and the slot
+    holds `_factor` at (num, D, power): (pole, Gamma(x) ** power) or the
+    sine.  A "phase" slot holds `_phase_factor` at (`phase_num(l)`, 2 D).
+    The `_LIMIT_SLOT` holds the w-independent factors of `limit_value`,
+    read from the sine and Gamma slots of m k, m = 1..n+1:
+    sin(pi k)^{n+1} / prod_m sin(m pi k), Gamma(k)^{(n+1)(n+2)/2} and
+    prod_m Gamma(m k).  It raises ZeroDivisionError at the first m whose
+    sine is exactly 0, that is where m k is an integer, before it reads a
+    Gamma slot; so no Gamma slot it reads is at a pole.  A fill that raises
+    stores nothing.  The exact Fraction x (`arg`) is built only for the
     symbolic product.
     """
 
-    __slots__ = ("sp", "den", "lam", "k")
+    __slots__ = ("sp", "n", "den", "lam", "k", "entries")
 
     def __init__(self, sp: SpectralParam):
         super().__init__()
-        self.sp = sp
+        self.sp, self.n = sp, sp.rank
         self.den, self.lam, self.k = exact_view(sp)
+        self.entries = _slots(self.n).entries
 
     def num(self, spec: tuple[int, int, int, int]) -> int:
         """D x for the argument x that spec (i, j, c, ck) names."""
         i, j, c, ck = spec
         return self.lam[i] - self.lam[j] + c * self.den + ck * self.k
 
-    def exact(self, key) -> tuple[int, int]:
-        """The argument of a "gamma" or "sin" key as (num, den), not evaluated."""
-        return self.num(key[1]), self.den
-
     def arg(self, spec: tuple[int, int, int, int]) -> Q:
         """The exact argument x that spec (i, j, c, ck) names."""
         return Q(self.num(spec), self.den)
 
-    def __missing__(self, key):
-        kind, spec = key
+    def phase_num(self, length: int | None) -> int:
+        """2 D p, where e^{i pi p} is the phase of a(w) and of the limit,
+        e^{-2 pi i (lambda, delta)} e^{-pi i (k-1) l(w)} i^N with
+        l(w) = length; 0 (no phase) for length None.
+
+        delta_i = n/2 - i (0-based i), and lambda sums to zero, so
+        -2 (lambda, delta) = 2 sum_i i lambda_i.
+        """
+        if length is None:
+            return 0
+        n, den = self.n, self.den
+        return 4 * sum(i * x for i, x in enumerate(self.lam)) - 2 * (self.k - den) * length + den * (n * (n + 1) // 2)
+
+    def exact(self, slot: int) -> tuple[int, int, int]:
+        """A "gamma" or "sin" slot's argument and power as (num, den, power),
+        not evaluated."""
+        _, spec, power = self.entries[slot]
+        return self.num(spec), self.den, power
+
+    def __missing__(self, slot: int):
+        kind, spec, power = self.entries[slot]
         if kind == "limit":
             value = self._limit()
         elif kind == "phase":
-            value = _phase_factor(_phase_num(self.sp, spec), 2 * self.den)
+            value = _phase_factor(self.phase_num(spec), 2 * self.den)
         else:
-            value = _FACTOR_BY_KIND[kind](self.num(spec), self.den)
-        self[key] = value
+            i, j, c, ck = spec
+            lam, den = self.lam, self.den
+            value = _factor(kind, lam[i] - lam[j] + c * den + ck * self.k, den, power)
+        self[slot] = value
         return value
 
     def _limit(self) -> tuple[float, float, float]:
-        n, ms = self.sp.rank, range(1, self.sp.rank + 2)
-        sines = [self["sin", (0, 0, 0, m)] for m in ms]
+        n, ms = self.n, range(1, self.n + 2)
+        slot = _slots(n).index
+        sines = [self[slot["sin", (0, 0, 0, m), 1]] for m in ms]
         if 0 in sines:
             raise ZeroDivisionError(f"denominator sin({sines.index(0) + 1} pi k) vanishes at k = {self.sp.k}")
-        gammas = [self["gamma", (0, 0, 0, m)][1] for m in ms]
+        gammas = [self[slot["gamma", (0, 0, 0, m), 1]][1] for m in ms]
         sin_ratio = sines[0] ** (n + 1) / math.prod(sines)
         return sin_ratio, gammas[0] ** ((n + 1) * (n + 2) // 2), math.prod(gammas)
 
 
-@functools.lru_cache(maxsize=4)
-def _factor_table(sp: SpectralParam) -> _FactorTable:
-    return _FactorTable(sp)
+class _TableMemo:
+    """`_FactorTable(sp)`, memoized per `SpectralParam` by an lru_cache of 4
+    entries behind a check of the last parameter by identity: the repeated
+    calls of one parameter skip its hash, about 0.9 us at rank 3 on a
+    2-core Xeon.  Nothing is stored on the parameter."""
+
+    def __init__(self):
+        self._by_value = functools.lru_cache(maxsize=4)(_FactorTable)
+        self._last = (None, None)
+
+    def __call__(self, sp: SpectralParam) -> _FactorTable:
+        last, table = self._last
+        if last is not sp:
+            table = self._by_value(sp)
+            self._last = (sp, table)
+        return table
+
+    def cache_info(self):
+        return self._by_value.cache_info()
+
+    def cache_clear(self) -> None:
+        self._by_value.cache_clear()
+        self._last = (None, None)
 
 
-class _Product(NamedTuple):
-    """One closed form at one w as factor-table keys, in GammaProduct order:
-    the constant, the Gamma factors (key, power, tag), the sine factors
-    (key, tag) and the phase, the first arguments of `_multiply`."""
-
-    const: float
-    gammas: tuple
-    sins: tuple
-    phase: tuple
+_factor_table = _TableMemo()
 
 
 def _roots(images: tuple[int, ...], n: int) -> list[tuple[int, int, int, str]]:
@@ -348,15 +451,22 @@ def _length(images: tuple[int, ...]) -> int:
     return Diagram.from_permutation(Permutation(images)).length()
 
 
+def _compile(n: int, const: float, gammas: list, sins: list, phase) -> _Product:
+    """One closed form at one w as slots of `_slots(n)`: gammas lists
+    (spec, power, tag), sins (spec, tag) and phase is the phase's spec."""
+    slot = _slots(n).index
+    return _Product(
+        const,
+        tuple(slot["gamma", spec, power] for spec, power, _ in gammas),
+        tuple(slot["sin", spec, 1] for spec, _ in sins),
+        slot["phase", phase, 1],
+        tuple(tag for _, _, tag in gammas),
+        tuple(tag for _, tag in sins),
+    )
+
+
 # The factor list of each closed form at one w, written once; the formulas
 # are in the docstrings of a_w_product, F_w_at_1 and limit_value.
-
-
-@functools.lru_cache(maxsize=1024)
-def _key(kind: str, i: int, j: int, c: int, ck: int) -> tuple[str, tuple[int, int, int, int]]:
-    """The table key (kind, (i, j, c, ck)) as one shared object, so that the
-    cached factor lists of all w do not each hold a copy."""
-    return kind, (i, j, c, ck)
 
 
 @functools.lru_cache(maxsize=256)
@@ -365,10 +475,10 @@ def _a_w_factors(images: tuple[int, ...], n: int) -> _Product:
     gammas, sins = [], []
     for i, j, _, tag in _roots(images, n):
         # x = (-w.lambda, coroot) = lambda_j - lambda_i
-        gammas += [(_key("gamma", j, i, 0, 0), +1, tag), (_key("gamma", j, i, 0, 1), -1, tag)]
-        sins.append((_key("sin", j, i, 0, 0), tag))
-    gammas.append((_key("gamma", 0, 0, 0, 1), N, "coupling"))
-    return _Product(2.0 ** N, tuple(gammas), tuple(sins), ("phase", _length(images)))
+        gammas += [((j, i, 0, 0), +1, tag), ((j, i, 0, 1), -1, tag)]
+        sins.append(((j, i, 0, 0), tag))
+    gammas.append(((0, 0, 0, 1), N, "coupling"))
+    return _compile(n, 2.0 ** N, gammas, sins, _length(images))
 
 
 @functools.lru_cache(maxsize=256)
@@ -376,27 +486,30 @@ def _F_w_factors(images: tuple[int, ...], n: int) -> _Product:
     gammas = []
     for i, j, d, tag in _roots(images, n):
         gammas += [
-            (_key("gamma", i, j, 1, 0), +1, tag),
-            (_key("gamma", i, j, 1, -1), -1, tag),
-            (_key("gamma", 0, 0, 1, -d), -1, tag),
-            (_key("gamma", 0, 0, 1, -d - 1), +1, tag),
+            ((i, j, 1, 0), +1, tag),
+            ((i, j, 1, -1), -1, tag),
+            ((0, 0, 1, -d), -1, tag),
+            ((0, 0, 1, -d - 1), +1, tag),
         ]
-    return _Product(1.0, tuple(gammas), (), ("phase", None))
+    return _compile(n, 1.0, gammas, [], None)
 
 
 @functools.lru_cache(maxsize=256)
 def _limit_factors(images: tuple[int, ...], n: int) -> _Product:
-    sins = tuple((_key("sin", j, i, 0, 1), tag) for i, j, _, tag in _roots(images, n))
-    return _Product(2.0 ** (n * (n + 1) // 2), (), sins, ("phase", _length(images)))
+    sins = [((j, i, 0, 1), tag) for i, j, _, tag in _roots(images, n)]
+    return _compile(n, 2.0 ** (n * (n + 1) // 2), [], sins, _length(images))
 
 
 def _symbolic(prod: _Product, table: _FactorTable) -> GammaProduct:
     out = GammaProduct(const=prod.const)
-    for (_, spec), power, tag in prod.gammas:
-        out.times_gamma(table.arg(spec), power, tag)
-    for (_, spec), tag in prod.sins:
-        out.times_sin(table.arg(spec), tag)
-    return out.times_exp_pi_i(Q(_phase_num(table.sp, prod.phase[1]), 2 * table.den))
+    for slot, tag in zip(prod.gammas, prod.tags):
+        num, den, power = table.exact(slot)
+        out.times_gamma(Q(num, den), power, tag)
+    for slot, tag in zip(prod.sins, prod.sin_tags):
+        num, den, _ = table.exact(slot)
+        out.times_sin(Q(num, den), tag)
+    _, length, _ = table.entries[prod.phase]
+    return out.times_exp_pi_i(Q(table.phase_num(length), 2 * table.den))
 
 
 def a_w_product(w: Permutation, sp: SpectralParam) -> GammaProduct:
@@ -405,12 +518,14 @@ def a_w_product(w: Permutation, sp: SpectralParam) -> GammaProduct:
     prod_alpha Gamma((-w.lambda, av)) sin(pi (-w.lambda, av)) / Gamma((-w.lambda, av) + k)
       * e^{-2 pi i (lambda, delta)} e^{-pi i (k-1) l(w)} Gamma(k)^N (2i)^N,  N = n(n+1)/2.
     """
-    return _symbolic(_a_w_factors(w.images, sp.rank), _factor_table(sp))
+    table = _factor_table(sp)
+    return _symbolic(_a_w_factors(w.images, table.n), table)
 
 
 def a_w(w: Permutation, sp: SpectralParam) -> complex:
     """`a_w_product(w, sp).eval()`, bit for bit, from the factor table."""
-    return _multiply(*_a_w_factors(w.images, sp.rank), _factor_table(sp))
+    table = _factor_table(sp)
+    return _multiply(_a_w_factors(w.images, table.n), table)
 
 
 def F_w_at_1(w: Permutation, sp: SpectralParam) -> complex:
@@ -421,7 +536,8 @@ def F_w_at_1(w: Permutation, sp: SpectralParam) -> complex:
 
     The pairing (rho, coroot of e_a - e_b) is k (b - a).
     """
-    return _multiply(*_F_w_factors(w.images, sp.rank), _factor_table(sp))
+    table = _factor_table(sp)
+    return _multiply(_F_w_factors(w.images, table.n), table)
 
 
 def limit_value(w: Permutation, sp: SpectralParam) -> complex:
@@ -433,8 +549,8 @@ def limit_value(w: Permutation, sp: SpectralParam) -> complex:
       * Gamma(k)^{(n+1)(n+2)/2} / (Gamma(k) ... Gamma((n+1)k)).
     """
     table = _factor_table(sp)
-    sin_ratio, gnum, gden = table["limit", None]
-    return _multiply(*_limit_factors(w.images, sp.rank), table) * sin_ratio * gnum / gden
+    sin_ratio, gnum, gden = table[_LIMIT_SLOT]
+    return _multiply(_limit_factors(w.images, table.n), table) * sin_ratio * gnum / gden
 
 
 def gauss_value_by_beta_quadrature(m: float, k: float) -> float:

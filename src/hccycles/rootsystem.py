@@ -17,6 +17,7 @@ action: apply(w1*w2, v) = apply(w2, apply(w1, v)).
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction as Q
 from itertools import combinations
 from typing import Sequence, Union
@@ -52,10 +53,16 @@ def scale(c: Scalar, a: Vector) -> Vector:
 
 
 def inner(a: Vector, b: Vector) -> Q:
-    """Standard Euclidean product; exact."""
+    """Standard Euclidean product; exact.
+
+    Each vector is put over the lcm of its denominators, so the sum runs on
+    integer numerators and one Fraction is built, for the result."""
     if len(a) != len(b):
         raise ValueError("dimension mismatch")
-    return sum((x * y for x, y in zip(a, b)), Q(0))
+    da = math.lcm(*(x.denominator for x in a))
+    db = math.lcm(*(y.denominator for y in b))
+    return Q(sum(x.numerator * (da // x.denominator) * y.numerator * (db // y.denominator)
+                 for x, y in zip(a, b)), da * db)
 
 
 def coroot(alpha: Vector) -> Vector:

@@ -68,7 +68,7 @@ class SpectralParam:
 
     def __hash__(self) -> int:
         # Fraction.__hash__ costs about 1 us a coordinate; closedforms looks
-        # its factor table up by parameter on every call.
+        # its factor table up by parameter whenever the parameter changes.
         return hash((tuple(map(Q.as_integer_ratio, self.lam)), self.k.as_integer_ratio()))
 
     @property
@@ -152,12 +152,28 @@ def _lowered(offset: Offset, a: int, b: int) -> Iterator[tuple[int, Offset]]:
 
 @dataclass
 class CoeffTable:
-    """Coefficients G_nu of one asymptotic solution, keyed by nu - mu."""
+    """Coefficients G_nu of one asymptotic solution, keyed by nu - mu.
+
+    The offsets must be every tuple of rank nonnegative integers of height
+    <= the deepest, each once, as `freudenthal_table` writes them; anything
+    else raises ValueError when the table is built, so `residual_L`,
+    `phi_eval` and `series_terms_by_depth` never read an incomplete table.
+    """
 
     mu: tuple[Q, ...]
     k: Q
     depth: int
     entries: dict[Offset, Q] = field(default_factory=dict)
+
+    def __post_init__(self):
+        n = self.rank
+        for off in self.entries:
+            if not (isinstance(off, tuple) and len(off) == n and all(type(c) is int and c >= 0 for c in off)):
+                raise ValueError(f"offset {off} is not {n} nonnegative integers")
+        h = max((sum(off) for off in self.entries), default=0)
+        # distinct offsets of height <= h are all of them exactly when there are C(h + n, n)
+        if len(self.entries) != math.comb(h + n, n):
+            raise ValueError(f"the offsets are not every {n}-tuple of height <= {h}")
 
     @property
     def rank(self) -> int:
@@ -188,9 +204,9 @@ class CoeffTable:
         anything else raises ValueError: it must be an object with "mu" (at
         least two coordinates, rank >= 1), "k" and "entries", a list of
         objects with "offset" and "value"; mu's coordinates, k and the
-        values must be exact (`_json_rational`), and the offsets every
-        tuple of rank nonnegative integers of height <= the deepest, each
-        once."""
+        values must be exact (`_json_rational`), each offset a list of
+        integers given once, and the offsets complete as the constructor
+        checks them."""
         raw = json.loads(text)
         if not isinstance(raw, dict) or not {"mu", "k", "entries"} <= raw.keys():
             raise ValueError('a coefficient table is an object with "mu", "k" and "entries"')
@@ -203,17 +219,14 @@ class CoeffTable:
         k = _json_rational(raw["k"], "k")
         n = len(mu) - 1
         entries = {}
-        for e in raw["entries"]:  # one nonnegative integer per rank, each offset once
+        for e in raw["entries"]:  # a list of integers, each offset once
             off = e["offset"]
-            if not isinstance(off, list) or len(off) != n or not all(type(c) is int and c >= 0 for c in off):
+            if not isinstance(off, list) or not all(type(c) is int for c in off):
                 raise ValueError(f"offset {off} is not {n} nonnegative integers")
             if tuple(off) in entries:
                 raise ValueError(f"offset {off} is repeated")
             entries[tuple(off)] = _json_rational(e["value"], "value")
         depth = max((sum(off) for off in entries), default=0)
-        # distinct offsets of height <= depth are all of them exactly when there are C(depth + n, n)
-        if len(entries) != math.comb(depth + n, n):
-            raise ValueError(f"the offsets are not every {n}-tuple of height <= {depth}")
         return cls(mu=mu, k=k, depth=depth, entries=entries)
 
 

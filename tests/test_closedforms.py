@@ -1,5 +1,6 @@
 import cmath
 import functools
+import hashlib
 import math
 import random
 from fractions import Fraction as Q
@@ -48,10 +49,10 @@ FACTOR_ARGS = (
 def test_gamma_known_values():
     assert abs(cf._gamma_factor(1, 2)[1] - math.sqrt(math.pi)) < 1e-14
     assert abs(cf._gamma_factor(-1, 2)[1] + 2 * math.sqrt(math.pi)) < 1e-14
-    assert cf._gamma_factor(1, 1) == (False, 1.0, 1, 1)
-    assert cf._gamma_factor(5, 1) == (False, 24.0, 5, 1)
-    assert cf._gamma_factor(0, 1) == (True, None, 0, 1)
-    assert cf._gamma_factor(-3, 1) == (True, None, -3, 1)
+    assert cf._gamma_factor(1, 1) == (False, 1.0)
+    assert cf._gamma_factor(5, 1) == (False, 24.0)
+    assert cf._gamma_factor(0, 1) == (True, None)
+    assert cf._gamma_factor(-3, 1) == (True, None)
 
 
 def test_gamma_against_scipy():
@@ -74,8 +75,8 @@ def test_gamma_and_sine_factors_match_mpmath():
                 assert s == 0
             else:
                 assert abs(s - mpmath.sinpi(_mp(x))) <= 1e-15 * abs(mpmath.sinpi(_mp(x))), x
-            pole, g, *exact = cf._gamma_factor(num, den)
-            assert exact == [num, den] and pole == (x <= 0 and den == 1)
+            pole, g = cf._gamma_factor(num, den)
+            assert pole == (x <= 0 and den == 1)
             if pole:
                 assert g is None
                 continue
@@ -83,7 +84,7 @@ def test_gamma_and_sine_factors_match_mpmath():
             ref = mpmath.gamma(_mp(x))
             assert abs(g - ref) <= 8 * 2.0**-53 * (1 + abs(y * mpmath.digamma(y))) * abs(ref), x
     # an exact pole whatever the denominator, and past the float range
-    assert cf._gamma_factor(-6, 2) == (True, None, -6, 2)
+    assert cf._gamma_factor(-6, 2) == (True, None)
     for num, den in ((172, 1), (-343, 2)):  # Gamma(172), and Gamma(1 - x) = Gamma(172.5)
         with pytest.raises(OverflowError, match="math range error"):
             cf._gamma_factor(num, den)
@@ -347,10 +348,10 @@ def test_limit_next_to_gamma_pole_bits():
     k = Q(-199999999, 200000000)
     for s, images, (re, im) in LIMIT_NEXT_TO_POLE:
         sp = sp1(s, k)
-        table = cf._FactorTable(sp)
-        pole, g, _, _ = table["gamma", (0, 0, 0, 1)]
+        table, slot = cf._FactorTable(sp), cf._slots(1).index
+        pole, g = table[slot["gamma", (0, 0, 0, 1), 1]]
         assert not pole and abs(g) > 1e8
-        assert 0 < abs(table["sin", (0, 0, 0, 1)]) < 2e-8
+        assert 0 < abs(table[slot["sin", (0, 0, 0, 1), 1]]) < 2e-8
         v = cf.limit_value(dg.Permutation(images), sp)
         assert (v.real.hex(), v.imag.hex()) == (re, im)
     # at an integer k every sine of m k is exactly 0, however large k is, so
@@ -371,8 +372,8 @@ def test_pairings_are_coordinate_differences():
         for length in range(n * (n + 1) // 2 + 1):
             # the phase e^{-2 pi i (lambda, delta)} e^{-pi i (k-1) l(w)} i^N
             p = -2 * rs.inner(sp.lam, rs.delta(n)) - (sp.k - 1) * length + Q(n * (n + 1), 4)
-            assert Q(cf._phase_num(sp, length), 2 * den) == p
-        assert cf._phase_num(sp, None) == 0
+            assert Q(table.phase_num(length), 2 * den) == p
+        assert table.phase_num(None) == 0
         for w in dg.all_permutations(n + 1):
             wlam = rs.weyl_apply(w, sp.lam)
             got = cf._roots(w.images, n)
@@ -500,6 +501,114 @@ def test_table_memo_is_bounded():
     assert info.maxsize is not None and info.currsize == info.maxsize
 
 
+# The first draw of `random_generic` at ranks 1-4, seed n, as (lambda, k)
+# for kmin, kden = 1/5, 29 and then 1/4, 12, and the rng's next `random()`:
+# recorded before each lambda_i was built as one Fraction (53 a + 41)/2173,
+# so they show that the draws and the rng calls stayed the same.
+FIRST_DRAWS = {
+    1: ((("-1125/2173", "1125/2173"), "124/145"), (("1313/2173", "-1313/2173"), "1/2"), 0.2550690257394217),
+    2: ((("1366/2173", "1631/2173", "-2997/2173"), "39/145"),
+        (("1260/2173", "-1019/2173", "-241/2173"), "9/4"), 0.8089620446393668),
+    3: ((("-754/2173", "412/2173", "253/2173", "89/2173"), "54/145"),
+        (("-330/2173", "1525/2173", "465/2173", "-1660/2173"), "19/12"), 0.625720304108054),
+    4: ((("-754/2173", "-542/2173", "-1231/2173", "889/2173", "1638/2173"), "94/145"),
+        (("1/53", "-1072/2173", "-1284/2173", "-1337/2173", "3652/2173"), "1/3"), 0.40159101448507484),
+}
+
+
+@pytest.mark.parametrize("n", sorted(FIRST_DRAWS))
+def test_random_generic_first_draws(n):
+    rng = random.Random(n)
+    *draws, after = FIRST_DRAWS[n]
+    for (kmin, kden), (lam, k) in zip(((Q(1, 5), 29), (Q(1, 4), 12)), draws, strict=True):
+        sp = random_generic(rng, n, kmin, kden)
+        assert sp == SpectralParam(tuple(map(Q, lam)), Q(k))
+        assert all(type(x) is Q for x in sp.lam) and type(sp.k) is Q
+    assert rng.random() == after
+
+
+# sha256 of the outcomes of a_w, F_w_at_1 and limit_value for every w at
+# rank n, one line each in (w, function) order: "re im" as float.hex, or
+# "PoleError: ..." / "ZeroDivisionError: ...".  The parameter is the first
+# draw of `random_generic(random.Random(n), n, 1/5, 29)`, then the same
+# lambda at k = 1/2, where a(w) is finite while F_w(1) and the limit fail.
+# Recorded from a factor table keyed by (kind, (i, j, c, ck)) that took each
+# Gamma to its power per product, so the pins show that the slots, each
+# holding Gamma(x)^power, kept every bit.
+CLOSED_FORM_DIGESTS = {
+    1: ("61f271e5ee78533eb33c8a097ed7c66a10251ade2e06ca963c2c2c7449814ec6",
+        "30bc738e5374f9c4db9994341a777f943f261405819620f6140a7995e91c04c6"),
+    2: ("811716c30ce82c358dc21664e3d129285badb4c62d4f1e901472db994abc68f6",
+        "0f81a0ab7bd098a494f75a51cac7a0ef1ac47289f6bc9837d1436ca21c266545"),
+    3: ("4cf521e8b85c0212d4903a5325fe781cb75e8f0281022eb53dae35cc123f46e0",
+        "231732685b4cd5917a8001fc4963afc04eb315e501c79ed02647ac6c17fef18e"),
+    4: ("8c23448cc4595e9daa41c2edb2cf10ced49888a50ebfe19b9aa191f57aa3d148",
+        "4b7c8bb990ba4eb53bedecb468baa6d77c203a93190d3ceace0df303ece0a7f6"),
+}
+
+
+def _line(outcome):
+    if isinstance(outcome[0], type):
+        return f"{outcome[0].__name__}: {outcome[1]}"
+    return " ".join(outcome)
+
+
+@pytest.mark.parametrize("n", sorted(CLOSED_FORM_DIGESTS))
+def test_closed_forms_every_w_bits_and_symbolic_routes(n):
+    generic = random_generic(random.Random(n), n, Q(1, 5), 29)
+    funcs = {"a_w": cf.a_w, "F": cf.F_w_at_1, "limit": cf.limit_value}
+    ws = list(dg.all_permutations(n + 1))
+    for sp, digest in zip((generic, SpectralParam(generic.lam, Q(1, 2))), CLOSED_FORM_DIGESTS[n], strict=True):
+        cf._factor_table.cache_clear()
+        shared = {(w, kind): _bits(f, w, sp) for w in ws for kind, f in funcs.items()}
+        lines = "\n".join(_line(shared[w, kind]) for w in ws for kind in funcs)
+        assert hashlib.sha256(lines.encode()).hexdigest() == digest
+        # the same outcomes in the other order, and from the symbolic products
+        cf._factor_table.cache_clear()
+        for w in ws[::-1]:
+            for kind, f in list(funcs.items())[::-1]:
+                assert _bits(f, w, sp) == shared[w, kind]
+        for w in ws:
+            assert _bits(lambda w, sp: cf.a_w_product(w, sp).eval(), w, sp) == shared[w, "a_w"]
+            for kind in funcs:
+                assert _bits(functools.partial(_fraction_route, kind), w, sp) == shared[w, kind]
+        if sp.k == Q(1, 2):
+            assert all(isinstance(shared[w, "a_w"][0], str) for w in ws)
+            assert all(shared[w, kind][0] in (cf.PoleError, ZeroDivisionError) for w in ws for kind in ("F", "limit"))
+
+
+def test_slot_registry_and_slot_caches_are_bounded():
+    # the registry of a rank lists every factor once, in a fixed order, so a
+    # rebuilt registry gives every slot the same factor
+    for n in range(1, 5):
+        entries = cf._slots(n).entries
+        assert len(set(entries)) == len(entries)
+        assert entries[cf._LIMIT_SLOT] == ("limit", None, 1)
+        cf._slots.cache_clear()
+        assert cf._slots(n).entries == entries
+    # every slot is read by some closed form at some w
+    for n in (1, 2, 3):
+        used = {cf._LIMIT_SLOT}
+        for w in dg.all_permutations(n + 1):
+            for compiled in (cf._a_w_factors, cf._F_w_factors, cf._limit_factors):
+                prod = compiled(w.images, n)
+                used.update(prod.gammas, prod.sins, [prod.phase])
+        # and the limit's slot reads sin(m pi k) and Gamma(m k), m = 1..n+1
+        used |= {cf._slots(n).index[kind, (0, 0, 0, m), 1] for kind in ("sin", "gamma") for m in range(1, n + 2)}
+        assert used == set(range(len(cf._slots(n).entries)))
+    # the registries and the per-w slot lists stay within their caches
+    for n in range(1, 30):
+        cf._slots(n)
+    sp = random_generic(random.Random(5), 5, Q(1, 5), 29)
+    for w in dg.all_permutations(6):
+        cf.a_w(w, sp)
+    for cache in (cf._slots, cf._a_w_factors, cf._F_w_factors, cf._limit_factors):
+        info = cache.cache_info()
+        assert info.maxsize is not None and info.currsize <= info.maxsize
+    assert cf._slots.cache_info().currsize == cf._slots.cache_info().maxsize
+    assert cf._a_w_factors.cache_info().currsize == cf._a_w_factors.cache_info().maxsize
+
+
 # -- exact spectral data as integers over one denominator -----------------------
 
 
@@ -581,11 +690,15 @@ def test_integer_views_match_fractions(sp):
                     assert table.arg(spec) == x
                     assert (num / den).hex() == float(x).hex()
                     assert complex(num / den) == complex(x)
-                    assert table["gamma", spec][0] == (x <= 0 and x.denominator == 1)
+                    assert cf._factor("gamma", num, den, 1)[0] == (x <= 0 and x.denominator == 1)
+    # every slot holds its rule's value at its exact argument
+    for slot, (kind, spec, power) in enumerate(cf._slots(n).entries):
+        if kind in ("gamma", "sin"):
+            assert table[slot] == cf._factor(kind, table.num(spec), den, power)
     N = n * (n + 1) // 2
     for length in range(N + 1):
         p = -2 * rs.inner(sp.lam, rs.delta(n)) - (sp.k - 1) * length + Q(N, 2)
-        assert (cf._phase_num(sp, length) / (2 * den)).hex() == float(p).hex()
+        assert (table.phase_num(length) / (2 * den)).hex() == float(p).hex()
     funcs = {"a_w": cf.a_w, "F": cf.F_w_at_1, "limit": cf.limit_value}
     for w in dg.all_permutations(n + 1):
         exact = [float(m) for m in rs.add(rs.weyl_apply(w, sp.lam), sp.rho)]

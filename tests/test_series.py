@@ -548,6 +548,21 @@ def test_coefftable_json_rejects_incomplete_tables(offsets, message):
         se.CoeffTable.from_json(text)
 
 
+def test_coefftable_rejects_incomplete_tables_when_built():
+    # every path to a table checks its offsets: a table built directly with
+    # offset (1,) deleted made residual_L raise KeyError and phi_eval sum it
+    t = se.freudenthal_table_for_w(dg.Permutation((1, 2)), sp1(), 3)
+    entries = dict(t.entries)
+    del entries[(1,)]
+    with pytest.raises(ValueError, match="the offsets are not every 1-tuple of height <= 3"):
+        se.CoeffTable(t.mu, t.k, t.depth, entries)
+    for bad in ((1, 0), (), (-1,), (0.5,), (4.0,), "1"):
+        with pytest.raises(ValueError, match=r"offset .* is not 1 nonnegative integers"):
+            se.CoeffTable(t.mu, t.k, t.depth, {**t.entries, bad: Q(0)})
+    with pytest.raises(ValueError, match="the offsets are not every 1-tuple of height <= 0"):
+        se.CoeffTable(t.mu, t.k, 0)
+
+
 _TABLE = {"mu": ["1/5", "-1/5"], "k": "3/2", "entries": [{"offset": [0], "value": "1"}]}
 
 
