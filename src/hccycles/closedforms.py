@@ -21,13 +21,15 @@ test is an integer test, and each float taken of it is one correctly
 rounded integer division.  A Fraction is built only for the symbolic
 product.
 
-Each factor a closed form reads at rank n is a slot, a small int: the
-registry `_slots(n)` lists every (kind, spec, power) of that rank in a
-fixed order, with spec (i, j, c, c_k) for a Gamma or sine argument and
-l(w) for a phase, so a rebuilt registry names the same slots.  Each
-closed form at w compiles once, lru-bounded, to a tuple of slots per
-factor kind (`_a_w_factors`, `_F_w_factors`, `_limit_factors`, which list
-the factors once); the tags ride beside them for the error path, and the
+Each factor a closed form reads at rank n is a slot, a small int.  The
+rank's one record, `_slots(n)`, lists every (kind, spec, power) of that
+rank in a fixed order, with spec (i, j, c, c_k) for a Gamma or sine
+argument and l(w) for a phase, so a rebuilt record names the same slots;
+it also holds each positive root's PoleError tag and the limit's sine and
+Gamma slots of m k.  The one record per w, `_forms(images, n)`,
+lru-bounded, compiles a(w), F_w(1) and the limit in one pass over the
+positive roots to a tuple of slots per factor kind, which lists the
+factors once; the tags ride beside them for the error path, and the
 symbolic `a_w_product` is built from the same slots.  The factor table
 holds one value per slot, for a Gamma slot its pole flag and
 Gamma(x)^power, so all w of one (lambda, k) share them and each power
@@ -281,31 +283,27 @@ def _from_pole(gammas: tuple, tags: tuple, i: int, factors) -> complex:
     return 0j
 
 
-@functools.lru_cache(maxsize=16)
-def _root_tags(n: int) -> dict[tuple[int, int], str]:
-    """PoleError tag of each positive root, e.g. "alpha = ('1', '-1', '0')"."""
-    return {
-        pair: f"alpha = {tuple(map(str, alpha))}"
-        for pair, alpha in zip(rs.positive_root_pairs(n), rs.positive_roots(n))
-    }
-
-
 _LIMIT_SLOT = 0  # the w-independent factors of the limit, slot 0 at every rank
 
 
 class _Slots(NamedTuple):
-    """The factor slots of one rank: (kind, spec, power) per slot, and the
-    slot of each."""
+    """The record of one rank: (kind, spec, power) per slot, the slot of
+    each, the PoleError tag of each positive root (a, b), e.g.
+    "alpha = ('1', '-1', '0')", and the slots of sin(m pi k) and of
+    Gamma(m k), m = 1..n+1, that the `_LIMIT_SLOT` reads."""
 
     entries: tuple
     index: dict
+    tags: dict
+    limit_sins: tuple
+    limit_gammas: tuple
 
 
 @functools.lru_cache(maxsize=16)
 def _slots(n: int) -> _Slots:
-    """Every factor the closed forms read at rank n, as (kind, spec, power)
-    in a fixed order, so a slot names the same factor however often the
-    registry is rebuilt.  For "gamma" and "sin" the spec (i, j, c, ck)
+    """The record of rank n (`_Slots`).  Its entries are every factor the
+    closed forms read at rank n, as (kind, spec, power) in a fixed order,
+    so a slot names the same factor however often the record is rebuilt.  For "gamma" and "sin" the spec (i, j, c, ck)
     names the argument lambda_i - lambda_j + c + ck k.  Per ordered pair
     i != j: a(w)'s Gamma(x), 1/Gamma(x + k) and sin(pi x), F_w(1)'s
     Gamma(x + 1) and 1/Gamma(x + 1 - k), and the limit's sin(pi (x + k)).
@@ -329,7 +327,10 @@ def _slots(n: int) -> _Slots:
                     ("gamma", (i, j, 1, 0), 1), ("gamma", (i, j, 1, -1), -1), ("sin", (i, j, 0, 1), 1),
                 ]
     entries = tuple(dict.fromkeys(entries))  # at rank 1 Gamma(k)^N is Gamma(k)
-    return _Slots(entries, {entry: slot for slot, entry in enumerate(entries)})
+    index = {entry: slot for slot, entry in enumerate(entries)}
+    roots = zip(rs.positive_root_pairs(n), rs.positive_roots(n))
+    limit = [tuple(index[kind, (0, 0, 0, m), 1] for m in range(1, n + 2)) for kind in ("sin", "gamma")]
+    return _Slots(entries, index, {pair: f"alpha = {tuple(map(str, alpha))}" for pair, alpha in roots}, *limit)
 
 
 class _FactorTable(dict):
@@ -341,13 +342,14 @@ class _FactorTable(dict):
     holds `_factor` at (num, D, power): (pole, Gamma(x) ** power) or the
     sine.  A "phase" slot holds `_phase_factor` at (`phase_num(l)`, 2 D).
     The `_LIMIT_SLOT` holds the w-independent factors of `limit_value`,
-    read from the sine and Gamma slots of m k, m = 1..n+1:
-    sin(pi k)^{n+1} / prod_m sin(m pi k), Gamma(k)^{(n+1)(n+2)/2} and
-    prod_m Gamma(m k).  It raises ZeroDivisionError at the first m whose
-    sine is exactly 0, that is where m k is an integer, before it reads a
-    Gamma slot; so no Gamma slot it reads is at a pole.  A fill that raises
-    stores nothing.  The exact Fraction x (`arg`) is built only for the
-    symbolic product.
+    read from the slots of sin(m pi k) and Gamma(m k), m = 1..n+1, that
+    the rank's record lists: sin(pi k)^{n+1} / prod_m sin(m pi k),
+    Gamma(k)^{(n+1)(n+2)/2} and prod_m Gamma(m k).  It raises
+    ZeroDivisionError at the first m whose sine is exactly 0, that is where
+    m k is an integer, before it reads a Gamma slot; so no Gamma slot it
+    reads is at a pole.  A fill that raises stores nothing.  `exact` gives
+    a slot's argument as (num, D, power), from which only the symbolic
+    product builds a Fraction.
     """
 
     __slots__ = ("sp", "n", "den", "lam", "k", "entries")
@@ -362,10 +364,6 @@ class _FactorTable(dict):
         """D x for the argument x that spec (i, j, c, ck) names."""
         i, j, c, ck = spec
         return self.lam[i] - self.lam[j] + c * self.den + ck * self.k
-
-    def arg(self, spec: tuple[int, int, int, int]) -> Q:
-        """The exact argument x that spec (i, j, c, ck) names."""
-        return Q(self.num(spec), self.den)
 
     def phase_num(self, length: int | None) -> int:
         """2 D p, where e^{i pi p} is the phase of a(w) and of the limit,
@@ -400,12 +398,11 @@ class _FactorTable(dict):
         return value
 
     def _limit(self) -> tuple[float, float, float]:
-        n, ms = self.n, range(1, self.n + 2)
-        slot = _slots(n).index
-        sines = [self[slot["sin", (0, 0, 0, m), 1]] for m in ms]
+        n, rank = self.n, _slots(self.n)
+        sines = [self[slot] for slot in rank.limit_sins]
         if 0 in sines:
             raise ZeroDivisionError(f"denominator sin({sines.index(0) + 1} pi k) vanishes at k = {self.sp.k}")
-        gammas = [self[slot["gamma", (0, 0, 0, m), 1]][1] for m in ms]
+        gammas = [self[slot][1] for slot in rank.limit_gammas]
         sin_ratio = sines[0] ** (n + 1) / math.prod(sines)
         return sin_ratio, gammas[0] ** ((n + 1) * (n + 2) // 2), math.prod(gammas)
 
@@ -443,18 +440,13 @@ def _roots(images: tuple[int, ...], n: int) -> list[tuple[int, int, int, str]]:
     (w.lambda, coroot of e_a - e_b) is lambda_i - lambda_j with
     (i, j) = (w(a) - 1, w(b) - 1), and (rho, coroot) = k d with d = b - a."""
     index = rs.weyl_apply(images, tuple(range(n + 1)))  # raises on a bad w
-    tags = _root_tags(n)
+    tags = _slots(n).tags
     return [(index[a], index[b], b - a, tags[a, b]) for a, b in rs.positive_root_pairs(n)]
 
 
-def _length(images: tuple[int, ...]) -> int:
-    return Diagram.from_permutation(Permutation(images)).length()
-
-
-def _compile(n: int, const: float, gammas: list, sins: list, phase) -> _Product:
-    """One closed form at one w as slots of `_slots(n)`: gammas lists
+def _compile(slot: dict, const: float, gammas: list, sins: list, phase) -> _Product:
+    """One closed form at one w as slots of one rank's `index`: gammas lists
     (spec, power, tag), sins (spec, tag) and phase is the phase's spec."""
-    slot = _slots(n).index
     return _Product(
         const,
         tuple(slot["gamma", spec, power] for spec, power, _ in gammas),
@@ -465,39 +457,36 @@ def _compile(n: int, const: float, gammas: list, sins: list, phase) -> _Product:
     )
 
 
-# The factor list of each closed form at one w, written once; the formulas
-# are in the docstrings of a_w_product, F_w_at_1 and limit_value.
+class _Forms(NamedTuple):
+    """The closed forms at one w, each as the slots `_multiply` reads."""
+
+    a_w: _Product
+    F_w: _Product
+    limit: _Product
 
 
 @functools.lru_cache(maxsize=256)
-def _a_w_factors(images: tuple[int, ...], n: int) -> _Product:
+def _forms(images: tuple[int, ...], n: int) -> _Forms:
+    """a(w), F_w(1) and the w-dependent factors of the limit at one w, from
+    one pass over the positive roots, each factor list in the order of the
+    formulas in the docstrings of a_w_product, F_w_at_1 and limit_value."""
     N = n * (n + 1) // 2
-    gammas, sins = [], []
-    for i, j, _, tag in _roots(images, n):
-        # x = (-w.lambda, coroot) = lambda_j - lambda_i
-        gammas += [((j, i, 0, 0), +1, tag), ((j, i, 0, 1), -1, tag)]
-        sins.append(((j, i, 0, 0), tag))
-    gammas.append(((0, 0, 0, 1), N, "coupling"))
-    return _compile(n, 2.0 ** N, gammas, sins, _length(images))
-
-
-@functools.lru_cache(maxsize=256)
-def _F_w_factors(images: tuple[int, ...], n: int) -> _Product:
-    gammas = []
+    a_gammas, a_sins, f_gammas, l_sins = [], [], [], []
     for i, j, d, tag in _roots(images, n):
-        gammas += [
-            ((i, j, 1, 0), +1, tag),
-            ((i, j, 1, -1), -1, tag),
-            ((0, 0, 1, -d), -1, tag),
-            ((0, 0, 1, -d - 1), +1, tag),
-        ]
-    return _compile(n, 1.0, gammas, [], None)
-
-
-@functools.lru_cache(maxsize=256)
-def _limit_factors(images: tuple[int, ...], n: int) -> _Product:
-    sins = [((j, i, 0, 1), tag) for i, j, _, tag in _roots(images, n)]
-    return _compile(n, 2.0 ** (n * (n + 1) // 2), [], sins, _length(images))
+        # x = (-w.lambda, coroot) = lambda_j - lambda_i
+        a_gammas += [((j, i, 0, 0), +1, tag), ((j, i, 0, 1), -1, tag)]
+        a_sins.append(((j, i, 0, 0), tag))
+        f_gammas += [((i, j, 1, 0), +1, tag), ((i, j, 1, -1), -1, tag),
+                     ((0, 0, 1, -d), -1, tag), ((0, 0, 1, -d - 1), +1, tag)]
+        l_sins.append(((j, i, 0, 1), tag))
+    a_gammas.append(((0, 0, 0, 1), N, "coupling"))
+    length = Diagram.from_permutation(Permutation(images)).length()
+    slot = _slots(n).index
+    return _Forms(
+        _compile(slot, 2.0 ** N, a_gammas, a_sins, length),
+        _compile(slot, 1.0, f_gammas, [], None),
+        _compile(slot, 2.0 ** N, [], l_sins, length),
+    )
 
 
 def _symbolic(prod: _Product, table: _FactorTable) -> GammaProduct:
@@ -519,13 +508,13 @@ def a_w_product(w: Permutation, sp: SpectralParam) -> GammaProduct:
       * e^{-2 pi i (lambda, delta)} e^{-pi i (k-1) l(w)} Gamma(k)^N (2i)^N,  N = n(n+1)/2.
     """
     table = _factor_table(sp)
-    return _symbolic(_a_w_factors(w.images, table.n), table)
+    return _symbolic(_forms(w.images, table.n).a_w, table)
 
 
 def a_w(w: Permutation, sp: SpectralParam) -> complex:
     """`a_w_product(w, sp).eval()`, bit for bit, from the factor table."""
     table = _factor_table(sp)
-    return _multiply(_a_w_factors(w.images, table.n), table)
+    return _multiply(_forms(w.images, table.n).a_w, table)
 
 
 def F_w_at_1(w: Permutation, sp: SpectralParam) -> complex:
@@ -537,7 +526,7 @@ def F_w_at_1(w: Permutation, sp: SpectralParam) -> complex:
     The pairing (rho, coroot of e_a - e_b) is k (b - a).
     """
     table = _factor_table(sp)
-    return _multiply(_F_w_factors(w.images, table.n), table)
+    return _multiply(_forms(w.images, table.n).F_w, table)
 
 
 def limit_value(w: Permutation, sp: SpectralParam) -> complex:
@@ -550,7 +539,7 @@ def limit_value(w: Permutation, sp: SpectralParam) -> complex:
     """
     table = _factor_table(sp)
     sin_ratio, gnum, gden = table[_LIMIT_SLOT]
-    return _multiply(_limit_factors(w.images, table.n), table) * sin_ratio * gnum / gden
+    return _multiply(_forms(w.images, table.n).limit, table) * sin_ratio * gnum / gden
 
 
 def gauss_value_by_beta_quadrature(m: float, k: float) -> float:

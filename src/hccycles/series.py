@@ -36,6 +36,7 @@ import math
 import re
 from dataclasses import dataclass, field
 from fractions import Fraction as Q
+from types import MappingProxyType
 from typing import Iterator, Mapping, Sequence
 
 from . import rootsystem as rs
@@ -158,14 +159,17 @@ class CoeffTable:
     <= the deepest, each once, as `freudenthal_table` writes them; anything
     else raises ValueError when the table is built, so `residual_L`,
     `phi_eval` and `series_terms_by_depth` never read an incomplete table.
+    `entries` is stored as a read-only copy, so no later change to the
+    mapping passed in, and no assignment or deletion, can make it one.
     """
 
     mu: tuple[Q, ...]
     k: Q
     depth: int
-    entries: dict[Offset, Q] = field(default_factory=dict)
+    entries: Mapping[Offset, Q] = field(default_factory=dict)
 
     def __post_init__(self):
+        self.entries = MappingProxyType(dict(self.entries))
         n = self.rank
         for off in self.entries:
             if not (isinstance(off, tuple) and len(off) == n and all(type(c) is int and c >= 0 for c in off)):
@@ -446,6 +450,21 @@ def _symbol_bracket(n: int, k: Q, m: Sequence[int]) -> Poly:
     return Poly.linear([2 * c for c in m], sum(c * c for c in m) - k * sum((n - 2 * i) * c for i, c in enumerate(m)))
 
 
+def _symbol_rhs(table: Mapping[Offset, Poly], roots: list, k: Q, offset: Offset, m: Sequence[int]) -> Poly:
+    """The right-hand side of the symbol recurrence at offset, whose vector
+    is m: 2k sum_alpha sum_j {(lambda + m - j alpha, alpha) p_{m - j alpha}(lambda)
+    - (lambda, alpha) p_{m - j alpha}(lambda + j alpha)}, over the
+    `_integer_roots`; a lower symbol missing from the table is zero."""
+    zero = Poly.zero(len(m))
+    rhs = zero
+    for (a, b), alpha in roots:
+        lin2 = Poly.linear(alpha, 0)
+        for j, lower in _lowered(offset, a, b):
+            p_low = table.get(lower, zero)
+            rhs = rhs + Poly.linear(alpha, m[a] - m[b] - 2 * j) * p_low - lin2 * p_low.shift([j * c for c in alpha])
+    return rhs * (2 * k)
+
+
 def commuting_symbol_table(
     sigma: Poly, n: int, k: Q, depth: int
 ) -> dict[Offset, Poly]:
@@ -477,16 +496,7 @@ def commuting_symbol_table(
             bracket = _symbol_bracket(n, k, m)
             if bracket.is_zero:
                 raise ArithmeticError(f"vanishing symbol bracket at offset {offset}")
-            rhs = Poly.zero(nvars)
-            for (a, b), alpha in roots:
-                lin2 = Poly.linear(alpha, 0)
-                for j, lower in _lowered(offset, a, b):
-                    p_low = table[lower]
-                    lin1 = Poly.linear(alpha, m[a] - m[b] - 2 * j)
-                    shifted = p_low.shift([j * c for c in alpha])
-                    rhs = rhs + lin1 * p_low - lin2 * shifted
-            rhs = rhs * (2 * k)
-            quotient, rem = rhs.divide_by_linear(bracket)
+            quotient, rem = _symbol_rhs(table, roots, k, offset, m).divide_by_linear(bracket)
             if not rem.is_zero:
                 raise ArithmeticError(
                     f"symbol recurrence not divisible by its bracket at offset {offset}"
@@ -498,22 +508,13 @@ def commuting_symbol_table(
 def symbol_recurrence_residuals(table: Mapping[Offset, Poly], n: int, k: Q) -> dict[Offset, Poly]:
     """bracket*p_mu - rhs recomputed from the table; all zero iff it commutes with L."""
     k = Q(k)
-    nvars = n + 1
     roots = _integer_roots(n)
     out: dict[Offset, Poly] = {}
     for offset, p in table.items():
         if sum(offset) == 0:
             continue
         m = offset_vector(n, offset)
-        bracket = _symbol_bracket(n, k, m)
-        rhs = Poly.zero(nvars)
-        for (a, b), alpha in roots:
-            lin2 = Poly.linear(alpha, 0)
-            for j, lower in _lowered(offset, a, b):
-                p_low = table.get(lower, Poly.zero(nvars))
-                lin1 = Poly.linear(alpha, m[a] - m[b] - 2 * j)
-                rhs = rhs + lin1 * p_low - lin2 * p_low.shift([j * c for c in alpha])
-        out[offset] = bracket * p - rhs * (2 * k)
+        out[offset] = _symbol_bracket(n, k, m) * p - _symbol_rhs(table, roots, k, offset, m)
     return out
 
 

@@ -378,13 +378,13 @@ def test_pairings_are_coordinate_differences():
             wlam = rs.weyl_apply(w, sp.lam)
             got = cf._roots(w.images, n)
             pairings = [rs.inner(wlam, rs.coroot(alpha)) for alpha in roots]
-            assert [table.arg((i, j, 0, 0)) for i, j, _, _ in got] == pairings
+            assert [Q(table.num((i, j, 0, 0)), den) for i, j, _, _ in got] == pairings
             assert [sp.k * d for _, _, d, _ in got] == [rs.inner(sp.rho, rs.coroot(alpha)) for alpha in roots]
             for (i, j, d, _), p in zip(got, pairings, strict=True):
                 for c, ck in ((0, 1), (1, 0), (1, -1)):
-                    assert table.arg((i, j, c, ck)) == p + c + ck * sp.k
-                    assert table.arg((j, i, c, ck)) == -p + c + ck * sp.k
-                assert table.arg((0, 0, 1, -d)) == 1 - sp.k * d
+                    assert Q(table.num((i, j, c, ck)), den) == p + c + ck * sp.k
+                    assert Q(table.num((j, i, c, ck)), den) == -p + c + ck * sp.k
+                assert Q(table.num((0, 0, 1, -d)), den) == 1 - sp.k * d
 
 
 # -- the factor table: bit-identical values, same failures ----------------------
@@ -586,27 +586,38 @@ def test_slot_registry_and_slot_caches_are_bounded():
         assert entries[cf._LIMIT_SLOT] == ("limit", None, 1)
         cf._slots.cache_clear()
         assert cf._slots(n).entries == entries
+    # the limit's slot reads sin(m pi k) and Gamma(m k), m = 1..n+1, in m order
+    for n in range(1, 5):
+        rank = cf._slots(n)
+        for kind, slots in (("sin", rank.limit_sins), ("gamma", rank.limit_gammas)):
+            assert [rank.entries[slot] for slot in slots] == [(kind, (0, 0, 0, m), 1) for m in range(1, n + 2)]
     # every slot is read by some closed form at some w
     for n in (1, 2, 3):
-        used = {cf._LIMIT_SLOT}
+        rank = cf._slots(n)
+        used = {cf._LIMIT_SLOT, *rank.limit_sins, *rank.limit_gammas}
         for w in dg.all_permutations(n + 1):
-            for compiled in (cf._a_w_factors, cf._F_w_factors, cf._limit_factors):
-                prod = compiled(w.images, n)
+            for prod in cf._forms(w.images, n):
                 used.update(prod.gammas, prod.sins, [prod.phase])
-        # and the limit's slot reads sin(m pi k) and Gamma(m k), m = 1..n+1
-        used |= {cf._slots(n).index[kind, (0, 0, 0, m), 1] for kind in ("sin", "gamma") for m in range(1, n + 2)}
-        assert used == set(range(len(cf._slots(n).entries)))
-    # the registries and the per-w slot lists stay within their caches
+        assert used == set(range(len(rank.entries)))
+    # the per-w record is built once per w for all three closed forms
+    sp = random_generic(random.Random(5), 3, Q(1, 5), 29)
+    ws = list(dg.all_permutations(4))
+    cf._forms.cache_clear()
+    for w in ws:
+        for f in (cf.a_w, cf.F_w_at_1, cf.limit_value):
+            f(w, sp)
+    assert cf._forms.cache_info()[:2] == (2 * len(ws), len(ws))  # (hits, misses)
+    # the rank records and the per-w records stay within their caches
     for n in range(1, 30):
         cf._slots(n)
     sp = random_generic(random.Random(5), 5, Q(1, 5), 29)
     for w in dg.all_permutations(6):
         cf.a_w(w, sp)
-    for cache in (cf._slots, cf._a_w_factors, cf._F_w_factors, cf._limit_factors):
+    for cache in (cf._slots, cf._forms):
         info = cache.cache_info()
         assert info.maxsize is not None and info.currsize <= info.maxsize
     assert cf._slots.cache_info().currsize == cf._slots.cache_info().maxsize
-    assert cf._a_w_factors.cache_info().currsize == cf._a_w_factors.cache_info().maxsize
+    assert cf._forms.cache_info().currsize == cf._forms.cache_info().maxsize
 
 
 # -- exact spectral data as integers over one denominator -----------------------
@@ -687,7 +698,7 @@ def test_integer_views_match_fractions(sp):
                     spec = (i, j, c, ck)
                     x = sp.lam[i] - sp.lam[j] + c + ck * sp.k
                     num = table.num(spec)
-                    assert table.arg(spec) == x
+                    assert Q(num, den) == x
                     assert (num / den).hex() == float(x).hex()
                     assert complex(num / den) == complex(x)
                     assert cf._factor("gamma", num, den, 1)[0] == (x <= 0 and x.denominator == 1)

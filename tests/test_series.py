@@ -308,7 +308,7 @@ def test_freudenthal_matches_vector_form_reference():
                 assert list(t.entries.items()) == list(ref.entries.items())
                 assert se.residual_L(t) == 0
     # corrupt the last (rank-3) table: both residuals see the same defect
-    t.entries[(1, 1, 0)] += Q(1, 1000)
+    t = se.CoeffTable(t.mu, t.k, t.depth, {**t.entries, (1, 1, 0): t.entries[(1, 1, 0)] + Q(1, 1000)})
     assert se.residual_L(t) == _reference_residual_L(t) != 0
 
 
@@ -335,7 +335,7 @@ def test_freudenthal_residual_exact_zero():
 def test_residual_detects_corruption():
     sp = sp1()
     t = se.freudenthal_table_for_w(dg.Permutation((1, 2)), sp, 4)
-    t.entries[(2,)] += Q(1, 1000)
+    t = se.CoeffTable(t.mu, t.k, t.depth, {**t.entries, (2,): t.entries[(2,)] + Q(1, 1000)})
     assert se.residual_L(t) != 0
 
 
@@ -561,6 +561,24 @@ def test_coefftable_rejects_incomplete_tables_when_built():
             se.CoeffTable(t.mu, t.k, t.depth, {**t.entries, bad: Q(0)})
     with pytest.raises(ValueError, match="the offsets are not every 1-tuple of height <= 0"):
         se.CoeffTable(t.mu, t.k, 0)
+
+
+def test_coefftable_entries_are_read_only():
+    # a table keeps its own read-only copy: deleting offset (1,) from it made
+    # residual_L raise KeyError while phi_eval summed the rest
+    t = se.freudenthal_table_for_w(dg.Permutation((1, 2)), sp1(), 3)
+    with pytest.raises(TypeError):
+        del t.entries[(1,)]
+    with pytest.raises(TypeError):
+        t.entries[(1,)] = Q(0)
+    with pytest.raises(TypeError):
+        t.entries[(4,)] = Q(0)
+    entries = dict(t.entries)
+    built = se.CoeffTable(t.mu, t.k, t.depth, entries)
+    del entries[(1,)]
+    entries[(2,)] = Q(5)
+    assert built.entries == t.entries and (1,) in built.entries
+    assert se.residual_L(built) == 0
 
 
 _TABLE = {"mu": ["1/5", "-1/5"], "k": "3/2", "entries": [{"offset": [0], "value": "1"}]}
