@@ -183,23 +183,19 @@ def _chk_top_mark(seed):
 def _chk_component_rule(seed):
     for r in range(1, 7):
         for d in _diagrams(r):
-            adj: dict[tuple, list] = {}
-            for j in range(1, r):
+            # every point's target chain ends at one top-row point, and the
+            # arrows form a forest rooted there, so the undirected component
+            # of (i, r) is the set of points whose chain ends at (i, r):
+            # label each point once, rows top-down, and count the labels
+            label = {(i, r): i for i in range(1, r + 1)}
+            for j in range(r - 1, 0, -1):
                 for i in range(1, j + 1):
-                    t = d.target((i, j))
-                    adj.setdefault((i, j), []).append(t)
-                    adj.setdefault(t, []).append((i, j))
-            w = d.to_permutation()
-            for i in range(1, r + 1):
-                stack, seen = [(i, r)], set()
-                while stack:
-                    p = stack.pop()
-                    if p in seen:
-                        continue
-                    seen.add(p)
-                    stack.extend(adj.get(p, []))
-                if len(seen) != w(i):
-                    return False, "component size != w(i)"
+                    label[(i, j)] = label[d.target((i, j))]
+            sizes = [0] * (r + 1)
+            for i in label.values():
+                sizes[i] += 1
+            if tuple(sizes[1:]) != d.to_permutation().images:
+                return False, "component size != w(i)"
     return True, "undirected component size equals w(i), exhaustive r<=6"
 
 
@@ -247,21 +243,22 @@ def _chk_words(seed):
 def _chk_order(seed):
     for n in range(1, 6):
         perms = list(dg.all_permutations(n))
-        marks = {w: dg.Diagram.from_permutation(w).marks for w in perms}
-        above = {w: [v for v in perms if dg._marks_leq(marks[w], marks[v])] for w in perms}
-        below = {w: [] for w in perms}
-        for w in perms:
+        marks = [dg.Diagram.from_permutation(w).marks for w in perms]
+        length = [dg.Diagram.from_permutation(w).length() for w in perms]
+        idx = range(len(perms))  # the elements by position in perms
+        above = [[v for v in idx if dg._marks_leq(marks[w], marks[v])] for w in idx]
+        below: list[list[int]] = [[] for _ in idx]
+        for w in idx:
             for v in above[w]:
                 below[v].append(w)
-        length = {w: dg.Diagram.from_permutation(w).length() for w in perms}
-        for w in perms:
+        for w in idx:
             geq, leq = above[w], below[w]
             n_geq, n_leq, q_geq, q_leq = dg._order_values(marks[w])
             if len(geq) != n_geq or len(leq) != n_leq:
                 return False, "closed-form counts differ from enumeration"
-            if q_geq != dg.length_sum(geq):
+            if q_geq != dg.length_sum([perms[v] for v in geq]):
                 return False, "q-polynomial (geq) differs"
-            if q_leq != dg.length_sum(leq):
+            if q_leq != dg.length_sum([perms[v] for v in leq]):
                 return False, "q-polynomial (leq) differs"
             if any(length[w] > length[v] for v in geq):
                 return False, "monotonicity of length fails"

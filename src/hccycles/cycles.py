@@ -97,8 +97,9 @@ anchors and the factor slots, the t-factors without their exponents.
 `_plan` holds what depends on the diagram and float (lambda, k): the
 factors with a nonzero exponent, which the pointwise path reads, and
 their regrouping by axis for quadrature.  The z-free part of each axis's
-log is built once per call.  Pointwise evaluation and `t_values` build
-records from their own tau (`_tau_nodes`).  There is one walk that builds
+log is built once per call.  Pointwise evaluation builds records from
+its own tau (`_tau_nodes`); `t_values` builds only each axis's step
+(`_step`, which the records use too).  There is one walk that builds
 t, from the top row down (`_t_values`), for quadrature and pointwise
 evaluation alike.  It reads one step array e^{2 pi i tau}(1 - f) per
 axis: the record's whole array, reshaped onto a free axis of the block, or
@@ -256,8 +257,10 @@ class CyclePath:
         return len(self.points)
 
     def t_values(self, tau) -> dict[Point, np.ndarray]:
-        """All t-points from per-axis tau arrays, e.g. a (naxes, M) batch."""
-        return _t_values(self, [nd.step for nd in _tau_nodes(self, tau)])
+        """All t-points from per-axis tau arrays, e.g. a (naxes, M) batch.
+        Each axis builds its step e^{2 pi i tau}(1 - f) alone (`_step`),
+        with the bits of the step of its full node record."""
+        return _t_values(self, [_step(a, self.bump(a))[1] for a in np.asarray(tau, dtype=float)])
 
 
 class _Slot(NamedTuple):
@@ -381,8 +384,16 @@ class _Nodes(NamedTuple):
         with np.errstate(divide="ignore"):  # log(0) where the base vanishes is caught downstream
             lvan.real = 0.5 * np.log(g.real**2 + g.imag**2)
         lvan.imag = np.arctan2(g.imag, g.real)
-        rot = np.exp(2j * np.pi * x)
-        return cls(x, lstep, rot * (1.0 - f), lvan, rot * (2j * np.pi * (1.0 - f) - bump.deriv(x)))
+        rot, step = _step(x, f)
+        return cls(x, lstep, step, lvan, rot * (2j * np.pi * (1.0 - f) - bump.deriv(x)))
+
+
+def _step(x, f) -> tuple[np.ndarray, np.ndarray]:
+    """e^{2 pi i tau} and the step e^{2 pi i tau}(1 - f) at tau = x, with f
+    the bump at x: the one place a step is built, for the node records and
+    for `CyclePath.t_values` alike."""
+    rot = np.exp(2j * np.pi * x)
+    return rot, rot * (1.0 - f)
 
 
 @functools.lru_cache(maxsize=8)

@@ -15,10 +15,13 @@ Permutations are stored as 1-based image tuples and compose as functions:
 
 Input is checked at the public constructors: ``Permutation(images)`` and
 ``Diagram(marks)`` reject anything that is not a permutation or a valid mark
-vector.  Values this module derives from checked values (products, inverses,
-the named elements of S_r, the enumerations ``all_permutations`` and
-``all_diagrams``, and ``Diagram.from_permutation``) are built unchecked by
-the private ``_unchecked`` constructors, since they are valid by construction.
+vector, and they, ``GZPattern`` and ``gz_pattern`` reject an entry that is
+not an integer (a float or a Fraction, say) rather than truncate it; ints
+and numpy integers pass.  Values this module derives from checked values
+(products, inverses, the named elements of S_r, the enumerations
+``all_permutations`` and ``all_diagrams``, ``evaluate_word`` and
+``Diagram.from_permutation``) are built unchecked by the private
+``_unchecked`` constructors, since they are valid by construction.
 ``to_permutation`` still goes through the checked constructor: its result is
 what the bijection claim (Prop 2.2) tests.
 
@@ -31,6 +34,7 @@ from __future__ import annotations
 
 import functools
 import json
+import operator
 from dataclasses import dataclass
 from itertools import accumulate, permutations as _itperms, product
 from math import prod
@@ -42,12 +46,23 @@ from .polynomial import Poly, geometric_sum
 Point = tuple[int, int]
 
 
+def _ints(values: Iterable) -> tuple[int, ...]:
+    """The entries of `values` as ints; ValueError for any entry that is not
+    an integer (through ``operator.index``, so ints and numpy integers pass
+    and a float or a Fraction does not, even an integral one)."""
+    values = tuple(values)
+    try:
+        return tuple(map(operator.index, values))
+    except TypeError:
+        raise ValueError(f"entries must be integers: {values}") from None
+
+
 @dataclass(frozen=True)
 class Permutation:
     images: tuple[int, ...]
 
     def __post_init__(self):
-        images = tuple(int(x) for x in self.images)
+        images = _ints(self.images)
         if sorted(images) != list(range(1, len(images) + 1)):
             raise ValueError(f"not a permutation of 1..{len(images)}: {images}")
         object.__setattr__(self, "images", images)
@@ -111,7 +126,7 @@ class Diagram:
     marks: tuple[int, ...]
 
     def __post_init__(self):
-        marks = tuple(int(m) for m in self.marks)
+        marks = _ints(self.marks)
         for j, ij in enumerate(marks, start=1):
             if not 1 <= ij <= j:
                 raise ValueError(f"mark {ij} in row {j} violates 1 <= i_j <= j")
@@ -166,12 +181,12 @@ class Diagram:
 
     @classmethod
     def from_permutation(cls, w: Permutation) -> "Diagram":
-        """Inverse of to_permutation: i_r = w^{-1}(1), then strip and recurse."""
+        """Inverse of to_permutation (see `_diagram_of`)."""
         return _diagram_of(w.images)
 
     def length(self) -> int:
         """Coxeter length of the associated permutation: sum (i_j - 1)."""
-        return sum(m - 1 for m in self.marks)
+        return sum(self.marks) - len(self.marks)
 
     def left_arrow_count(self) -> int:
         """Arrows keeping their column, tar(i,j) = (i, j+1); equals length()."""
@@ -207,29 +222,43 @@ class Diagram:
 
 @functools.lru_cache(maxsize=256)
 def _diagram_of(images: tuple[int, ...]) -> Diagram:
-    """Diagram.from_permutation on a 1-based image tuple, memoized: the order
-    checks ask for the same few hundred permutations many times over."""
-    rest = list(images)
-    marks: list[int] = []
-    while rest:
-        pos = rest.index(1) + 1
-        marks.append(pos)
-        rest = [v - 1 for v in rest[:pos - 1] + rest[pos:]]
-    return Diagram._unchecked(tuple(reversed(marks)))
+    """Diagram.from_permutation on a 1-based image tuple, in one pass.
+
+    Stripping the top row (i_r = w^{-1}(1)), lowering the other values and
+    recursing strips the value v as the top mark of row r - v + 1, when
+    only the values above v are left: its mark is its position among them,
+    one plus the number of larger values to its left in w.  Memoized,
+    because `cycles.cycle_for_w` reads it on every integral.
+    """
+    r = len(images)
+    marks = [0] * r
+    for pos, v in enumerate(images):
+        marks[r - v] = 1 + sum(map(v.__lt__, images[:pos]))
+    return Diagram._unchecked(tuple(marks))
+
+
+def _all_marks(r: int) -> Iterator[tuple[int, ...]]:
+    """The mark vectors of all r! diagrams with r rows, in lexicographic order."""
+    return product(*(range(1, j + 1) for j in range(1, r + 1)))
 
 
 def all_diagrams(r: int) -> Iterator[Diagram]:
     """All r! diagrams with r rows, in lexicographic mark order."""
-    for marks in product(*(range(1, j + 1) for j in range(1, r + 1))):
+    for marks in _all_marks(r):
         yield Diagram._unchecked(marks)
 
 
 def evaluate_word(word: Sequence[int], r: int) -> Permutation:
-    """Product of generators in the written order, composing as functions."""
-    out = Permutation.identity(r)
+    """Product of generators in the written order, composing as functions:
+    multiplying by sigma_g on the right swaps the images at positions g and
+    g + 1 of one list.  Raises ValueError for an index outside 1..r-1, as
+    `Permutation.generator` does."""
+    images = list(range(1, r + 1))
     for g in word:
-        out = out * Permutation.generator(g, r)
-    return out
+        if not 1 <= g <= r - 1:
+            raise ValueError(f"generator index {g} out of range for S_{r}")
+        images[g - 1], images[g] = images[g], images[g - 1]
+    return Permutation._unchecked(tuple(images))
 
 
 def stripped_relation_holds(w: Permutation) -> bool:
@@ -277,8 +306,8 @@ def _times_qint(coeffs: tuple[int, ...], m: int) -> tuple[int, ...]:
 
 
 def poincare_sum(n: int) -> tuple[int, ...]:
-    """Brute-force sum over S_n of q^{l(w)}."""
-    return _coeff_tuple((d.length(), 1) for d in all_diagrams(n))
+    """Brute-force sum over S_n of q^{l(w)}, l(w) = sum_j (i_j - 1) from the marks."""
+    return _coeff_tuple((sum(marks) - n, 1) for marks in _all_marks(n))
 
 
 def poincare_product(n: int) -> tuple[int, ...]:
@@ -288,7 +317,7 @@ def poincare_product(n: int) -> tuple[int, ...]:
 
 def multiparam_sum(n: int) -> Poly:
     """Brute-force sum over diagrams of prod_j q_j^{i_j(w)-1}."""
-    return Poly(n, ((tuple(m - 1 for m in d.marks), 1) for d in all_diagrams(n)))
+    return Poly(n, ((tuple(m - 1 for m in marks), 1) for marks in _all_marks(n)))
 
 
 def multiparam_product(n: int) -> Poly:
@@ -318,7 +347,7 @@ def partial_leq(w1: Permutation, w2: Permutation) -> bool:
 
 def _marks_leq(m1: tuple[int, ...], m2: tuple[int, ...]) -> bool:
     """partial_leq on two mark vectors of one length."""
-    return all(a <= b for a, b in zip(m1, m2))
+    return all(map(operator.le, m1, m2))
 
 
 def _order_values(marks: tuple[int, ...]) -> tuple[int, int, tuple[int, ...], tuple[int, ...]]:
@@ -373,7 +402,7 @@ class GZPattern:
     rows: tuple[tuple[int, ...], ...]
 
     def __post_init__(self):
-        rows = tuple(tuple(int(x) for x in row) for row in self.rows)
+        rows = tuple(map(_ints, self.rows))
         n = len(rows)
         for q, row in enumerate(rows):
             if len(row) != n - q:
@@ -419,7 +448,7 @@ def gz_pattern(w: Permutation, m: Sequence[int]) -> GZPattern:
     the unique pattern of weight w.m under the left action
     (w.m)_i = m_{w^{-1}(i)}, i.e. entry m_i sits at position w(i).
     """
-    m = [int(x) for x in m]
+    m = _ints(m)
     if any(a > b for a, b in zip(m, m[1:])):
         raise ValueError("weight must be weakly increasing")
     n = w.rank

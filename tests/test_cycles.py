@@ -159,6 +159,24 @@ def test_modulus_inequality_bulk():
                 assert np.all(np.abs(t[p]) <= np.abs(t[c.diagram.target(p)]) + 1e-15)
 
 
+def test_t_values_match_node_record_steps_bitwise():
+    # t_values builds only each axis's step (`_step`): every t value has the
+    # bits it has from the step of the full node record, for a batch of tau,
+    # for one tau vector (as `cycle_point` passes it) and at the endpoints
+    rng = np.random.default_rng(3)
+    for n in (1, 2, 3):
+        z = [10.0 ** (-2 * i) for i in range(n, -1, -1)]
+        for w in dg.all_permutations(n + 1):
+            c = cy.cycle_for_w(w, z, 0.1)
+            for tau in (rng.random((c.naxes, 40)), rng.random(c.naxes), np.zeros(c.naxes), np.ones(c.naxes),
+                        [0.25] * c.naxes):
+                want = cy._t_values(c, [cy._Nodes.of(a, c.bump).step for a in np.asarray(tau, dtype=float)])
+                got = c.t_values(tau)
+                assert list(got) == list(want)
+                for p in want:
+                    assert np.asarray(got[p]).tobytes() == np.asarray(want[p]).tobytes(), (w.images, p)
+
+
 def test_factor_census():
     sp = sp2()
     for w in dg.all_permutations(3):

@@ -3,6 +3,7 @@ import random
 import time
 from fractions import Fraction as Q
 
+import numpy as np
 import pytest
 
 from hccycles import claims
@@ -46,6 +47,29 @@ def test_permutation_basic():
             dg.Permutation.generator(i, 3)
     with pytest.raises(ValueError):
         w * dg.Permutation.identity(2)
+
+
+def test_non_integer_entries_raise():
+    # a float or a Fraction entry raises, even an integral one, where it was
+    # truncated; ints and numpy integers are accepted and stored as int
+    w = Permutation((2, 1))
+    for bad in ((1.7, 2), (2.0, 1), (Q(2), 1), ("2", "1")):
+        with pytest.raises(ValueError):
+            Permutation(bad)
+    for bad in ((1, 2.5), (1, 1.0), (1, Q(2))):
+        with pytest.raises(ValueError):
+            Diagram(bad)
+    with pytest.raises(ValueError):
+        Diagram.from_json("[1, 2.5]")
+    for bad in ([1.5, 2.9], [0, Q(1)], [0.0, 1]):
+        with pytest.raises(ValueError):
+            dg.gz_pattern(w, bad)
+    with pytest.raises(ValueError):
+        dg.GZPattern.from_json("[[0, 1.5], [1]]")
+    assert Permutation((np.int64(2), np.int8(1))) == w
+    assert type(Permutation((np.int64(2), 1)).images[0]) is int
+    assert Diagram((np.int32(1), np.int64(2))).marks == (1, 2)
+    assert dg.gz_pattern(w, [np.int64(0), 1]) == dg.gz_pattern(w, [0, 1])
 
 
 def _is_checked_permutation(p):
@@ -95,6 +119,44 @@ def test_to_permutation_matches_component_sizes_r7():
     for r in range(1, 8):
         for d in dg.all_diagrams(r):
             assert d.to_permutation().images == _component_sizes(d)
+
+
+def _ref_diagram_of(images):
+    """Test-only reference: from_permutation by strip and recurse. The top
+    mark is i_r = w^{-1}(1); delete it, lower the other values by one and
+    recurse on the rest for the rows below."""
+    rest = list(images)
+    marks = []
+    while rest:
+        pos = rest.index(1) + 1
+        marks.append(pos)
+        rest = [v - 1 for v in rest[:pos - 1] + rest[pos:]]
+    return tuple(reversed(marks))
+
+
+def test_from_permutation_matches_strip_and_recurse_r7():
+    for r in range(1, 8):
+        for w in dg.all_permutations(r):
+            d = Diagram.from_permutation(w)
+            assert d.marks == _ref_diagram_of(w.images)
+            assert d.length() == sum(m - 1 for m in d.marks)
+
+
+def test_evaluate_word_matches_generator_product():
+    rng = random.Random(11)
+    for r in range(1, 8):
+        for size in (0, 1, 2, 5, 12, 30):
+            if r == 1 and size:
+                continue
+            word = [rng.randint(1, r - 1) for _ in range(size)]
+            ref = Permutation.identity(r)
+            for g in word:
+                ref = ref * Permutation.generator(g, r)
+            assert _is_checked_permutation(dg.evaluate_word(word, r))
+            assert dg.evaluate_word(word, r) == ref
+        for bad in (0, r):
+            with pytest.raises(ValueError, match=f"generator index {bad} out of range for S_{r}"):
+                dg.evaluate_word([1] * (r > 1) + [bad], r)
 
 
 def test_permutation_of_examples():
@@ -282,9 +344,9 @@ def test_stripped_relation(check_claim):
     check_claim("induction")
 
 
-# Each of the four registry entries above fails, with its message, once the
-# library function it checks is broken; the last three only at the largest r
-# the entry covers.
+# Each registry entry below fails, with its message, once the library
+# function it checks is broken; all but the first only at the largest r the
+# entry covers.
 BROKEN = [
     ("diagram_validity", Diagram, "is_marked", lambda f: lambda self, point: True, "marked target"),
     ("left_arrows", Diagram, "left_arrow_count", lambda f: lambda self: f(self) + (self.rows == 6),
@@ -293,6 +355,17 @@ BROKEN = [
      lambda f: lambda self: Permutation(f(self).images[::-1]) if self.rows == 6 else f(self), "w(i_r) != 1"),
     ("induction", dg, "stripped_relation_holds", lambda f: lambda w: f(w) and len(w.images) != 5,
      "stripping relation fails at (1, 2, 3, 4, 5)"),
+    ("component_rule", Diagram, "to_permutation",
+     lambda f: lambda self: Permutation(f(self).images[::-1]) if self.rows == 6 else f(self),
+     "component size != w(i)"),
+    ("bijection", Diagram, "from_permutation",
+     lambda f: lambda w: Diagram((1,) * 6) if w.rank == 6 else f(w), "roundtrip fails at marks (1, 1, 1, 1, 1, 2)"),
+    ("words", dg, "evaluate_word", lambda f: lambda word, r: f(word[:-1] if r == 6 else word, r),
+     "word fails at (1, 1, 1, 1, 1, 2)"),
+    ("length", Diagram, "length", lambda f: lambda self: f(self) + (self.rows == 6),
+     "length != inversions at (1, 1, 1, 1, 1, 1)"),
+    ("order", dg, "_order_values", lambda f: lambda marks: (f(marks)[0] + (len(marks) == 5),) + f(marks)[1:],
+     "closed-form counts differ from enumeration"),
 ]
 
 
